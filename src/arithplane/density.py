@@ -10,27 +10,32 @@ closure, when the lattice declares enough data.  The ``check_*`` functions
 are finite-truncation verifiers for the structural identities the rest of
 the package relies on; they report what they find and adjudicate nothing.
 
-Scans partition the prime list into fixed-size chunks merged by counter
-addition, so results are identical for any worker count.
+Every pooled scan goes through :func:`scan`: it splits [2, N] into
+fixed-width ranges, each worker sieves its own range, and the per-range
+Counters are added in range order, so results are identical for any worker
+count.  Whether a prime is skipped, and why, is decided by
+:class:`~arithplane.lattice.ExclusionRule`; skips are counted once per point.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import plane
 from . import spectrum as sp
 from .errors import ExprSyntaxError, UnknownFieldError
-from .lattice import BASE_NAME, Extension, LatticeConfig, NumberField
-from .sieve import stream_primes
+from .finitefield import MAX_CHARACTERISTIC, is_prime
+from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
+from .sieve import partition_ranges, prime_range, stream_primes
 
 CHECKPOINT_START = 100
-CHUNK_PRIMES = 4096
+RANGE_WIDTH = 1 << 18
 
 # --------------------------------------------------------------------------
 # expression AST
@@ -149,17 +154,6 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class _Parser:
     def __init__(self, text: str, cfg: LatticeConfig):
         self.text = text
@@ -237,7 +231,7 @@ class _Parser:
     def prime(self) -> int:
         t = self.take("int")
         p = int(t.text)
-        if not _is_prime(p):
+        if not (p < MAX_CHARACTERISTIC and is_prime(p)):
             raise ExprSyntaxError(f"{p} is not prime", t.pos)
         return p
 
@@ -300,6 +294,8 @@ def trace_csv(est: DensityEstimate) -> str:
 
 
 def _checkpoints(n: int) -> tuple[int, ...]:
+    if n < CHECKPOINT_START:
+        raise ValueError(f"bound must be at least {CHECKPOINT_START}, got {n}")
     out = []
     c = CHECKPOINT_START
     while c < n:
@@ -309,18 +305,26 @@ def _checkpoints(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _skip_sets(exprs: Sequence[SetExpr]) -> tuple[tuple[int, ...], frozenset[int]]:
-    """(discriminants, denominator primes) whose divisibility excludes p."""
-    discs = []
-    dens: set[int] = set()
-    for expr in exprs:
-        for atom in expr.atoms():
-            ext = atom.ext
-            for d in (ext.field.disc, ext.base.disc):
-                if d not in (1, -1) and d not in discs:
-                    discs.append(d)
-            dens |= ext.emb.denominator_primes()
-    return tuple(discs), frozenset(dens)
+def scan(kernel: Callable[..., Counter], payload, n: int, workers: int) -> Counter:
+    """Sum ``kernel(payload, lo, hi)`` over fixed-width ranges covering [2, n].
+
+    Each call sieves only its own range, in this process or in a pool of at
+    most ``os.cpu_count()`` workers.  The ranges depend on n alone and the
+    per-range Counters are added in range order, so the total is the same
+    for every worker count.  ``kernel`` and ``payload`` must pickle.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    ranges = partition_ranges(n, max(1, -(-(n - 1) // RANGE_WIDTH)))
+    jobs = ([payload] * len(ranges), *zip(*ranges))
+    workers = min(workers, os.cpu_count() or 1, len(ranges))
+    if workers == 1:
+        return sum(map(kernel, *jobs), Counter())
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(kernel, *jobs), Counter())
+
+
+_SKIP_SLOT = {"ramified": 1, "denominator": 2}
 
 
 def _quad_flags(c0: int, c1: int, p: int) -> tuple[bool, bool]:
@@ -341,64 +345,42 @@ def _fast_flags(coeffs: tuple[int, ...], p: int) -> tuple[bool, bool]:
     return sp.pi_psi_flags([c % p for c in coeffs], p)
 
 
-def _scan_chunk(payload) -> list[list[int]]:
-    """Count one chunk of primes.
+def _density_kernel(payload, lo: int, hi: int) -> Counter:
+    """Tally the base points over the primes in [lo, hi].
 
-    Returns one row per checkpoint interval:
-    ``[total, skipped_ramified, skipped_denominator, c_0, ..., c_{2^e - 1}]``
-    where ``c_mask`` counts points whose expression truth values form
-    ``mask`` (expression j contributing bit j).
+    Keys are ``(checkpoint index, slot)``.  Slot 0 counts evaluable points,
+    slots 1 and 2 skipped points by reason, and slot ``3 + mask`` the points
+    whose expression truth values form ``mask`` (expression j giving bit j).
+    Every count is per point of the base spectrum.
     """
-    exprs, primes, checkpoints = payload
-    discs, dens = _skip_sets(exprs)
+    exprs, checkpoints, rule = payload
+    rows = [[0] * (3 + (1 << len(exprs))) for _ in checkpoints]
+
+    def tally(order: int, reason: str | None, holds: Callable) -> None:
+        row = rows[bisect.bisect_left(checkpoints, order)]
+        if reason:
+            row[_SKIP_SLOT[reason]] += 1
+            return
+        mask = 0
+        for j, expr in enumerate(exprs):
+            if _eval_node(expr.node, holds):
+                mask |= 1 << j
+        row[0] += 1
+        row[3 + mask] += 1
+
     base = exprs[0].base
-    nexpr = len(exprs)
-    rows = [[0] * (3 + (1 << nexpr)) for _ in checkpoints]
     fast = base.degree == 1
-
-    for p in primes:
+    for p in prime_range(lo, hi):
+        reason = rule.reason(p)
         if fast:
-            row = rows[bisect.bisect_left(checkpoints, p)]
-            reason = _skip_reason(p, discs, dens)
-            if reason:
-                row[reason] += 1
-                continue
             memo: dict[str, tuple[bool, bool]] = {}
-            mask = 0
-            for j, expr in enumerate(exprs):
-                if _eval_node(expr.node, lambda a: _fast_atom(a, p, memo)):
-                    mask |= 1 << j
-            row[0] += 1
-            row[3 + mask] += 1
-        else:
-            if base.disc % p == 0:
-                rows[bisect.bisect_left(checkpoints, p)][1] += 1
-                continue
-            reason = _skip_reason(p, discs, dens)
-            for pL in sp.split_prime(base, p):
-                if pL.order > checkpoints[-1]:
-                    continue
-                row = rows[bisect.bisect_left(checkpoints, pL.order)]
-                if reason:
-                    row[reason] += 1
-                    continue
-                mask = 0
-                for j, expr in enumerate(exprs):
-                    if _eval_node(expr.node, lambda a: _point_atom(a, pL)):
-                        mask |= 1 << j
-                row[0] += 1
-                row[3 + mask] += 1
-    return rows
-
-
-def _skip_reason(p: int, discs: tuple[int, ...], dens: frozenset[int]) -> int:
-    # 0 = evaluable; 1, 2 index the skip counters in a scan row
-    for d in discs:
-        if d % p == 0:
-            return 1
-    if p in dens:
-        return 2
-    return 0
+            tally(p, reason, lambda a: _fast_atom(a, p, memo))
+            continue
+        for pL in sp.split_prime(base, p):
+            if pL.order <= checkpoints[-1]:
+                tally(pL.order, reason, lambda a, pL=pL: _point_atom(a, pL))
+    return Counter({(i, slot): v for i, row in enumerate(rows)
+                    for slot, v in enumerate(row) if v})
 
 
 def _fast_atom(atom: Node, p: int, memo: dict) -> bool:
@@ -419,64 +401,48 @@ def _point_atom(atom: Node, pL: sp.SplitPrime) -> bool:
     return sp.in_psi(atom.ext, pL)
 
 
-def _run_scan(
-    exprs: Sequence[SetExpr], n: int, workers: int
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    if n < CHECKPOINT_START:
-        raise ValueError(f"bound must be at least {CHECKPOINT_START}, got {n}")
+def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int):
+    """(checkpoints, counts) of one scan evaluating every expression at once."""
+    checkpoints = _checkpoints(n)
     for expr in exprs[1:]:
         if expr.base.name != exprs[0].base.name:
             raise ExprSyntaxError(
                 f"mixed base fields: {exprs[0].base.name!r} and {expr.base.name!r}"
             )
-    checkpoints = _checkpoints(n)
-    primes = list(stream_primes(n))
-    payloads = [
-        (tuple(exprs), tuple(primes[i : i + CHUNK_PRIMES]), checkpoints)
-        for i in range(0, len(primes), CHUNK_PRIMES)
-    ]
-    if workers <= 1 or len(payloads) <= 1:
-        results: Iterable[list[list[int]]] = map(_scan_chunk, payloads)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, payloads))
-    width = 3 + (1 << len(exprs))
-    merged = [[0] * width for _ in checkpoints]
-    for rows in results:
-        for acc, row in zip(merged, rows):
-            for i, v in enumerate(row):
-                acc[i] += v
-    return checkpoints, merged
+    rule = ExclusionRule.of(atom.ext for expr in exprs for atom in expr.atoms())
+    payload = (tuple(exprs), checkpoints, rule)
+    return checkpoints, scan(_density_kernel, payload, n, workers)
 
 
 def _build_estimate(
-    n: int, checkpoints: tuple[int, ...], merged: list[list[int]], bit: int, nexpr: int
+    n: int, checkpoints: tuple[int, ...], counts: Counter, nexpr: int,
+    holds: Callable[[int], bool],
 ) -> DensityEstimate:
+    """The estimate of the set whose truth-value masks satisfy ``holds``."""
     trace = []
-    hits = total = ram = den = 0
-    for ck, row in zip(checkpoints, merged):
-        total += row[0]
-        ram += row[1]
-        den += row[2]
-        for mask in range(1 << nexpr):
-            if mask >> bit & 1:
-                hits += row[3 + mask]
+    hits = total = 0
+    for i, ck in enumerate(checkpoints):
+        total += counts[i, 0]
+        hits += sum(counts[i, 3 + mask] for mask in range(1 << nexpr) if holds(mask))
         trace.append(TraceRow(ck, hits, total))
-    skipped = tuple(
-        (k, v) for k, v in (("ramified", ram), ("denominator", den)) if v
-    )
-    return DensityEstimate(n, hits, total, skipped, tuple(trace))
+    skipped = []
+    for reason, slot in _SKIP_SLOT.items():
+        v = sum(counts[i, slot] for i in range(len(checkpoints)))
+        if v:
+            skipped.append((reason, v))
+    return DensityEstimate(n, hits, total, tuple(skipped), tuple(trace))
 
 
 def estimate_density(expr: SetExpr, n: int, workers: int = 1) -> DensityEstimate:
-    """Fraction of evaluable base primes with norm <= n satisfying the expression.
+    """Fraction of evaluable base points with norm <= n satisfying the expression.
 
-    Primes where any atom's extension is excluded (ramified, or a map
-    denominator vanishes) are skipped and tallied by reason; the estimate
-    carries a cumulative trace at every power-of-ten checkpoint.
+    Points over primes where any atom's extension is excluded (see
+    :class:`ExclusionRule`) are skipped and tallied by reason, once per
+    point; the estimate carries a cumulative trace at every power-of-ten
+    checkpoint.
     """
-    checkpoints, merged = _run_scan((expr,), n, workers)
-    return _build_estimate(n, checkpoints, merged, 0, 1)
+    checkpoints, counts = _density_counts((expr,), n, workers)
+    return _build_estimate(n, checkpoints, counts, 1, bool)
 
 
 # --------------------------------------------------------------------------
@@ -569,33 +535,17 @@ class FrobeniusStats:
         return f"{self.field_name}, primes <= {self.n}: " + "; ".join(parts)
 
 
-def _frob_chunk(payload) -> Counter:
-    fld, primes = payload
-    out: Counter = Counter()
-    for p in primes:
-        if fld.disc % p == 0:
-            continue
-        out[sp.degree_pattern(fld, p)] += 1
-    return out
+def _frobenius_kernel(fld: NumberField, lo: int, hi: int) -> Counter:
+    rule = ExclusionRule((fld.disc,), frozenset())
+    return Counter(sp.degree_pattern(fld, p) for p in prime_range(lo, hi)
+                   if rule.reason(p) is None)
 
 
 def frobenius_histogram(
     fld: NumberField, n: int, workers: int = 1
 ) -> FrobeniusStats:
     """Distribution of factorization patterns of the field polynomial mod p."""
-    primes = list(stream_primes(n))
-    payloads = [
-        (fld, tuple(primes[i : i + CHUNK_PRIMES]))
-        for i in range(0, len(primes), CHUNK_PRIMES)
-    ]
-    counts: Counter = Counter()
-    if workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            counts += _frob_chunk(payload)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_frob_chunk, payloads):
-                counts += part
+    counts = scan(_frobenius_kernel, fld, n, workers)
     total = sum(counts.values())
     return FrobeniusStats(fld.name, n, total, tuple(sorted(counts.items())))
 
@@ -607,8 +557,9 @@ def frobenius_histogram(
 def _evaluable_primes(exts: Sequence[Extension], n: int):
     """Base-spectrum points with norm <= n evaluable for every extension."""
     base = exts[0].base
+    rule = ExclusionRule.of(exts)
     for p in stream_primes(n):
-        if any(ext.is_excluded(p) for ext in exts) or base.disc % p == 0:
+        if rule.reason(p):
             continue
         for pL in sp.split_prime(base, p):
             if pL.order <= n:
@@ -752,13 +703,12 @@ def check_pullback(
     ext_ml = cfg.extension((m, l))
     ext_kmk = cfg.extension((km, k))
     ext_kmm = cfg.extension((km, m))  # the square's fourth side must exist
+    rule = ExclusionRule.of((ext_kl, ext_ml, ext_kmk, ext_kmm))
     points = 0
     pi_rows = []
     psi_rows = []
     for p in stream_primes(n):
-        if any(
-            e.is_excluded(p) for e in (ext_kl, ext_ml, ext_kmk, ext_kmm)
-        ):
+        if rule.reason(p):
             continue
         for pK in sp.split_prime(ext_kl.field, p):
             points += 1
@@ -803,24 +753,18 @@ def check_inclusion_exclusion(
     All four counts come from one scan over the primes evaluable for both
     expressions, so the identity is a statement about integers, not limits.
     """
-    checkpoints, merged = _run_scan((expr_a, expr_b), n, workers)
-    est_a = _build_estimate(n, checkpoints, merged, 0, 2)
-    est_b = _build_estimate(n, checkpoints, merged, 1, 2)
-    trace_u = []
-    trace_i = []
-    hits_u = hits_i = total = ram = den = 0
-    for ck, row in zip(checkpoints, merged):
-        total += row[0]
-        ram += row[1]
-        den += row[2]
-        hits_u += row[4] + row[5] + row[6]
-        hits_i += row[6]
-        trace_u.append(TraceRow(ck, hits_u, total))
-        trace_i.append(TraceRow(ck, hits_i, total))
-    skipped = tuple((k, v) for k, v in (("ramified", ram), ("denominator", den)) if v)
-    est_u = DensityEstimate(n, hits_u, total, skipped, tuple(trace_u))
-    est_i = DensityEstimate(n, hits_i, total, skipped, tuple(trace_i))
-    return InclusionExclusionReport(n, est_a, est_b, est_u, est_i)
+    checkpoints, counts = _density_counts((expr_a, expr_b), n, workers)
+
+    def estimate(holds: Callable[[int], bool]) -> DensityEstimate:
+        return _build_estimate(n, checkpoints, counts, 2, holds)
+
+    return InclusionExclusionReport(
+        n,
+        estimate(lambda mask: mask & 1),
+        estimate(lambda mask: mask & 2),
+        estimate(lambda mask: mask != 0),
+        estimate(lambda mask: mask == 3),
+    )
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,11 @@ def _mix_seed(*values: int) -> int:
 
 
 class FqField:
-    """The finite field F_p[t]/(g); construct via :func:`fq_construct`."""
+    """The finite field F_p[t]/(g).
+
+    ``FqField(p, g)`` validates p prime in [2, 2^64) and g monic irreducible;
+    ``_checked=True`` skips that for callers that have already checked.
+    """
 
     __slots__ = ("p", "modulus", "m", "order", "_red")
 
@@ -251,16 +255,6 @@ class FqElement:
 
     def __repr__(self) -> str:
         return f"{self} in {self.field!r}"
-
-
-def fq_construct(p: int, modulus: Sequence[int]) -> FqField:
-    """Build F_p[t]/(g) after validating p prime and g monic irreducible."""
-    return FqField(p, modulus)
-
-
-def fq_pow(x: FqElement, e: int) -> FqElement:
-    """x**e with the 0**0 = 1 convention."""
-    return x**e
 
 
 def fq_norm(x: FqElement, sub_deg: int) -> FqElement:

@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterable
 
 from .errors import (
     AutomorphismGroupError,
@@ -101,16 +103,53 @@ class Extension:
     def name(self) -> str:
         return f"{self.field.name}/{self.base.name}"
 
+    @cached_property
+    def exclusion(self) -> "ExclusionRule":
+        """The exclusion rule of this extension alone."""
+        return ExclusionRule.of((self,))
+
     def excluded_primes(self) -> frozenset[int]:
-        out = set(prime_factors(abs(self.field.disc)))
-        out.update(prime_factors(abs(self.base.disc)))
-        out.update(self.emb.denominator_primes())
-        return frozenset(out)
+        rule = self.exclusion
+        out = {q for d in rule.discs for q in prime_factors(d)}
+        return frozenset(out | rule.denominators)
 
     def is_excluded(self, p: int) -> bool:
-        if self.field.disc % p == 0 or self.base.disc % p == 0:
-            return True
-        return any(den % p == 0 for den in self.emb.h.denominators())
+        return self.exclusion.reason(p) is not None
+
+
+@dataclass(frozen=True)
+class ExclusionRule:
+    """Which rational primes a set of extensions cannot evaluate, and why.
+
+    p is ``ramified`` if it divides the discriminant of any field or base
+    involved; otherwise it is ``denominator`` if it divides the denominator
+    of an embedding coefficient.  Built once per extension set, so asking
+    about one prime costs a scan of the distinct discriminants and one set
+    lookup.
+    """
+
+    discs: tuple[int, ...]
+    denominators: frozenset[int]
+
+    @classmethod
+    def of(cls, exts: Iterable[Extension]) -> "ExclusionRule":
+        discs: list[int] = []
+        dens: set[int] = set()
+        for ext in exts:
+            for d in (ext.field.disc, ext.base.disc):
+                if d not in (1, -1) and d not in discs:
+                    discs.append(d)
+            dens |= ext.emb.denominator_primes()
+        return cls(tuple(discs), frozenset(dens))
+
+    def reason(self, p: int) -> str | None:
+        """``"ramified"``, ``"denominator"``, or None when p is evaluable."""
+        for d in self.discs:
+            if d % p == 0:
+                return "ramified"
+        if p in self.denominators:
+            return "denominator"
+        return None
 
 
 def prime_factors(n: int) -> list[int]:
@@ -198,16 +237,6 @@ class LatticeConfig:
 
 def _base_field() -> NumberField:
     return NumberField(BASE_NAME, IntPoly.of(0, 1), disc=1, trusted=True, certificate_prime=None)
-
-
-_SMALL_PRIMES: list[int] | None = None
-
-
-def _certificate_primes() -> list[int]:
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        _SMALL_PRIMES = list(stream_primes(CERTIFICATE_PRIME_BOUND))
-    return _SMALL_PRIMES
 
 
 def _parse_map_token(tok: str, lineno: int) -> Fraction:
@@ -321,7 +350,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
         poly = IntPoly.from_coeffs(ints)
         cert = None
         if name not in trusted_names:
-            for p in _certificate_primes():
+            for p in stream_primes(CERTIFICATE_PRIME_BOUND):
                 fbar = reduce_mod_p(poly, p)
                 if len(fbar) == len(poly.coeffs) and mp.is_irreducible(fbar, p):
                     cert = p

@@ -106,10 +106,6 @@ def eval_at(a: list[int], x: int, p: int) -> int:
     return acc
 
 
-def derivative(a: list[int], p: int) -> list[int]:
-    return trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
 def xpow_mod(e: int, fmod: list[int], p: int) -> list[int]:
     """x^e mod fmod for monic fmod, by binary exponentiation.
 
@@ -265,10 +261,6 @@ def degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
     if n > 0:
         out.append(n)
     return tuple(sorted(out))
-
-
-def is_squarefree(f: list[int], p: int) -> bool:
-    return deg(gcd_p(f, derivative(f, p), p)) == 0
 
 
 def is_irreducible(f: list[int], p: int) -> bool:

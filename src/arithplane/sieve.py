@@ -7,7 +7,8 @@ segment buffer plus O(sqrt(N)) for the bases; :class:`PrimeStream` accounts
 both so tests can pin the ceiling.
 
 Ranges are the unit of parallelism: :func:`partition_ranges` splits [2, N]
-into disjoint intervals and every interval streams independently.
+into disjoint intervals and :func:`prime_range` sieves one of them on its
+own, so a scan worker needs nothing from its parent but the bounds.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class PrimeStream:
         self._base = base[base > 2]
         self._base_sq = self._base * self._base
         self.base_buffer_bytes = int(self._base.nbytes + self._base_sq.nbytes)
-        self.segment_buffer_bytes = int(np.ones(segment, dtype=bool).nbytes)
+        self.segment_buffer_bytes = segment * np.dtype(bool).itemsize
 
     @property
     def peak_buffer_bytes(self) -> int:
@@ -80,9 +81,6 @@ class PrimeStream:
                 yield int(low + 2 * idx)
             low = high + (1 if high % 2 == 0 else 2)
 
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
 
 def stream_primes(n: int, segment: int = DEFAULT_SEGMENT) -> PrimeStream:
     """Primes up to n, ascending."""
@@ -94,14 +92,14 @@ def prime_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeStream
     return PrimeStream(lo, hi, segment)
 
 
-def partition_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    """Split [2, n] into at most ``workers`` disjoint covering intervals."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+def partition_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """Split [2, n] into at most ``parts`` disjoint covering intervals."""
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
     if n < 2:
         raise ValueError("upper bound must be at least 2")
     total = n - 1  # integers 2..n
-    k = min(workers, total)
+    k = min(parts, total)
     width, extra = divmod(total, k)
     out = []
     lo = 2

@@ -190,7 +190,7 @@ def _refuse_excluded(ext: Extension, pL: SplitPrime) -> None:
         raise NotLyingOverError(
             f"point of {pL.field} is not a base point for {ext.name}"
         )
-    if pL.ramified_flag or ext.is_excluded(pL.p):
+    if ext.is_excluded(pL.p):
         raise RamifiedPrimeError(f"prime {pL.p} is excluded for {ext.name}")
 
 

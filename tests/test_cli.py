@@ -258,6 +258,8 @@ def test_usage_errors_exit_1(capsys):
         ("check", "psi-product", "--lattice", LATTICE, "--fields", "Qi",
          "--max", "100"),
         ("density", "--lattice", LATTICE, "--expr", "Psi(Qi/Q)", "--max", "10"),
+        ("density", "--lattice", LATTICE, "--expr", "Psi(Qi/Q)", "--max", "1000",
+         "--workers", "0"),
         ("fingerprint", "--lattice", LATTICE, "--prime", "5", "--family", ","),
     ]
     for argv in cases:

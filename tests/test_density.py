@@ -1,4 +1,5 @@
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,8 @@ def test_parse_prime_set(demo):
     e = expr(demo, "{5, 3, 5}")
     assert e.node == dn.PrimeSet((3, 5))
     assert e.base.name == "Q"  # pure prime sets default to the rational base
+    big = 2**61 - 1  # prime; the primality test must not be trial division
+    assert expr(demo, f"{{{big}}}").node == dn.PrimeSet((big,))
 
 
 def test_parse_errors(demo):
@@ -63,6 +66,11 @@ def test_parse_errors(demo):
         expr(demo, "Psi(Qi/Q) &")
     with pytest.raises(ExprSyntaxError, match="not prime"):
         expr(demo, "{4}")
+    with pytest.raises(ExprSyntaxError, match="not prime"):
+        expr(demo, "{1}")
+    with pytest.raises(ExprSyntaxError, match="not prime"):
+        # a strong pseudoprime to every fixed Miller-Rabin base, above 2^64
+        expr(demo, "{3317044064679887385961981}")
     with pytest.raises(ExprSyntaxError, match="unexpected character"):
         expr(demo, "Psi(Qi/Q) + Pi(Qi/Q)")
     with pytest.raises(ExprSyntaxError):
@@ -116,12 +124,59 @@ def test_density_prime_set(demo):
     assert (comp.hits, comp.total) == (167, 168)
 
 
-def test_density_worker_parity(demo):
-    e = expr(demo, "Psi(Qi/Q) | Pi(Qc2/Q)")
-    one = dn.estimate_density(e, 20000, workers=1)
-    three = dn.estimate_density(e, 20000, workers=3)
-    assert one == three
-    assert dn.trace_csv(one) == dn.trace_csv(three)
+def test_density_worker_parity(demo, monkeypatch):
+    # narrow ranges so every scan below spans several, and a CPU count that
+    # lets two workers run on any host
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(dn, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dn, "RANGE_WIDTH", 500)
+    monkeypatch.setattr(dn.os, "cpu_count", lambda: 2)
+    scans = [
+        lambda w: dn.estimate_density(expr(demo, "Psi(Qi/Q) | Pi(Qc2/Q)"), 20000, w),
+        lambda w: dn.estimate_density(expr(demo, "Pi(Q8/Qi)"), 2000, w),
+        lambda w: dn.frobenius_histogram(demo.field("Qc2"), 20000, w),
+        lambda w: dn.check_inclusion_exclusion(
+            expr(demo, "Psi(Qi/Q)"), expr(demo, "Pi(Qc2/Q)"), 20000, w),
+    ]
+    results = [(run(1), run(2)) for run in scans]
+    assert all(one == two for one, two in results)
+    assert dn.trace_csv(results[0][0]) == dn.trace_csv(results[0][1])
+    assert pools == [2, 2, 2, 2]
+
+
+def test_scan_checks_workers(demo, monkeypatch):
+    fld = demo.field("Qi")
+    sizes = []
+
+    class InlinePool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(dn, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(dn, "RANGE_WIDTH", 100)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        dn.frobenius_histogram(fld, 1000, workers=0)
+    want = dn.frobenius_histogram(fld, 1000, workers=1)
+    monkeypatch.setattr(dn.os, "cpu_count", lambda: 3)
+    assert dn.frobenius_histogram(fld, 1000, workers=10**6) == want
+    monkeypatch.setattr(dn.os, "cpu_count", lambda: None)
+    assert dn.frobenius_histogram(fld, 1000, workers=8) == want
+    assert sizes == [3]
 
 
 def test_density_relative_base(demo):

@@ -13,11 +13,10 @@ from arithplane import modpoly as mp
 from arithplane.errors import InvalidPrimeError, InvalidSubfieldError, ReducibleModulusError
 from arithplane.finitefield import (
     FqElement,
-    fq_construct,
+    FqField,
     fq_factor,
     fq_minpoly,
     fq_norm,
-    fq_pow,
     fq_roots,
     poly_over,
 )
@@ -31,9 +30,9 @@ def naive_mul_mod(a, b, modulus, p):
     return mp.rem_p(out, list(modulus), p)
 
 
-F9 = fq_construct(3, [1, 0, 1])  # F_3[t]/(t^2+1)
-F8 = fq_construct(2, [1, 1, 0, 1])  # F_2[t]/(t^3+t+1)
-F5 = fq_construct(5, [0, 1])  # the prime field as the degree-1 case
+F9 = FqField(3, [1, 0, 1])  # F_3[t]/(t^2+1)
+F8 = FqField(2, [1, 1, 0, 1])  # F_2[t]/(t^3+t+1)
+F5 = FqField(5, [0, 1])  # the prime field as the degree-1 case
 
 
 # ------------------------------------------------------------- construction
@@ -41,29 +40,29 @@ F5 = fq_construct(5, [0, 1])  # the prime field as the degree-1 case
 
 def test_construct_validates_prime():
     with pytest.raises(InvalidPrimeError):
-        fq_construct(6, [1, 1])
+        FqField(6, [1, 1])
     with pytest.raises(InvalidPrimeError):
-        fq_construct(1, [0, 1])
+        FqField(1, [0, 1])
 
 
 def test_construct_validates_irreducibility():
     with pytest.raises(ReducibleModulusError):
-        fq_construct(3, [2, 0, 1])  # t^2 - 1 = (t-1)(t+1)
+        FqField(3, [2, 0, 1])  # t^2 - 1 = (t-1)(t+1)
     with pytest.raises(ReducibleModulusError):
-        fq_construct(5, [0, 0, 1])  # t^2
+        FqField(5, [0, 0, 1])  # t^2
 
 
 def test_construct_requires_monic():
     with pytest.raises(ReducibleModulusError):
-        fq_construct(5, [1, 2])
+        FqField(5, [1, 2])
 
 
 def test_field_identity_and_order():
     assert F9.order == 9 and F9.m == 2
     assert F5.order == 5 and F5.m == 1
-    assert F9 == fq_construct(3, [1, 0, 1])
+    assert F9 == FqField(3, [1, 0, 1])
     assert F9 != F8
-    assert len({F9, fq_construct(3, [1, 0, 1]), F8}) == 2
+    assert len({F9, FqField(3, [1, 0, 1]), F8}) == 2
 
 
 # ------------------------------------------------------------- arithmetic
@@ -79,7 +78,7 @@ def test_exhaustive_mul_against_naive_f9():
 
 def test_field_axioms_sampled():
     rng = random.Random(12)
-    for fld in (F9, F8, F5, fq_construct(7, [3, 0, 0, 1])):
+    for fld in (F9, F8, F5, FqField(7, [3, 0, 0, 1])):
         elems = [fld.from_index(rng.randrange(fld.order)) for _ in range(12)]
         for a in elems:
             for b in elems:
@@ -102,21 +101,21 @@ def test_index_round_trip_and_order():
 def test_fermat_identity():
     for fld in (F9, F8):
         for x in fld.elements():
-            assert fq_pow(x, fld.order) == x
+            assert x ** fld.order == x
 
 
 def test_pow_conventions():
-    assert fq_pow(F9.zero, 0) == F9.one
+    assert F9.zero ** 0 == F9.one
     t = F9.gen
-    assert fq_pow(t + F9.one, 2) == F9.element([0, 2])  # (t+1)^2 = 2t
-    assert fq_pow(t, -1) * t == F9.one
+    assert (t + F9.one) ** 2 == F9.element([0, 2])  # (t+1)^2 = 2t
+    assert t ** -1 * t == F9.one
 
 
 def test_prime_field_gen_is_residue_of_t():
     # modulus t: the generator names 0, matching a rational base point
-    f = fq_construct(13, [0, 1])
+    f = FqField(13, [0, 1])
     assert f.gen == f.zero
-    g = fq_construct(13, [9, 1])  # t + 9: generator names -9 = 4
+    g = FqField(13, [9, 1])  # t + 9: generator names -9 = 4
     assert g.gen == g.element(4)
 
 
@@ -130,18 +129,18 @@ def test_norm_frozen_example():
 
 def test_norm_is_frobenius_conjugate_product():
     rng = random.Random(13)
-    for fld in (F9, F8, fq_construct(5, [3, 3, 0, 1])):
+    for fld in (F9, F8, FqField(5, [3, 3, 0, 1])):
         for _ in range(20):
             x = fld.from_index(rng.randrange(fld.order))
             want = fld.one
             for i in range(fld.m):
-                want = want * fq_pow(x, fld.p**i)
+                want = want * x ** (fld.p**i)
             assert fq_norm(x, 1) == want
 
 
 def test_norm_multiplicative():
     rng = random.Random(14)
-    f81 = fq_construct(3, [2, 1, 0, 0, 1])  # t^4 + t + 2 irreducible mod 3
+    f81 = FqField(3, [2, 1, 0, 0, 1])  # t^4 + t + 2 irreducible mod 3
     for _ in range(40):
         a = f81.from_index(rng.randrange(1, 81))
         b = f81.from_index(rng.randrange(1, 81))
@@ -152,7 +151,7 @@ def test_norm_multiplicative():
 def test_norm_fibres_are_uniform():
     # onto the degree-2 subfield of F_81: every nonzero target is hit by
     # exactly (81-1)/(9-1) = 10 elements, zero only by zero
-    f81 = fq_construct(3, [2, 1, 0, 0, 1])
+    f81 = FqField(3, [2, 1, 0, 0, 1])
     counts = {}
     for x in f81.elements():
         counts.setdefault(fq_norm(x, 2), 0)
@@ -180,7 +179,7 @@ def test_minpoly_frozen_example():
 
 def test_minpoly_annihilates_and_divides():
     rng = random.Random(15)
-    for fld in (F8, fq_construct(3, [1, 2, 0, 1]), fq_construct(2, [1, 1, 0, 0, 1])):
+    for fld in (F8, FqField(3, [1, 2, 0, 1]), FqField(2, [1, 1, 0, 0, 1])):
         for _ in range(25):
             x = fld.from_index(rng.randrange(fld.order))
             mpoly = fq_minpoly(x)
@@ -220,7 +219,7 @@ def _mul_lin(fld, f, v):
 
 
 def test_roots_large_field_branch():
-    f3125 = fq_construct(5, [4, 4, 0, 0, 0, 1])  # t^5 - t - 1, Artin-Schreier
+    f3125 = FqField(5, [4, 4, 0, 0, 0, 1])  # t^5 - t - 1, Artin-Schreier
     rng = random.Random(17)
     vals = {f3125.from_index(rng.randrange(3125)) for _ in range(3)}
     f = [f3125.one]
@@ -236,11 +235,11 @@ def test_roots_no_roots():
 def test_roots_no_roots_above_brute_threshold():
     # fields of order > 1024 take the gcd route; a rootless input must come
     # back empty instead of looping in the splitting stage
-    f1031 = fq_construct(1031, [0, 1])  # 1031 = 4*257 + 3, so -1 is not a square
+    f1031 = FqField(1031, [0, 1])  # 1031 = 4*257 + 3, so -1 is not a square
     assert fq_roots(poly_over(f1031, [1, 0, 1])) == []
     roots = fq_roots(poly_over(f1031, [-4, 0, 1]))
     assert [r.index for r in roots] == [2, 1029]
-    f3125 = fq_construct(5, [4, 4, 0, 0, 0, 1])
+    f3125 = FqField(5, [4, 4, 0, 0, 0, 1])
     # x^2 + 2 splits only in F_25, which meets F_5^5 in F_5
     assert fq_roots(poly_over(f3125, [2, 0, 1])) == []
 
@@ -249,7 +248,7 @@ def test_roots_no_roots_above_brute_threshold():
 
 
 def test_factor_frozen_eighth_cyclotomic_mod3():
-    f = poly_over(fq_construct(3, [0, 1]), [1, 0, 0, 0, 1])
+    f = poly_over(FqField(3, [0, 1]), [1, 0, 0, 0, 1])
     got = fq_factor(f)
     as_ints = [([c.rep[0] for c in fac], m) for fac, m in got]
     assert as_ints == [([2, 1, 1], 1), ([2, 2, 1], 1)]
@@ -257,13 +256,13 @@ def test_factor_frozen_eighth_cyclotomic_mod3():
 
 def test_factor_frozen_eighth_cyclotomic_mod11():
     # (x^2+3x+10)(x^2+8x+10) = x^4 + 11x^3 + 44x^2 + 110x + 100 = x^4 + 1 (mod 11)
-    f = poly_over(fq_construct(11, [0, 1]), [1, 0, 0, 0, 1])
+    f = poly_over(FqField(11, [0, 1]), [1, 0, 0, 0, 1])
     as_ints = [([c.rep[0] for c in fac], m) for fac, m in fq_factor(f)]
     assert as_ints == [([10, 3, 1], 1), ([10, 8, 1], 1)]
 
 
 def test_factor_multiplicities():
-    fld = fq_construct(5, [0, 1])
+    fld = FqField(5, [0, 1])
     # (x-1)^2 (x-2)^3
     f = poly_over(fld, [1])
     for root, mult in [(1, 2), (2, 3)]:
@@ -274,7 +273,7 @@ def test_factor_multiplicities():
 
 
 def test_factor_pth_power_path():
-    fld = fq_construct(3, [0, 1])
+    fld = FqField(3, [0, 1])
     f = poly_over(fld, [1, 0, 0, 0, 0, 0, 1])  # x^6+1 = (x^2+1)^3 mod 3
     got = [([c.rep[0] for c in fac], m) for fac, m in fq_factor(f)]
     assert got == [([1, 0, 1], 3)]
@@ -298,7 +297,7 @@ def test_factor_over_extension_field_planted():
 
 def test_factor_char2_equal_degree_split():
     # x^4 + x^2 + ... pick (x^2+x+1)^2 times distinct linears over F_2
-    fld = fq_construct(2, [0, 1])
+    fld = FqField(2, [0, 1])
     f = poly_over(fld, [1, 1, 1])
     f = _pmul_int(fld, f, poly_over(fld, [1, 1, 1]))
     f = _mul_lin(fld, f, fld.zero)
@@ -317,17 +316,17 @@ def _pmul_int(fld, f, g):
 
 def test_factor_deterministic_across_field_objects():
     for _ in range(3):
-        fld = fq_construct(101, [0, 1])
+        fld = FqField(101, [0, 1])
         f = poly_over(fld, [7, 0, 0, 0, 0, 0, 1])
         first = fq_factor(f)
-        again = fq_factor(poly_over(fq_construct(101, [0, 1]), [7, 0, 0, 0, 0, 0, 1]))
+        again = fq_factor(poly_over(FqField(101, [0, 1]), [7, 0, 0, 0, 0, 0, 1]))
         assert [(tuple(c.rep[0] for c in fac), m) for fac, m in first] == [
             (tuple(c.rep[0] for c in fac), m) for fac, m in again
         ]
 
 
 def test_factor_canonical_order():
-    fld = fq_construct(7, [0, 1])
+    fld = FqField(7, [0, 1])
     f = poly_over(fld, [1])
     for root in (5, 1, 3):
         f = _mul_lin(fld, f, fld.element(root))

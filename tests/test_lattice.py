@@ -10,7 +10,7 @@ from arithplane.errors import (
     UnknownFieldError,
 )
 from arithplane.intpoly import RatPoly, reduce_mod_p
-from arithplane.lattice import load_lattice, prime_factors, validate_lattice
+from arithplane.lattice import ExclusionRule, load_lattice, prime_factors, validate_lattice
 from arithplane.sieve import stream_primes
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -74,6 +74,15 @@ def test_excluded_primes_include_map_denominators(demo):
     assert ext.excluded_primes() == frozenset({2, 3})
     assert demo.extension("S3c/Q").excluded_primes() == frozenset({2, 3})
     assert demo.extension("Qw/Q").excluded_primes() == frozenset({3})
+
+
+def test_exclusion_rule(demo):
+    rule = ExclusionRule.of([demo.extension("S3c/Qc2"), demo.extension("Qi/Q")])
+    assert rule.reason(2) == rule.reason(3) == "ramified"
+    assert rule.reason(5) is None
+    # a ramified prime is reported as ramified even if it is also a denominator
+    assert ExclusionRule((-4,), frozenset({2, 5})).reason(2) == "ramified"
+    assert ExclusionRule((-4,), frozenset({2, 5})).reason(5) == "denominator"
 
 
 def test_validation_report(demo):

@@ -8,6 +8,11 @@ import pytest
 from arithplane import modpoly as mp
 
 
+def squarefree(f, p):
+    df = mp.trim([(i * c) % p for i, c in enumerate(f)][1:])
+    return mp.deg(mp.gcd_p(f, df, p)) == 0
+
+
 def naive_mul(a, b, p):
     if not a or not b:
         return []
@@ -111,7 +116,7 @@ def test_root_count_brute_force():
     for p in [2, 3, 5, 7, 13, 31]:
         for _ in range(40):
             f = rand_poly(rng, p, 5, monic=True)
-            if mp.deg(f) < 1 or not mp.is_squarefree(f, p):
+            if mp.deg(f) < 1 or not squarefree(f, p):
                 continue
             want = sum(1 for x in range(p) if mp.eval_at(f, x, p) == 0)
             assert mp.root_count(f, p) == want
@@ -144,7 +149,7 @@ def test_degree_pattern_from_planted_factors():
             f = [1]
             for g in picks:
                 f = naive_mul(f, g, p)
-            if not mp.is_squarefree(f, p):
+            if not squarefree(f, p):
                 continue
             want = tuple(sorted(mp.deg(g) for g in picks))
             assert mp.degree_pattern(f, p) == want, (p, picks)
