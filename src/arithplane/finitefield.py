@@ -11,8 +11,14 @@ order.  Randomized equal-degree splitting draws from a private generator
 seeded by a stable fold of (p, modulus, input coefficients), so factor
 lists are reproducible across runs and processes.
 
-Set ``VERIFY = True`` (the test suite does) to make ``fq_factor`` re-expand
-its output and compare against the input on every call.
+``fq_factor`` and ``fq_roots`` are reference oracles: the program splits
+primes and counts fibrewise roots with the prime-field kernels of
+``modpoly`` (``factor``, ``ddf``), and the tests compare those against the
+independent element-by-element route kept here.
+
+Set ``VERIFY = True`` (the test suite does) to make ``fq_factor`` and
+``spectrum.split_prime`` re-expand their output and compare against the
+input on every call.
 """
 
 from __future__ import annotations
@@ -402,7 +408,11 @@ def _ppolykey(f) -> tuple:
 
 
 def fq_roots(f: Sequence[FqElement]) -> list[FqElement]:
-    """Distinct roots of f in its coefficient field, in canonical order."""
+    """Distinct roots of f in its coefficient field, in canonical order.
+
+    Reference oracle for ``spectrum.compatible_root_count``, which counts
+    the same roots by DDF and gcd over F_p without building field elements.
+    """
     f = _ptrim(list(f))
     if not f:
         raise ValueError("zero polynomial has every root")
@@ -436,6 +446,9 @@ def fq_factor(f: Sequence[FqElement]) -> list[tuple[tuple[FqElement, ...], int]]
     Cantor-Zassenhaus equal-degree splitting (trace construction in
     characteristic 2).  Order: by (degree, element-index tuple).  The unit
     leading coefficient is discarded; callers factor monic inputs.
+
+    Reference oracle for ``modpoly.factor``, which gives the same list over
+    a prime field on plain coefficient lists.
     """
     f = _ptrim(list(f))
     if not f or len(f) == 1:

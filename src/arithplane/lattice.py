@@ -33,6 +33,7 @@ first use; resolution happens once the whole document is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,6 +45,7 @@ from .errors import (
     LatticeSyntaxError,
     UnknownFieldError,
 )
+from .finitefield import is_prime
 from .intpoly import IntPoly, RatPoly, discriminant, validate_embedding
 from .sieve import stream_primes
 
@@ -152,25 +154,87 @@ class ExclusionRule:
         return None
 
 
+_TRIAL_BOUND = 1000
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n| by trial division (desk-scale inputs)."""
+    """Distinct prime factors of |n| (n nonzero), ascending.
+
+    Trial division below ``_TRIAL_BOUND``, then the cofactor is split until
+    every part passes ``is_prime`` (exact below 3.3e24): a perfect power by
+    its integer root, anything else by Pollard-Brent rho.  Rho's effort
+    grows with the square root of the smallest prime factor of the part it
+    splits, not with the square root of n.
+    """
     n = abs(n)
-    out = []
-    for d in [2, 3, 5]:
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    out = set()
+    for d in range(2, _TRIAL_BOUND):
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
-    d = 7
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.add(m)
+            continue
+        root = _perfect_root(m)
+        parts += [root] if root else [d := _rho_brent(m), m // d]
+    return sorted(out)
+
+
+def _perfect_root(n: int) -> int | None:
+    """r with r^k = n for some k >= 2, or None.
+
+    n has no prime factor below _TRIAL_BOUND > 2^9, so k <= log2(n) / 9.
+    """
+    for k in range(2, n.bit_length() // 9 + 1):
+        r = 1 << -(-n.bit_length() // k)  # >= the k-th root; Newton from above
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r**k == n:
+            return r
+    return None
+
+
+def _rho_brent(n: int) -> int:
+    """A proper factor of a composite n without factors below _TRIAL_BOUND.
+
+    Brent's cycle-finding variant of Pollard rho on x -> x^2 + c, with the
+    gcds batched over runs of 128 steps; a batch that overshoots to n is
+    replayed one step at a time, and a c whose cycle closes mod n is
+    dropped for the next.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 class LatticeConfig:

@@ -6,12 +6,17 @@ explicit argument — these are free functions, not methods, so the hot scan
 loops pay no object overhead.  Nothing here validates primality of p; that
 is the caller's contract.
 
-The only nontrivial algorithms are x^e mod f by binary exponentiation with a
-precomputed reduction row (the innermost loop of every density scan) and
-distinct-degree factorization used for splitting-type patterns.
+The nontrivial algorithms are x^e mod f by binary exponentiation with a
+precomputed reduction row (the innermost loop of every density scan), one
+distinct-degree factorization (:func:`ddf`, behind splitting-type patterns,
+the fibrewise Pi/Psi count and :func:`factor`), and complete factorization:
+squarefree decomposition, DDF, then seeded Cantor-Zassenhaus equal-degree
+splitting (Cantor-Zassenhaus 1981; von zur Gathen-Shoup 1992).
 """
 
 from __future__ import annotations
+
+import random
 
 
 def trim(a: list[int]) -> list[int]:
@@ -205,51 +210,37 @@ def root_count(f: list[int], p: int) -> int:
     return deg(g)
 
 
-def roots_prime_field(f: list[int], p: int) -> list[int]:
-    """Distinct roots of f in F_p, ascending (brute force under 512, else
-    via the linear factors of gcd(x^p - x, f) found by splitting)."""
-    fm = monic(f, p)
-    if p <= 512:
-        return [x for x in range(p) if eval_at(fm, x, p) == 0]
-    h = xpow_mod(p, fm, p)
-    g = gcd_p(sub(h, [0, 1], p), fm, p)
-    return sorted(_split_linear(g, p))
+def derivative(a: list[int], p: int) -> list[int]:
+    return trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
-def _split_linear(g: list[int], p: int) -> list[int]:
-    """Roots of a product of distinct linear factors, by recursive splitting."""
-    d = deg(g)
-    if d <= 0:
-        return []
-    if d == 1:
-        return [(-g[0] * pow(g[1], -1, p)) % p]
-    # deterministic sweep over shift values; (x+s)^((p-1)/2) separates roots
-    for s in range(p):
-        h = powmod([s, 1], (p - 1) // 2, g, p)
-        part = gcd_p(sub(h, [1], p), g, p)
-        if 0 < deg(part) < d:
-            rest = divmod_p(g, part, p)[0]
-            return _split_linear(part, p) + _split_linear(rest, p)
-    raise AssertionError("linear splitting failed")  # pragma: no cover
+def compose_mod(a: list[int], b: list[int], fmod: list[int], p: int) -> list[int]:
+    """a(b) mod fmod, by Horner's rule."""
+    b = rem_p(b, fmod, p)
+    acc: list[int] = []
+    for c in reversed(a):
+        acc = rem_p(add(mul(acc, b, p), [c], p), fmod, p)
+    return acc
 
 
-def degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
-    """Multiset of irreducible-factor degrees of squarefree monic f mod p.
+def ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree factorization of squarefree f mod p.
 
-    Distinct-degree factorization only — the actual factors are never
-    materialized, which keeps the full-scan histogram cheap.
+    Returns (G_d, d) pairs with d ascending, where G_d is the monic product
+    of all irreducible factors of degree d; degrees with no factor are
+    left out.  Round d takes gcd(x^(p^d) - x, v) with the lower-degree parts
+    already divided out of v, so x^(p^d) is only ever reduced mod v.
     """
     v = monic(f, p)
     n = deg(v)
-    if n < 1:
-        return ()
-    out: list[int] = []
+    out: list[tuple[list[int], int]] = []
     d = 1
-    h = xpow_mod(p, v, p)
+    if n >= 2:
+        h = xpow_mod(p, v, p)
     while n >= 2 * d:
         g = gcd_p(sub(h, [0, 1], p), v, p)
         if deg(g) > 0:
-            out.extend([d] * (deg(g) // d))
+            out.append((g, d))
             v = divmod_p(v, g, p)[0]
             n = deg(v)
             if n == 0:
@@ -259,24 +250,100 @@ def degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
         if n >= 2 * d:
             h = powmod(h, p, v, p)
     if n > 0:
-        out.append(n)
-    return tuple(sorted(out))
+        out.append((v, n))
+    return out
+
+
+def degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
+    """Multiset of irreducible-factor degrees of squarefree f mod p.
+
+    Distinct-degree factorization only — the actual factors are never
+    materialized, which keeps the full-scan histogram cheap.
+    """
+    return tuple(d for g, d in ddf(f, p) for _ in range(deg(g) // d))
+
+
+def factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Monic irreducible factors of f mod p with multiplicities.
+
+    Squarefree decomposition, then :func:`ddf`, then seeded Cantor-Zassenhaus
+    equal-degree splitting (the trace variant in characteristic 2).  The
+    factors come out sorted by (degree, coefficient tuple); the leading
+    coefficient of f is dropped.  The factorization is unique, so the seed
+    fixes only the running time, never the answer.
+    """
+    fm = monic(f, p)
+    if deg(fm) < 1:
+        raise ValueError("factorization needs degree >= 1")
+    rng = random.Random(hash((p, *fm)))
+    out = [
+        (g, mult)
+        for sq, mult in _squarefree(fm, p)
+        for part, d in ddf(sq, p)
+        for g in _edf(part, d, p, rng)
+    ]
+    out.sort(key=lambda gm: (deg(gm[0]), gm[0]))
+    return out
+
+
+def _squarefree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Squarefree decomposition of monic f: (squarefree part, multiplicity).
+
+    Yun's algorithm; what is left once the derivative vanishes is a p-th
+    power, whose p-th root over F_p keeps every p-th coefficient.
+    """
+    out = []
+    c = gcd_p(f, derivative(f, p), p)
+    w = divmod_p(f, c, p)[0]
+    i = 1
+    while deg(w) > 0:
+        y = gcd_p(w, c, p)
+        fac = divmod_p(w, y, p)[0]
+        if deg(fac) > 0:
+            out.append((fac, i))
+        w = y
+        c = divmod_p(c, y, p)[0]
+        i += 1
+    if deg(c) > 0:
+        out.extend((g, mult * p) for g, mult in _squarefree(c[::p], p))
+    return out
+
+
+def _edf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Split g, a monic product of distinct degree-d irreducibles, into them.
+
+    A random r of degree < deg g is, in each factor's residue field F_(p^d),
+    a square or not (odd p: test r^((p^d-1)/2) = 1), or has trace 0 or 1
+    (p = 2: r + r^2 + ... + r^(2^(d-1))); the gcd with g collects the
+    factors on one side.
+    """
+    n = deg(g)
+    if n == d:
+        return [g]
+    while True:
+        r = trim([rng.randrange(p) for _ in range(n)])
+        if deg(r) < 1:
+            continue
+        if p == 2:
+            t = acc = r
+            for _ in range(d - 1):
+                t = powmod(t, 2, g, p)
+                acc = add(acc, t, p)
+        else:
+            acc = sub(powmod(r, (p**d - 1) // 2, g, p), [1], p)
+        s = gcd_p(acc, g, p)
+        if 0 < deg(s) < n:
+            return _edf(s, d, p, rng) + _edf(divmod_p(g, s, p)[0], d, p, rng)
 
 
 def is_irreducible(f: list[int], p: int) -> bool:
-    """Irreducibility over F_p: no factor of degree <= n/2 survives DDF."""
+    """Irreducibility over F_p: DDF finds f itself as its only part.
+
+    A reducible f (repeated factors included) has an irreducible factor of
+    degree <= n/2, which DDF splits off as a part of its own.
+    """
     n = deg(f)
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    fm = monic(f, p)
-    h = xpow_mod(p, fm, p)
-    for _ in range(n // 2):
-        if deg(gcd_p(sub(h, [0, 1], p), fm, p)) > 0:
-            return False
-        h = powmod(h, p, fm, p)
-    return True
+    return n >= 1 and ddf(f, p) == [(monic(f, p), n)]
 
 
 def invert_mod(a: list[int], fmod: list[int], p: int) -> list[int]:

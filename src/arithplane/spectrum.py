@@ -1,7 +1,8 @@
 """Points over a rational prime: splitting, residue fields, Pi/Psi predicates.
 
 For a field K = Z[α] in the lattice, the points over a rational prime p are
-the irreducible factors of f_K mod p.  Each point carries a residue field
+the irreducible factors of f_K mod p, found by ``modpoly.factor`` on plain
+coefficient lists over F_p.  Each point carries a residue field
 F_p[t]/(g) together with the naming map that sends a polynomial expression
 in α to its class mod (p, g) — evaluation and membership questions all
 reduce to that map.
@@ -11,10 +12,11 @@ to a point of L along a declared embedding: ``lies_over``,
 ``relative_degree`` and the multiplicity bound ``pn_holds``.  Fibrewise
 ones quantify over all points of K above a fixed point of L: ``in_pi``
 (some point has relative degree 1) and ``in_psi`` (all do).  The fibrewise
-predicates are computed directly over the residue field of the base point
-— count the roots of f_K that restrict correctly — while
+predicates count the roots of f_K in the residue field of the base point
+that restrict to it, by distinct-degree factorization and one gcd over F_p
+(``compatible_root_count``): no residue field or field element is built.
 ``in_pi_absolute``/``in_psi_absolute`` re-derive them from the full
-splitting as an independent cross-check.
+splitting and the residue-field naming maps as an independent cross-check.
 
 Ramified primes (dividing a discriminant or an embedding denominator) are
 represented honestly as points with ``ramified_flag`` set, but every
@@ -28,9 +30,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import finitefield as ff
 from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
-from .finitefield import FqElement, FqField, fq_factor, fq_minpoly, fq_roots, is_prime, poly_over
+from .finitefield import MAX_CHARACTERISTIC, FqElement, FqField, fq_minpoly, is_prime
 from .intpoly import IntPoly, RatPoly, reduce_mod_p
 from .lattice import Extension, NumberField
 
@@ -103,23 +106,22 @@ def residue_name(pK: SplitPrime, gamma: IntPoly | RatPoly | int) -> FqElement:
 
 def split_prime(field: NumberField, p: int) -> list[SplitPrime]:
     """All points of `field` over p, in canonical (degree, value) order."""
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
+    if not (p < MAX_CHARACTERISTIC and is_prime(p)):
+        raise InvalidPrimeError(f"{p} is not a prime in [2, 2^64)")
     fbar = reduce_mod_p(field.poly, p)
-    prime_fld = FqField(p, (0, 1), _checked=True)
-    out = []
-    for coeffs, mult in fq_factor(poly_over(prime_fld, fbar)):
-        g = tuple(c.rep[0] for c in coeffs)
-        out.append(
-            SplitPrime(
-                field=field.name,
-                p=p,
-                local_factor=g,
-                e=mult,
-                ramified_flag=field.disc % p == 0,
-            )
-        )
-    return out
+    factors = mp.factor(fbar, p)
+    if ff.VERIFY:
+        check = [1]
+        for g, mult in factors:
+            for _ in range(mult):
+                check = mp.mul(check, g, p)
+        assert check == mp.monic(fbar, p), "factor re-expansion mismatch"
+    ramified = field.disc % p == 0
+    return [
+        SplitPrime(field=field.name, p=p, local_factor=tuple(g), e=mult,
+                   ramified_flag=ramified)
+        for g, mult in factors
+    ]
 
 
 def _eval_ints(coeffs: Sequence[int], x: FqElement) -> FqElement:
@@ -198,18 +200,22 @@ def compatible_root_count(ext: Extension, pL: SplitPrime) -> int:
     """Number of roots of f_K in F_pL whose restriction names pL.
 
     Each such root is a point of K over pL with relative degree 1, so this
-    count is what in_pi/in_psi threshold.
+    count is what in_pi/in_psi threshold.  A compatible root x has
+    F_p(x) ⊇ F_p(h(x)) = F_pL, so it is a root of a degree-d factor of f_K
+    mod p, d = deg pL; such a factor φ holds exactly one compatible root
+    when φ divides g_L(h), and none otherwise.  With G_d the product of the
+    degree-d factors (from the DDF), the count is deg gcd(G_d, g_L(h)) / d.
+    G_1 is the DDF's first round alone, gcd(x^p - x, f_K).
     """
     _refuse_excluded(ext, pL)
-    fld = residue_field(pL).fq
-    fpoly = poly_over(fld, reduce_mod_p(ext.field.poly, pL.p))
-    hbar = reduce_mod_p(ext.emb.h, pL.p)
-    target = fld.gen
-    count = 0
-    for x in fq_roots(fpoly):
-        if _eval_ints(hbar, x) == target:
-            count += 1
-    return count
+    p, d = pL.p, pL.residue_degree
+    fbar = reduce_mod_p(ext.field.poly, p)
+    if d == 1:
+        part = mp.gcd_p(mp.sub(mp.xpow_mod(p, fbar, p), [0, 1], p), fbar, p)
+    else:
+        part = next((g for g, e in mp.ddf(fbar, p) if e == d), [1])
+    image = mp.compose_mod(list(pL.local_factor), reduce_mod_p(ext.emb.h, p), part, p)
+    return mp.deg(mp.gcd_p(image, part, p)) // d
 
 
 def in_pi(ext: Extension, pL: SplitPrime) -> bool:

@@ -67,6 +67,11 @@ def test_split_composite_prime_exits_2(capsys):
     code, _, err = run(capsys, "split", "--lattice", LATTICE,
                        "--field", "Qi", "--prime", "6")
     assert code == 2 and "6" in err
+    # strong pseudoprime to the 12 Miller-Rabin bases, above 2^64
+    psp = "3317044064679887385961981"
+    code, _, err = run(capsys, "split", "--lattice", LATTICE,
+                       "--field", "Qi", "--prime", psp)
+    assert code == 2 and psp in err
 
 
 def test_pi_ramified_exits_3(capsys):

@@ -105,6 +105,19 @@ def test_prime_factors():
     assert prime_factors(-2066242608) == [2, 3]
     assert prime_factors(1) == []
     assert prime_factors(97 * 97 * 101) == [97, 101]
+    m61 = 2**61 - 1
+    assert prime_factors(m61**3) == [m61]
+    assert prime_factors(1009**2 * 1013 * (2**31 - 1) * m61) == [1009, 1013, 2**31 - 1, m61]
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
+def test_validate_factors_semiprime_discriminant():
+    # disc = 4 * 1000000000039 * 1000000000061: trial division to its
+    # square root would take about 10^12 steps
+    cfg = load_lattice("field Big\n  poly -1000000000100000000002379 0 1\n")
+    (pair,) = validate_lattice(cfg).pairs
+    assert pair.excluded == (2, 1000000000039, 1000000000061)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +312,8 @@ def test_bad_coefficient_token():
 
 
 def _roots_mod(poly, p):
-    return mp.roots_prime_field(reduce_mod_p(poly, p), p)
+    factors = mp.factor(reduce_mod_p(poly, p), p)
+    return sorted((-g[0]) % p for g, _ in factors if mp.deg(g) == 1)
 
 
 def test_autos_permute_roots_simply(demo):

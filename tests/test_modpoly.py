@@ -123,12 +123,20 @@ def test_root_count_brute_force():
 
 
 def test_roots_prime_field_small_and_large():
-    f = [2, 0, 1]  # x^2 + 2 mod 11: roots 3, 8
-    assert mp.roots_prime_field(f, 11) == [3, 8]
-    # large prime path (splitting branch): x^2 + 1 mod 1009 (1009 % 4 == 1)
-    rts = mp.roots_prime_field([1, 0, 1], 1009)
+    # roots are read off the linear factors of mp.factor, in factor order
+    def roots(f, p):
+        return [(-g[0]) % p for g, _ in mp.factor(f, p) if mp.deg(g) == 1]
+
+    assert roots([2, 0, 1], 11) == [8, 3]  # x^2 + 2 mod 11 = (x + 3)(x + 8)
+    rts = roots([1, 0, 1], 1009)  # 1009 % 4 == 1: x^2 + 1 splits
     assert len(rts) == 2 and all(pow(r, 2, 1009) == 1008 for r in rts)
-    assert rts == sorted(rts)
+    m61 = 2**61 - 1
+    want = [5, 7, m61 - 3]
+    f = [1]
+    for r in want:
+        f = naive_mul(f, [(-r) % m61, 1], m61)
+    assert mp.is_irreducible([5, 0, 0, 1], m61)
+    assert sorted(roots(naive_mul(f, [5, 0, 0, 1], m61), m61)) == want
 
 
 def test_is_irreducible_matches_brute_force():

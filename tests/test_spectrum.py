@@ -2,12 +2,14 @@ import pathlib
 
 import pytest
 
+from arithplane import modpoly as mp
 from arithplane import spectrum as sp
 from arithplane.errors import (
     InvalidPrimeError,
     NotLyingOverError,
     RamifiedPrimeError,
 )
+from arithplane.finitefield import FqField, fq_roots, poly_over
 from arithplane.intpoly import IntPoly, reduce_mod_p
 from arithplane.lattice import load_lattice
 from arithplane.sieve import stream_primes
@@ -344,3 +346,106 @@ def test_degree_pattern_matches_split(demo):
             assert sp.degree_pattern(fld, p) == expect, (name, p)
     with pytest.raises(RamifiedPrimeError):
         sp.degree_pattern(demo.field("Qi"), 2)
+
+
+# ---------------------------------------------------------------------------
+# compatible_root_count against the FqElement reference oracles
+# ---------------------------------------------------------------------------
+
+DEMO_EXTENSIONS = ("Qi/Q", "Qs2/Q", "Q8/Q", "Qc2/Q", "Qw/Q", "S3c/Q",
+                   "Q8/Qi", "Q8/Qs2", "S3c/Qc2", "S3c/Qw")
+BRUTE_P, BRUTE_ORDER, ROOTS_P = 1200, 1200, 300
+
+
+def _base_points(cfg, specs, primes):
+    for spec in specs:
+        ext = cfg.extension(spec)
+        for p in primes:
+            if not ext.is_excluded(p):
+                for pl in sp.split_prime(ext.base, p):
+                    yield ext, pl
+
+
+def _residue_polys(ext, pl):
+    fld = FqField(pl.p, pl.local_factor)
+    f = poly_over(fld, reduce_mod_p(ext.field.poly, pl.p))
+    h = poly_over(fld, reduce_mod_p(ext.emb.h, pl.p))
+    return fld, f, h
+
+
+def _brute_count(ext, pl):
+    """Every element x of F_pL with f_K(x) = 0 and h(x) = t, by exhaustion.
+
+    Evaluates on the field's raw coefficient tuples: element objects would
+    double the cost of the 10^6 evaluations the exhaustion test makes.
+    """
+    fld, f, h = _residue_polys(ext, pl)
+    zero, gen = fld.zero.rep, fld.gen.rep
+    f, h = [c.rep for c in f], [c.rep for c in h]
+
+    def ev(poly, x):
+        acc = zero
+        for c in reversed(poly):
+            acc = fld._add(fld._mul(acc, x), c)
+        return acc
+
+    return sum(1 for x in fld.elements() if ev(f, x.rep) == zero and ev(h, x.rep) == gen)
+
+
+def _roots_count(ext, pl):
+    fld, f, h = _residue_polys(ext, pl)
+    count = 0
+    for x in fq_roots(f):
+        acc = fld.zero
+        for c in reversed(h):
+            acc = acc * x + c
+        count += acc == fld.gen
+    return count
+
+
+def _check_by_oracle(cfg, specs, bound):
+    """Compare every base point with p <= bound against an oracle count.
+
+    Residue fields of at most BRUTE_ORDER elements are scanned whole;
+    larger ones (the inert points of the quadratic bases reach p^2 = 1.4e6
+    elements) are counted by fq_roots below ROOTS_P instead.
+    """
+    counts = []
+    for ext, pl in _base_points(cfg, specs, stream_primes(bound)):
+        if pl.order <= BRUTE_ORDER:
+            want = _brute_count(ext, pl)
+        elif pl.p <= ROOTS_P:
+            want = _roots_count(ext, pl)
+        else:
+            continue
+        assert sp.compatible_root_count(ext, pl) == want, (ext.name, pl)
+        counts.append((ext, pl, want))
+    return counts
+
+
+def test_compatible_root_count_by_exhaustion(demo):
+    assert len(_check_by_oracle(demo, DEMO_EXTENSIONS, BRUTE_P)) > 2000
+
+
+def test_compatible_root_count_mixed_degrees():
+    # x^6 - 2 over Q(2^(1/3)) is not Galois: at p = 17 it factors as
+    # (1, 1, 2, 2), so the degree-2 base point must ignore the linear
+    # factors that lie over the degree-1 base point
+    cfg = load_lattice("field Qc2\n  poly -2 0 0 1\n"
+                       "field Q6\n  poly -2 0 0 0 0 0 1\n"
+                       "embed Qc2 -> Q6\n  map 0 0 1\n")
+    counts = _check_by_oracle(cfg, ("Q6/Qc2",), ROOTS_P)
+    fbar = reduce_mod_p(cfg.field("Q6").poly, 17)
+    assert sp.degree_pattern(cfg.field("Q6"), 17) == (1, 1, 2, 2)
+    assert mp.root_count(fbar, 17) == 2
+    at17 = {pl.residue_degree: n for _, pl, n in counts if pl.p == 17}
+    assert at17 == {1: 2, 2: 2}
+
+
+def test_compatible_root_count_large_primes(demo):
+    seen = set()
+    for ext, pl in _base_points(demo, DEMO_EXTENSIONS, (998244353, 2**61 - 1)):
+        count = sp.compatible_root_count(ext, pl)
+        assert count == _roots_count(ext, pl), (ext.name, pl)
+        seen.add((pl.residue_degree, count))
+    assert len(seen) >= 4  # several residue degrees and counts occur
