@@ -161,11 +161,6 @@ def build_parser() -> _Parser:
     return top
 
 
-def _load(args) -> LatticeConfig:
-    path = pathlib.Path(args.lattice)
-    return load_lattice(path.read_text(encoding="utf-8"))
-
-
 def _csv_ints(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
@@ -187,17 +182,21 @@ def _frobenius_csv(stats: dn.FrobeniusStats) -> str:
 
 def _run(args, out) -> int:
     cmd = args.command
+    if cmd is None:
+        raise _UsageError("a command is required (see --help)")
+    if cmd == "check" and args.checker is None:
+        raise _UsageError("a checker is required (see: arithplane check --help)")
+    cfg = load_lattice(pathlib.Path(args.lattice).read_text(encoding="utf-8"))
+    if cmd == "check":
+        return _run_check(args, cfg, out)
     if cmd == "validate":
-        cfg = _load(args)
         print(validate_lattice(cfg).render(), file=out)
         return 0
     if cmd == "split":
-        cfg = _load(args)
         for pk in sp.split_prime(cfg.field(args.field), args.prime):
             print(pk, file=out)
         return 0
     if cmd in ("pi", "psi"):
-        cfg = _load(args)
         ext = cfg.extension(args.ext)
         member = sp.in_pi if cmd == "pi" else sp.in_psi
         label = "Pi" if cmd == "pi" else "Psi"
@@ -206,12 +205,13 @@ def _run(args, out) -> int:
             print(f"{pl_pt} in {label}({ext.name}): {verdict}", file=out)
         return 0
     if cmd == "fingerprint":
-        cfg = _load(args)
         exts = [cfg.extension(spec) for spec in _names(args.family)]
         if not exts:
             raise _UsageError("--family needs at least one extension")
-        base = exts[0].base
-        for pl_pt in sp.split_prime(base, args.prime):
+        bases = list(dict.fromkeys(ext.base.name for ext in exts))
+        if len(bases) > 1:
+            raise _UsageError(f"--family mixes base fields {', '.join(bases)}")
+        for pl_pt in sp.split_prime(exts[0].base, args.prime):
             bits = sp.fingerprint(pl_pt, exts)
             cells = ", ".join(
                 f"{ext.name}={'yes' if bit else 'no'}"
@@ -220,7 +220,6 @@ def _run(args, out) -> int:
             print(f"{pl_pt}: ({cells})", file=out)
         return 0
     if cmd == "density":
-        cfg = _load(args)
         expr = dn.parse_set_expr(args.expr, cfg)
         est = dn.estimate_density(expr, args.max, workers=args.workers)
         print(est, file=out)
@@ -231,7 +230,6 @@ def _run(args, out) -> int:
             pathlib.Path(args.csv).write_text(dn.trace_csv(est), encoding="utf-8")
         return 0
     if cmd == "frobenius":
-        cfg = _load(args)
         stats = dn.frobenius_histogram(
             cfg.field(args.field), args.max, workers=args.workers
         )
@@ -240,8 +238,9 @@ def _run(args, out) -> int:
             pathlib.Path(args.csv).write_text(_frobenius_csv(stats), encoding="utf-8")
         return 0
     if cmd == "galois":
-        cfg = _load(args)
         autos = cfg.autos(args.field)
+        if not autos:
+            raise _UsageError(f"{args.field} declares no automorphisms")
         if not 0 <= args.auto < len(autos):
             raise _UsageError(
                 f"--auto must be in [0, {len(autos) - 1}] for {args.field}"
@@ -251,32 +250,26 @@ def _run(args, out) -> int:
             image = plane.galois_image(cfg, sigma, q, args.mode)
             print(f"{q} -> {image}", file=out)
         return 0
-    if cmd == "annihilator":
-        cfg = _load(args)
-        gamma = IntPoly.from_coeffs(_csv_ints(args.gamma))
-        points = plane.annihilator_set(gamma, cfg.field(args.field), args.max)
-        if points:
-            for pk in points:
-                print(pk, file=out)
-        else:
-            print(f"no annihilated points with p <= {args.max}", file=out)
-        return 0
-    if cmd == "check":
-        return _run_check(args, out)
-    raise _UsageError("a command is required (see --help)")
+    # annihilator, the last command
+    gamma = IntPoly.from_coeffs(_csv_ints(args.gamma))
+    points = plane.annihilator_set(gamma, cfg.field(args.field), args.max)
+    if points:
+        for pk in points:
+            print(pk, file=out)
+    else:
+        print(f"no annihilated points with p <= {args.max}", file=out)
+    return 0
 
 
-def _run_check(args, out) -> int:
+def _run_check(args, cfg: LatticeConfig, out) -> int:
     checker = args.checker
     if checker == "pullback":
-        cfg = _load(args)
         names = _names(args.tower)
         if len(names) != 4:
             raise _UsageError("--tower needs exactly four fields: L,K,M,KM")
         print(dn.check_pullback(cfg, *names, args.max), file=out)
         return 0
     if checker == "psi-product":
-        cfg = _load(args)
         names = _names(args.fields)
         if len(names) != 3:
             raise _UsageError("--fields needs exactly three fields: K1,K2,composite")
@@ -287,11 +280,9 @@ def _run_check(args, out) -> int:
         )
         return 0
     if checker == "pi-eq-psi":
-        cfg = _load(args)
         print(dn.check_pi_eq_psi(cfg, args.ext, args.max), file=out)
         return 0
     if checker == "inclusion-exclusion":
-        cfg = _load(args)
         report = dn.check_inclusion_exclusion(
             dn.parse_set_expr(args.first, cfg),
             dn.parse_set_expr(args.second, cfg),
@@ -301,23 +292,23 @@ def _run_check(args, out) -> int:
         print(report, file=out)
         return 0
     if checker == "pi-intersection":
-        cfg = _load(args)
         report = dn.check_pi_intersection(cfg, _names(args.fields), args.base,
                                           args.max)
         print(report, file=out)
         return 0
     if checker == "norm-fiber":
-        cfg = _load(args)
         print(plane.check_norm_fibres(cfg.extension(args.ext), args.max), file=out)
         return 0
-    if checker == "section-independence":
-        cfg = _load(args)
-        report = plane.check_section_independence(
-            cfg.extension(args.ext), args.max, args.box, args.trials, args.seed
-        )
-        print(report, file=out)
-        return 0
-    raise _UsageError("a checker is required (see: arithplane check --help)")
+    # section-independence, the last checker
+    if args.box < 0:
+        raise _UsageError(f"--box must be at least 0, got {args.box}")
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    report = plane.check_section_independence(
+        cfg.extension(args.ext), args.max, args.box, args.trials, args.seed
+    )
+    print(report, file=out)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -32,7 +32,7 @@ from . import spectrum as sp
 from .errors import ExprSyntaxError, UnknownFieldError
 from .finitefield import MAX_CHARACTERISTIC, is_prime
 from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
-from .sieve import partition_ranges, prime_range, stream_primes
+from .sieve import partition_ranges, prime_range
 
 CHECKPOINT_START = 100
 RANGE_WIDTH = 1 << 18
@@ -556,14 +556,7 @@ def frobenius_histogram(
 
 def _evaluable_primes(exts: Sequence[Extension], n: int):
     """Base-spectrum points with norm <= n evaluable for every extension."""
-    base = exts[0].base
-    rule = ExclusionRule.of(exts)
-    for p in stream_primes(n):
-        if rule.reason(p):
-            continue
-        for pL in sp.split_prime(base, p):
-            if pL.order <= n:
-                yield pL
+    return (pL for pL in sp.points_over(exts[0].base, n, exts) if pL.order <= n)
 
 
 @dataclass(frozen=True)
@@ -703,24 +696,20 @@ def check_pullback(
     ext_ml = cfg.extension((m, l))
     ext_kmk = cfg.extension((km, k))
     ext_kmm = cfg.extension((km, m))  # the square's fourth side must exist
-    rule = ExclusionRule.of((ext_kl, ext_ml, ext_kmk, ext_kmm))
     points = 0
     pi_rows = []
     psi_rows = []
-    for p in stream_primes(n):
-        if rule.reason(p):
-            continue
-        for pK in sp.split_prime(ext_kl.field, p):
-            points += 1
-            below = plane.project_point(ext_kl, pK)
-            up_pi = sp.in_pi(ext_kmk, pK)
-            down_pi = sp.in_pi(ext_ml, below)
-            if up_pi != down_pi:
-                pi_rows.append(PullbackRow(p, pK.local_factor, up_pi, down_pi))
-            up_psi = sp.in_psi(ext_kmk, pK)
-            down_psi = sp.in_psi(ext_ml, below)
-            if up_psi != down_psi:
-                psi_rows.append(PullbackRow(p, pK.local_factor, up_psi, down_psi))
+    for pK in sp.points_over(ext_kl.field, n, (ext_kl, ext_ml, ext_kmk, ext_kmm)):
+        points += 1
+        below = plane.project_point(ext_kl, pK)
+        up_pi = sp.in_pi(ext_kmk, pK)
+        down_pi = sp.in_pi(ext_ml, below)
+        if up_pi != down_pi:
+            pi_rows.append(PullbackRow(pK.p, pK.local_factor, up_pi, down_pi))
+        up_psi = sp.in_psi(ext_kmk, pK)
+        down_psi = sp.in_psi(ext_ml, below)
+        if up_psi != down_psi:
+            psi_rows.append(PullbackRow(pK.p, pK.local_factor, up_psi, down_psi))
     return PullbackReport((l, k, m, km), n, points, tuple(pi_rows), tuple(psi_rows))
 
 

@@ -23,6 +23,7 @@ input on every call.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -37,13 +38,17 @@ MAX_CHARACTERISTIC = 2**64
 MAX_EXTENSION_DEGREE = 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the smallest strong pseudoprime to all of _MR_BASES (Sorenson-Webster 2017)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24 (covers 64 bits)."""
+    """Miller-Rabin to ``_MR_BASES``, exact below 3.18e23 (covers 64 bits);
+    above that a strong Lucas test follows, which makes it the Baillie-PSW
+    test, passed by no known composite."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -60,7 +65,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 37 (Baillie-Wagstaff 1980).
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, n
+    passes when U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(|D|, n) is a proper factor, as |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    # (U_k, V_k, Q^k) from k = 1 along the bits of d: U_2k = U_k V_k,
+    # V_2k = V_k^2 - 2 Q^k, U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2
+    half = (n + 1) // 2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _mix_seed(*values: int) -> int:
@@ -73,24 +131,22 @@ def _mix_seed(*values: int) -> int:
 class FqField:
     """The finite field F_p[t]/(g).
 
-    ``FqField(p, g)`` validates p prime in [2, 2^64) and g monic irreducible;
-    ``_checked=True`` skips that for callers that have already checked.
+    ``FqField(p, g)`` validates p prime in [2, 2^64) and g monic irreducible.
     """
 
     __slots__ = ("p", "modulus", "m", "order", "_red")
 
-    def __init__(self, p: int, modulus: Sequence[int], _checked: bool = False):
+    def __init__(self, p: int, modulus: Sequence[int]):
         modulus = tuple(c % p for c in modulus)
-        if not _checked:
-            if not (2 <= p < MAX_CHARACTERISTIC) or not is_prime(p):
-                raise InvalidPrimeError(f"{p} is not a prime in [2, 2^64)")
-            if not modulus or modulus[-1] != 1:
-                raise ReducibleModulusError("modulus must be monic")
-            m = len(modulus) - 1
-            if not (1 <= m <= MAX_EXTENSION_DEGREE):
-                raise ValueError(f"extension degree {m} outside [1, {MAX_EXTENSION_DEGREE}]")
-            if m > 1 and not mp.is_irreducible(list(modulus), p):
-                raise ReducibleModulusError(f"modulus {list(modulus)} reducible mod {p}")
+        if not (2 <= p < MAX_CHARACTERISTIC) or not is_prime(p):
+            raise InvalidPrimeError(f"{p} is not a prime in [2, 2^64)")
+        if not modulus or modulus[-1] != 1:
+            raise ReducibleModulusError("modulus must be monic")
+        m = len(modulus) - 1
+        if not (1 <= m <= MAX_EXTENSION_DEGREE):
+            raise ValueError(f"extension degree {m} outside [1, {MAX_EXTENSION_DEGREE}]")
+        if m > 1 and not mp.is_irreducible(list(modulus), p):
+            raise ReducibleModulusError(f"modulus {list(modulus)} reducible mod {p}")
         self.p = p
         self.modulus = modulus
         self.m = len(modulus) - 1
@@ -109,9 +165,6 @@ class FqField:
 
     def __repr__(self) -> str:
         return f"F_{self.order}" if self.m > 1 else f"F_{self.p}"
-
-    def __reduce__(self):
-        return (FqField, (self.p, self.modulus, True))
 
     # -- element construction ----------------------------------------------
 

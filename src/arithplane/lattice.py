@@ -161,7 +161,7 @@ def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of |n| (n nonzero), ascending.
 
     Trial division below ``_TRIAL_BOUND``, then the cofactor is split until
-    every part passes ``is_prime`` (exact below 3.3e24): a perfect power by
+    every part passes ``is_prime`` (Baillie-PSW): a perfect power by
     its integer root, anything else by Pollard-Brent rho.  Rho's effort
     grows with the square root of the smallest prime factor of the part it
     splits, not with the square root of n.

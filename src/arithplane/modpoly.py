@@ -47,10 +47,6 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
     return trim(out)
 
 
-def neg(a: list[int], p: int) -> list[int]:
-    return [(-c) % p for c in a]
-
-
 def scalar_mul(k: int, a: list[int], p: int) -> list[int]:
     k %= p
     return trim([(k * c) % p for c in a])

@@ -10,12 +10,13 @@ section wash out exactly where the theory says they must.
 The norm lands in the subfield of F_pK generated by the embedded
 generator; converting that subfield element into honest F_pL coordinates
 is a small linear solve against the powers of the embedded generator,
-cached per (point, point, embedding) triple.
+cached per (point, point, embedding) triple.  The projector refuses any
+pair for which ``spectrum.lies_over`` fails.
 
 ``galois_image`` moves points of the spectrum by a declared automorphism.
-The direct mode transports the naming kernel (evaluate the source local
-factor at the name of σ(α) in each candidate); the bruteforce mode
-re-derives the image from an existential search over fibre pairs whose
+The direct mode picks the candidate over the same p that lies over the
+source point along σ, read as the self-embedding α -> σ(α); the bruteforce
+mode re-derives the image from an existential search over fibre pairs whose
 projections agree — slow, base-Q, and restricted to fully split primes,
 but an independent oracle for the direct criterion.
 """
@@ -23,6 +24,7 @@ but an independent oracle for the direct criterion.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +38,19 @@ from .errors import (
 from . import finitefield as ff
 from .finitefield import FqElement, fq_norm
 from .intpoly import IntPoly, reduce_mod_p
-from .lattice import Automorphism, Extension, LatticeConfig
+from .lattice import Automorphism, Embedding, Extension, LatticeConfig
+from .sieve import stream_primes
 from .spectrum import (
     SplitPrime,
-    _eval_ints,
     in_psi,
     lies_over,
+    points_over,
     residue_field,
     residue_name,
     split_prime,
 )
 
 BRUTEFORCE_PRIME_BOUND = 1000
-ENUMERATION_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class Section:
                 raise ValueError(f"section must pick a nonzero point at {pk}")
 
     def at(self, pk: SplitPrime) -> FqElement:
-        fld = residue_field(pk).fq
+        fld = residue_field(pk)
         idx = self._choices.get(pk, 1)
         return fld.from_index(idx % fld.order)
 
@@ -90,7 +92,7 @@ class Section:
 
 
 def fiber_point(pk: SplitPrime, value: FqElement | int) -> FiberPoint:
-    fld = residue_field(pk).fq
+    fld = residue_field(pk)
     if isinstance(value, int):
         value = fld.from_index(value % fld.order)
     elif value.field != fld:
@@ -111,19 +113,18 @@ def act(gamma: IntPoly | int, x: FiberPoint) -> FiberPoint:
 class _Projector:
     """Norm-and-rewrite machinery from the fibre at pK onto the one at pL.
 
+    Refuses with ``NotLyingOverError`` unless ``spectrum.lies_over`` holds.
     Caches the embedded-generator powers so that expressing a subfield
     element in F_pL coordinates is one linear solve.
     """
 
     def __init__(self, pK: SplitPrime, pL: SplitPrime, emb):
-        self.src = pK
-        self.dst = pL
-        self.fld_k = residue_field(pK).fq
-        self.fld_l = residue_field(pL).fq
-        u = residue_field(pK).name(emb.h)
-        if _eval_ints(pL.local_factor, u) != self.fld_k.zero:
+        if not lies_over(pK, pL, emb):
             raise NotLyingOverError(f"{pK} does not lie over {pL}")
-        self.exp = (pK.order - 1) // (pL.order - 1)
+        self.dst = pL
+        self.fld_k = residue_field(pK)
+        self.fld_l = residue_field(pL)
+        u = residue_name(pK, emb.h)
         d, m = pL.residue_degree, pK.residue_degree
         w = self.fld_k.one
         self._matrix = [[0] * d for _ in range(m)]
@@ -198,43 +199,22 @@ def induced_action(
     """Action of γ ∈ O_K on the fibre below pK: scale by Norm(name of γ).
 
     Extends the plain action of the base ring and does not depend on any
-    choice of sections.
+    choice of sections.  Raises ``NotLyingOverError`` unless pK lies over
+    the point of b.
     """
-    pL = b.prime
-    if not lies_over(pK, pL, emb):
-        raise NotLyingOverError(f"{pK} does not lie over {pL}")
-    proj = _projector(pK, pL, emb)
+    proj = _projector(pK, b.prime, emb)
     scale = proj.norm(residue_name(pK, gamma))
-    return FiberPoint(pL, b.value * scale)
-
-
-def preimage_size(y: FiberPoint, pK: SplitPrime, emb) -> int:
-    """|π⁻¹(y)| in the fibre at pK: (|pK|-1)/(|pL|-1) for y ≠ 0, else 1.
-
-    For small fibres (|pK| <= 10^4) the formula is re-verified on the spot
-    by enumerating the whole fibre.
-    """
-    pL = y.prime
-    if not lies_over(pK, pL, emb):
-        raise NotLyingOverError(f"{pK} does not lie over {pL}")
-    proj = _projector(pK, pL, emb)
-    size = 1 if y.is_zero else (pK.order - 1) // (pL.order - 1)
-    if pK.order <= ENUMERATION_BOUND:
-        fld = proj.fld_k
-        found = 0
-        for i in range(fld.order):
-            if proj.norm(fld.from_index(i)) == y.value:
-                found += 1
-        assert found == size, f"fibre law failed at {pK}: {found} != {size}"
-    return size
+    return FiberPoint(b.prime, b.value * scale)
 
 
 def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
     """Preimage counts of the raw norm map, indexed by the target element.
 
-    Quadratic-over-prime fibres go through a vectorized evaluation of the
-    closed form N(a+bt) = a² - c₁ab + c₀b²; everything else enumerates
-    (bounded at |pK| <= 10^5).
+    The fibre law makes it [1, k, ..., k] with k = (|pK|-1)/(|pL|-1).
+    Raises ``NotLyingOverError`` unless pK lies over pL.  Quadratic-over-
+    prime fibres go through a vectorized evaluation of the closed form
+    N(a+bt) = a² - c₁ab + c₀b²; everything else enumerates (bounded at
+    |pK| <= 10^5).
     """
     proj = _projector(pK, pL, emb)
     p = pK.p
@@ -274,8 +254,8 @@ def galois_image(
 ) -> SplitPrime:
     """The point σ(q): transport of the naming kernel by the automorphism.
 
-    direct: the unique candidate q' over the same p where the local factor
-    of q vanishes at the name of σ(α).  bruteforce: search fibre pairs for
+    direct: the unique candidate q' over the same p that lies over q along
+    the self-embedding α -> σ(α).  bruteforce: search fibre pairs for
     the existential agreement of projections (base Q, fully split p only,
     p <= 1000) — kept as an independent oracle for the direct criterion.
     """
@@ -292,11 +272,8 @@ def galois_image(
 
 
 def _galois_direct(fld, sigma: Automorphism, q: SplitPrime) -> SplitPrime:
-    matches = []
-    for cand in split_prime(fld, q.p):
-        image = residue_name(cand, sigma.h)
-        if _eval_ints(q.local_factor, image).is_zero:
-            matches.append(cand)
+    own = Embedding(fld.name, fld.name, sigma.h)
+    matches = [cand for cand in split_prime(fld, q.p) if lies_over(cand, q, own)]
     assert len(matches) == 1, f"kernel transport produced {len(matches)} candidates"
     return matches[0]
 
@@ -346,8 +323,6 @@ def annihilator_set(gamma: IntPoly, field, bound: int) -> list[SplitPrime]:
     γ kills the fibre at pK exactly when its name there is zero, i.e. when
     the local factor divides γ mod p.
     """
-    from .sieve import stream_primes
-
     if gamma.is_zero:
         raise ValueError("the zero element annihilates everything")
     out = []
@@ -396,20 +371,15 @@ def check_norm_fibres(ext: Extension, bound: int) -> NormFibreReport:
     full preimage of every base value and checks: the zero fibre is a single
     point, and every nonzero fibre has exactly (|pK|-1)/(|pL|-1) points.
     """
-    from .sieve import stream_primes
-
     points = 0
     failures = []
-    for p in stream_primes(bound):
-        if ext.is_excluded(p):
-            continue
-        for pk in split_prime(ext.field, p):
-            points += 1
-            below = project_point(ext, pk)
-            census = norm_fibre_census(pk, below, ext.emb)
-            expect = (pk.order - 1) // (below.order - 1)
-            if census[0] != 1 or any(c != expect for c in census[1:]):
-                failures.append((p, pk.local_factor))
+    for pk in points_over(ext.field, bound, (ext,)):
+        points += 1
+        below = project_point(ext, pk)
+        census = norm_fibre_census(pk, below, ext.emb)
+        expect = (pk.order - 1) // (below.order - 1)
+        if census[0] != 1 or any(c != expect for c in census[1:]):
+            failures.append((pk.p, pk.local_factor))
     return NormFibreReport(ext.name, bound, points, tuple(failures))
 
 
@@ -445,10 +415,6 @@ def check_section_independence(
     the coefficient box, and compares against the section-free
     ``induced_action``.  Any disagreement is counted as a failure.
     """
-    import random
-
-    from .sieve import stream_primes
-
     rng = random.Random(seed)
     deg = ext.field.degree
     box = range(-gamma_bound, gamma_bound + 1)
@@ -456,21 +422,18 @@ def check_section_independence(
         IntPoly.of(a) for a in box
     ]
     comparisons = failures = 0
-    for p in stream_primes(prime_bound):
-        if ext.is_excluded(p):
-            continue
-        for pk in split_prime(ext.field, p):
-            below = project_point(ext, pk)
-            for _ in range(trials):
-                secs = (Section.random([pk], rng), Section.random([below], rng))
-                x = fiber_point(pk, rng.randrange(pk.order))
-                base_pt = project(x, ext, secs)
-                for gamma in gammas:
-                    via_sections = project(act(gamma, x), ext, secs)
-                    canonical = induced_action(gamma, base_pt, pk, ext.emb)
-                    comparisons += 1
-                    if via_sections != canonical:
-                        failures += 1
+    for pk in points_over(ext.field, prime_bound, (ext,)):
+        below = project_point(ext, pk)
+        for _ in range(trials):
+            secs = (Section.random([pk], rng), Section.random([below], rng))
+            x = fiber_point(pk, rng.randrange(pk.order))
+            base_pt = project(x, ext, secs)
+            for gamma in gammas:
+                via_sections = project(act(gamma, x), ext, secs)
+                canonical = induced_action(gamma, base_pt, pk, ext.emb)
+                comparisons += 1
+                if via_sections != canonical:
+                    failures += 1
     return SectionIndependenceReport(
         ext.name, prime_bound, gamma_bound, trials, comparisons, failures
     )

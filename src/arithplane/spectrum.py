@@ -2,19 +2,23 @@
 
 For a field K = Z[α] in the lattice, the points over a rational prime p are
 the irreducible factors of f_K mod p, found by ``modpoly.factor`` on plain
-coefficient lists over F_p.  Each point carries a residue field
-F_p[t]/(g) together with the naming map that sends a polynomial expression
-in α to its class mod (p, g) — evaluation and membership questions all
-reduce to that map.
+coefficient lists over F_p.  ``residue_field`` returns the point's residue
+field F_p[t]/(g) as a cached ``FqField``, and ``residue_name`` is the
+naming map that sends a polynomial expression in α to its class mod
+(p, g) — evaluation and membership questions all reduce to that map.
+``points_over`` walks the points of a field over the primes up to a bound
+that a set of extensions can evaluate, for the sequential checkers.
 
 Two families of predicates live here.  Pointwise ones relate a point of K
 to a point of L along a declared embedding: ``lies_over``,
-``relative_degree`` and the multiplicity bound ``pn_holds``.  Fibrewise
-ones quantify over all points of K above a fixed point of L: ``in_pi``
-(some point has relative degree 1) and ``in_psi`` (all do).  The fibrewise
-predicates count the roots of f_K in the residue field of the base point
-that restrict to it, by distinct-degree factorization and one gcd over F_p
-(``compatible_root_count``): no residue field or field element is built.
+``relative_degree`` and the multiplicity bound ``pn_holds``; ``plane``
+builds its projections and its direct Galois action on ``lies_over`` too.
+Fibrewise ones quantify over all points of K above a fixed point of L:
+``in_pi`` (some point has relative degree 1) and ``in_psi`` (all do).  The
+fibrewise predicates count the roots of f_K in the residue field of the
+base point that restrict to it, by distinct-degree factorization and one
+gcd over F_p (``compatible_root_count``): no residue field or field
+element is built.
 ``in_pi_absolute``/``in_psi_absolute`` re-derive them from the full
 splitting and the residue-field naming maps as an independent cross-check.
 
@@ -28,14 +32,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import finitefield as ff
 from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
 from .finitefield import MAX_CHARACTERISTIC, FqElement, FqField, fq_minpoly, is_prime
 from .intpoly import IntPoly, RatPoly, reduce_mod_p
-from .lattice import Extension, NumberField
+from .lattice import ExclusionRule, Extension, NumberField
+from .sieve import stream_primes
 
 
 @dataclass(frozen=True)
@@ -72,36 +77,25 @@ class SplitPrime:
         return f"({self.p}, {poly}) in {self.field}{tag}"
 
 
-@dataclass(frozen=True)
-class ResidueField:
-    """Residue field at a point, with the naming map from Z[α]."""
-
-    base: SplitPrime
-    fq: FqField
-
-    def name(self, gamma: IntPoly | RatPoly | int) -> FqElement:
-        """Class of γ(α) mod (p, local_factor).
-
-        Rational coefficients are allowed as long as their denominators are
-        invertible mod p (embedding images need this).
-        """
-        if isinstance(gamma, int):
-            gamma = IntPoly.of(gamma)
-        coeffs = reduce_mod_p(gamma, self.base.p)
-        return self.fq.element(coeffs)
-
-
 @functools.lru_cache(maxsize=512)
 def _residue_fq(p: int, modulus: tuple[int, ...]) -> FqField:
     return FqField(p, modulus)
 
 
-def residue_field(pK: SplitPrime) -> ResidueField:
-    return ResidueField(pK, _residue_fq(pK.p, pK.local_factor))
+def residue_field(pK: SplitPrime) -> FqField:
+    """The residue field F_p[t]/(local factor) at pK, cached per point."""
+    return _residue_fq(pK.p, pK.local_factor)
 
 
 def residue_name(pK: SplitPrime, gamma: IntPoly | RatPoly | int) -> FqElement:
-    return residue_field(pK).name(gamma)
+    """Class of γ(α) mod (p, local_factor).
+
+    Rational coefficients are allowed as long as their denominators are
+    invertible mod p (embedding images need this).
+    """
+    if isinstance(gamma, int):
+        gamma = IntPoly.of(gamma)
+    return residue_field(pK).element(reduce_mod_p(gamma, pK.p))
 
 
 def split_prime(field: NumberField, p: int) -> list[SplitPrime]:
@@ -124,6 +118,15 @@ def split_prime(field: NumberField, p: int) -> list[SplitPrime]:
     ]
 
 
+def points_over(field: NumberField, n: int, exts: Iterable[Extension]) -> Iterator[SplitPrime]:
+    """Points of `field` over the primes p <= n not excluded for any of exts,
+    ascending in p and in ``split_prime`` order over each p."""
+    rule = ExclusionRule.of(exts)
+    for p in stream_primes(n):
+        if rule.reason(p) is None:
+            yield from split_prime(field, p)
+
+
 def _eval_ints(coeffs: Sequence[int], x: FqElement) -> FqElement:
     fld = x.field
     acc = fld.zero
@@ -132,7 +135,14 @@ def _eval_ints(coeffs: Sequence[int], x: FqElement) -> FqElement:
     return acc
 
 
-def _check_related(pK: SplitPrime, pL: SplitPrime, emb) -> None:
+def lies_over(pK: SplitPrime, pL: SplitPrime, emb) -> bool:
+    """Does the point of K restrict to the point of L along emb?
+
+    True iff pL's local factor vanishes at the name of the embedded
+    generator, i.e. the naming kernels agree on the subring.  Raises
+    ``NotLyingOverError`` when emb does not run from pL's field to pK's or
+    the points sit over different rational primes.
+    """
     if emb.src != pL.field or emb.dst != pK.field:
         raise NotLyingOverError(
             f"embedding {emb.src} -> {emb.dst} does not relate points of "
@@ -140,15 +150,6 @@ def _check_related(pK: SplitPrime, pL: SplitPrime, emb) -> None:
         )
     if pK.p != pL.p:
         raise NotLyingOverError(f"points sit over different rational primes {pK.p}, {pL.p}")
-
-
-def lies_over(pK: SplitPrime, pL: SplitPrime, emb) -> bool:
-    """Does the point of K restrict to the point of L along emb?
-
-    True iff pL's local factor vanishes at the name of the embedded
-    generator, i.e. the naming kernels agree on the subring.
-    """
-    _check_related(pK, pL, emb)
     image = residue_name(pK, emb.h)
     return _eval_ints(pL.local_factor, image) == image.field.zero
 

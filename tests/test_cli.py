@@ -167,6 +167,9 @@ def test_galois_auto_out_of_range(capsys):
     code, _, err = run(capsys, "galois", "--lattice", LATTICE,
                        "--field", "Qi", "--auto", "5", "--prime", "5")
     assert code == 1 and "--auto" in err
+    code, _, err = run(capsys, "galois", "--lattice", LATTICE,
+                       "--field", "Qc2", "--auto", "0", "--prime", "5")
+    assert code == 1 and "Qc2 declares no automorphisms" in err
 
 
 def test_annihilator_output(capsys):
@@ -266,6 +269,14 @@ def test_usage_errors_exit_1(capsys):
         ("density", "--lattice", LATTICE, "--expr", "Psi(Qi/Q)", "--max", "1000",
          "--workers", "0"),
         ("fingerprint", "--lattice", LATTICE, "--prime", "5", "--family", ","),
+        ("fingerprint", "--lattice", LATTICE, "--prime", "5", "--family",
+         "Qi/Q,Q8/Qi"),
+        ("galois", "--lattice", LATTICE, "--field", "Qc2", "--auto", "0",
+         "--prime", "5"),
+        ("check", "section-independence", "--lattice", LATTICE, "--ext", "Qi/Q",
+         "--max", "20", "--box", "-1"),
+        ("check", "section-independence", "--lattice", LATTICE, "--ext", "Qi/Q",
+         "--max", "20", "--trials", "0"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

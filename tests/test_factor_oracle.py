@@ -1,4 +1,5 @@
-"""``modpoly.factor`` against its reference oracle ``finitefield.fq_factor``.
+"""``modpoly.factor`` against its reference oracle ``finitefield.fq_factor``
+and against ``sympy``'s factorization over F_p.
 
 Property tests on random polynomials with planted repeated factors, at
 small primes (where repeated factors reach the characteristic) and at a
@@ -31,6 +32,11 @@ def planted(draw):
     return f, p
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(planted())
 @example(([1, 0, 0, 0, 1], 2))  # (x + 1)^4: the derivative vanishes
@@ -49,6 +55,18 @@ def test_factor_matches_fq_factor(case):
     assert got == [([c.rep[0] for c in g], mult) for g, mult in oracle]
     if all(mult == 1 for _, mult in got):
         assert mp.degree_pattern(f, p) == tuple(mp.deg(g) for g, _ in got)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(planted())
+@example(([1, 0, 0, 0, 1], 2))
+@example(([1, 0, 0, 1, 0, 0, 1], 3))
+@example(([2, 2, 3, 1, 1], 5))
+def test_factor_matches_sympy(sympy, case):
+    f, p = case
+    _, factors = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p).factor_list()
+    want = [([c % p for c in reversed(g.all_coeffs())], mult) for g, mult in factors]
+    assert mp.factor(f, p) == sorted(want, key=lambda gm: (len(gm[0]), gm[0]))
 
 
 def test_factor_rejects_constants():

@@ -108,6 +108,9 @@ def test_prime_factors():
     m61 = 2**61 - 1
     assert prime_factors(m61**3) == [m61]
     assert prime_factors(1009**2 * 1013 * (2**31 - 1) * m61) == [1009, 1013, 2**31 - 1, m61]
+    # strong pseudoprimes to every Miller-Rabin base of is_prime
+    assert prime_factors(3317044064679887385961981) == [1287836182261, 2575672364521]
+    assert prime_factors(318665857834031151167461) == [399165290221, 798330580441]
     with pytest.raises(ValueError):
         prime_factors(0)
 

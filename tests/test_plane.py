@@ -264,15 +264,16 @@ def test_action_separation(demo):
 
 
 def test_preimage_size_examples(demo):
+    # census[i] is the size of the norm preimage of the element with index i
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
     (p3,) = sp.split_prime(qi, 3)
-    assert pl.preimage_size(pl.fiber_point(q_point(demo, 3), 1), p3, ext.emb) == 4
+    assert pl.norm_fibre_census(p3, q_point(demo, 3), ext.emb) == [1, 4, 4]
     p5 = sp.split_prime(qi, 5)[0]
-    assert pl.preimage_size(pl.fiber_point(q_point(demo, 5), 2), p5, ext.emb) == 1
-    assert pl.preimage_size(pl.fiber_point(q_point(demo, 3), 0), p3, ext.emb) == 1
+    assert pl.norm_fibre_census(p5, q_point(demo, 5), ext.emb) == [1, 1, 1, 1, 1]
+    # p3 does not lie over (5, t): the census of an unrelated pair is refused
     with pytest.raises(NotLyingOverError):
-        pl.preimage_size(pl.fiber_point(q_point(demo, 5), 1), p3, ext.emb)
+        pl.norm_fibre_census(p3, q_point(demo, 5), ext.emb)
 
 
 def test_fibre_counts_sum(demo):
