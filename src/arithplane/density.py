@@ -15,11 +15,19 @@ fixed-width ranges, each worker sieves its own range, and the per-range
 Counters are added in range order, so results are identical for any worker
 count.  Whether a prime is skipped, and why, is decided by
 :class:`~arithplane.lattice.ExclusionRule`; skips are counted once per point.
+
+A range is evaluated as arrays.  Over Q a point is its prime, so every atom
+is one boolean array over the range's primes: Pi/Psi from the prime-lane
+root count of ``modpoly`` (once per atom field), prime sets by membership.
+The expression tree combines those arrays, and ``searchsorted`` plus
+``bincount`` tally them by checkpoint.  The Frobenius histogram counts the
+lane factor-degree patterns the same way.  Over a larger base each prime is
+split and every point asks ``spectrum.in_pi``/``in_psi``; the answers are
+tallied by the same code.
 """
 
 from __future__ import annotations
 
-import bisect
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -27,11 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from . import plane
 from . import spectrum as sp
 from .errors import ExprSyntaxError, UnknownFieldError
 from .finitefield import MAX_CHARACTERISTIC, is_prime
 from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
+from .modpoly import lane_factor_degrees, lane_root_count
 from .sieve import partition_ranges, prime_range
 
 CHECKPOINT_START = 100
@@ -100,14 +111,15 @@ def _walk_atoms(node: Node, out: list) -> None:
         _walk_atoms(node.right, out)
 
 
-def _eval_node(node: Node, atom_fn: Callable) -> bool:
-    """Evaluate a boolean tree; ``atom_fn`` decides the leaves."""
+def _eval_node(node: Node, atom_fn: Callable):
+    """Evaluate a boolean tree; ``atom_fn`` decides the leaves, as numpy
+    booleans or boolean arrays (``~``, ``&`` and ``|`` act elementwise)."""
     if isinstance(node, Not):
-        return not _eval_node(node.inner, atom_fn)
+        return ~_eval_node(node.inner, atom_fn)
     if isinstance(node, And):
-        return _eval_node(node.left, atom_fn) and _eval_node(node.right, atom_fn)
+        return _eval_node(node.left, atom_fn) & _eval_node(node.right, atom_fn)
     if isinstance(node, Or):
-        return _eval_node(node.left, atom_fn) or _eval_node(node.right, atom_fn)
+        return _eval_node(node.left, atom_fn) | _eval_node(node.right, atom_fn)
     return atom_fn(node)
 
 
@@ -324,81 +336,69 @@ def scan(kernel: Callable[..., Counter], payload, n: int, workers: int) -> Count
         return sum(pool.map(kernel, *jobs), Counter())
 
 
-_SKIP_SLOT = {"ramified": 1, "denominator": 2}
-
-
-def _quad_flags(c0: int, c1: int, p: int) -> tuple[bool, bool]:
-    # unramified quadratic: split iff the discriminant is a square mod p
-    if p == 2:
-        r = (c0 % 2 == 0) + ((1 + c1 + c0) % 2 == 0)
-        return r >= 1, r == 2
-    square = pow((c1 * c1 - 4 * c0) % p, (p - 1) // 2, p) == 1
-    return square, square
-
-
-def _fast_flags(coeffs: tuple[int, ...], p: int) -> tuple[bool, bool]:
-    deg = len(coeffs) - 1
-    if deg == 2:
-        return _quad_flags(coeffs[0], coeffs[1], p)
-    if deg == 1:
-        return True, True
-    return sp.pi_psi_flags([c % p for c in coeffs], p)
-
-
 def _density_kernel(payload, lo: int, hi: int) -> Counter:
     """Tally the base points over the primes in [lo, hi].
 
     Keys are ``(checkpoint index, slot)``.  Slot 0 counts evaluable points,
-    slots 1 and 2 skipped points by reason, and slot ``3 + mask`` the points
-    whose expression truth values form ``mask`` (expression j giving bit j).
-    Every count is per point of the base spectrum.
+    slot 1 + i skipped points by reason ``ExclusionRule.REASONS[i]``, and
+    slot ``3 + mask`` the points whose expression truth values form ``mask``
+    (expression j giving bit j).  Every count is per point of the base
+    spectrum.  Over Q the points are the primes of the range, and each atom
+    field's Pi/Psi flags come once per range from the prime-lane root count;
+    over a larger base each prime is split and each point asks its atoms.
     """
     exprs, checkpoints, rule = payload
-    rows = [[0] * (3 + (1 << len(exprs))) for _ in checkpoints]
-
-    def tally(order: int, reason: str | None, holds: Callable) -> None:
-        row = rows[bisect.bisect_left(checkpoints, order)]
-        if reason:
-            row[_SKIP_SLOT[reason]] += 1
-            return
-        mask = 0
-        for j, expr in enumerate(exprs):
-            if _eval_node(expr.node, holds):
-                mask |= 1 << j
-        row[0] += 1
-        row[3 + mask] += 1
-
     base = exprs[0].base
-    fast = base.degree == 1
-    for p in prime_range(lo, hi):
-        reason = rule.reason(p)
-        if fast:
-            memo: dict[str, tuple[bool, bool]] = {}
-            tally(p, reason, lambda a: _fast_atom(a, p, memo))
-            continue
-        for pL in sp.split_prime(base, p):
-            if pL.order <= checkpoints[-1]:
-                tally(pL.order, reason, lambda a, pL=pL: _point_atom(a, pL))
-    return Counter({(i, slot): v for i, row in enumerate(rows)
-                    for slot, v in enumerate(row) if v})
+    primes = prime_range(lo, hi)
+    if base.degree == 1:
+        ps = orders = primes
+        slots = rule.reasons(ps)
+        flags = _root_flags(ps[slots == 0])
+    else:
+        points = [pL for p in primes.tolist() for pL in sp.split_prime(base, p)
+                  if pL.order <= checkpoints[-1]]
+        ps = np.array([pL.p for pL in points], dtype=np.int64)
+        orders = np.array([pL.order for pL in points], dtype=np.int64)
+        slots = rule.reasons(ps)
+        flags = _point_flags([pL for pL, s in zip(points, slots.tolist()) if not s])
+    ok = slots == 0
+
+    def leaf(atom: Node) -> np.ndarray:
+        if isinstance(atom, PrimeSet):
+            return np.isin(ps[ok], [q for q in atom.primes if q <= hi])
+        return flags(atom)
+
+    slots[ok] = 3 + sum(_eval_node(expr.node, leaf).astype(np.int64) << j
+                        for j, expr in enumerate(exprs))
+    width = 3 + (1 << len(exprs))
+    keys = np.searchsorted(checkpoints, orders) * width + slots
+    table = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
+    table[:, 0] = table[:, 3:].sum(axis=1)
+    return Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(table) if v})
 
 
-def _fast_atom(atom: Node, p: int, memo: dict) -> bool:
-    if isinstance(atom, PrimeSet):
-        return p in atom.primes
-    name = atom.ext.field.name
-    flags = memo.get(name)
-    if flags is None:
-        flags = memo[name] = _fast_flags(atom.ext.field.poly.coeffs, p)
-    return flags[0] if isinstance(atom, PiAtom) else flags[1]
+def _root_flags(primes: np.ndarray) -> Callable[[Node], np.ndarray]:
+    """Pi/Psi of K/Q over unramified primes: f_K has a root / n roots mod p."""
+    roots: dict[str, np.ndarray] = {}
+
+    def flags(atom: Node) -> np.ndarray:
+        fld = atom.ext.field
+        if fld.name not in roots:
+            roots[fld.name] = lane_root_count(list(fld.poly.coeffs), primes)
+        r = roots[fld.name]
+        return r >= 1 if isinstance(atom, PiAtom) else r == fld.degree
+
+    return flags
 
 
-def _point_atom(atom: Node, pL: sp.SplitPrime) -> bool:
-    if isinstance(atom, PrimeSet):
-        return pL.p in atom.primes
-    if isinstance(atom, PiAtom):
-        return sp.in_pi(atom.ext, pL)
-    return sp.in_psi(atom.ext, pL)
+def _point_flags(points: list[sp.SplitPrime]) -> Callable[[Node], np.ndarray]:
+    """Pi/Psi of K/L at each base point, asked point by point."""
+
+    def flags(atom: Node) -> np.ndarray:
+        pred = sp.in_pi if isinstance(atom, PiAtom) else sp.in_psi
+        return np.array([pred(atom.ext, pL) for pL in points], dtype=bool)
+
+    return flags
 
 
 def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int):
@@ -426,7 +426,7 @@ def _build_estimate(
         hits += sum(counts[i, 3 + mask] for mask in range(1 << nexpr) if holds(mask))
         trace.append(TraceRow(ck, hits, total))
     skipped = []
-    for reason, slot in _SKIP_SLOT.items():
+    for slot, reason in enumerate(ExclusionRule.REASONS, 1):
         v = sum(counts[i, slot] for i in range(len(checkpoints)))
         if v:
             skipped.append((reason, v))
@@ -458,7 +458,7 @@ def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
     """
     atoms = expr.atoms()
     if not atoms:
-        truth = _eval_node(expr.node, lambda a: False)
+        truth = _eval_node(expr.node, lambda a: np.False_)
         return Fraction(1 if truth else 0)
     base = expr.base
     fields = []
@@ -503,9 +503,9 @@ def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
         for sigma in group:
             def atom_truth(a, _s=sigma):
                 if isinstance(a, PrimeSet):
-                    return False  # finite sets carry no density
+                    return np.False_  # finite sets carry no density
                 fixed = [r.compose_mod(_s.h, fmod) == r for r in homs[a.ext.field.name]]
-                return any(fixed) if isinstance(a, PiAtom) else all(fixed)
+                return np.bool_(any(fixed) if isinstance(a, PiAtom) else all(fixed))
 
             if _eval_node(expr.node, atom_truth):
                 count += 1
@@ -536,9 +536,14 @@ class FrobeniusStats:
 
 
 def _frobenius_kernel(fld: NumberField, lo: int, hi: int) -> Counter:
-    rule = ExclusionRule((fld.disc,), frozenset())
-    return Counter(sp.degree_pattern(fld, p) for p in prime_range(lo, hi)
-                   if rule.reason(p) is None)
+    """Factorization patterns of f mod the unramified primes in [lo, hi],
+    from the prime-lane factor degrees."""
+    primes = prime_range(lo, hi)
+    primes = primes[ExclusionRule((fld.disc,), frozenset()).reasons(primes) == 0]
+    degrees = lane_factor_degrees(list(fld.poly.coeffs), primes)
+    cols, counts = np.unique(degrees, axis=1, return_counts=True)
+    return Counter({tuple(d for d, k in enumerate(col, 1) for _ in range(k)): int(c)
+                    for col, c in zip(cols.T.tolist(), counts.tolist())})
 
 
 def frobenius_histogram(

@@ -79,5 +79,18 @@ class NotLyingOverError(ArithPlaneError):
     """The given primes are not related by the given embedding."""
 
 
+class FactorizationBudgetError(ArithPlaneError):
+    """A composite was not split within the factoring effort bound.
+
+    Carries the unfactored cofactor.
+    """
+
+    def __init__(self, cofactor: int, steps: int):
+        self.cofactor = cofactor
+        super().__init__(
+            f"no factor of {cofactor} found within {steps} Pollard-Brent steps"
+        )
+
+
 class HypothesisViolatedError(ArithPlaneError):
     """A formula's validity hypothesis fails for the requested input."""

@@ -39,14 +39,18 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     AutomorphismGroupError,
     EmbeddingInvalidError,
+    FactorizationBudgetError,
     LatticeSyntaxError,
     UnknownFieldError,
 )
 from .finitefield import is_prime
 from .intpoly import IntPoly, RatPoly, discriminant, validate_embedding
+from .modpoly import lane_mod, lanes
 from .sieve import stream_primes
 
 CERTIFICATE_PRIME_BOUND = 200
@@ -133,6 +137,8 @@ class ExclusionRule:
     discs: tuple[int, ...]
     denominators: frozenset[int]
 
+    REASONS = ("ramified", "denominator")
+
     @classmethod
     def of(cls, exts: Iterable[Extension]) -> "ExclusionRule":
         discs: list[int] = []
@@ -153,8 +159,19 @@ class ExclusionRule:
             return "denominator"
         return None
 
+    def reasons(self, primes: np.ndarray) -> np.ndarray:
+        """The rule on an int64 array of primes: 0 where p is evaluable,
+        else 1 + the index of its reason in ``REASONS``."""
+        P = lanes(primes)
+        ramified = np.zeros(len(P), dtype=bool)
+        for d in self.discs:
+            ramified |= lane_mod(d, P) == 0
+        dens = [q for q in self.denominators if q <= np.iinfo(np.int64).max]
+        return np.where(ramified, 1, np.where(np.isin(primes, dens), 2, 0))
+
 
 _TRIAL_BOUND = 1000
+_RHO_STEPS = 1 << 22  # a factor near 10^12 takes about 2 * 10^6 steps
 
 
 def prime_factors(n: int) -> list[int]:
@@ -164,7 +181,9 @@ def prime_factors(n: int) -> list[int]:
     every part passes ``is_prime`` (Baillie-PSW): a perfect power by
     its integer root, anything else by Pollard-Brent rho.  Rho's effort
     grows with the square root of the smallest prime factor of the part it
-    splits, not with the square root of n.
+    splits, not with the square root of n, and is capped at ``_RHO_STEPS``
+    steps per part: past that, ``FactorizationBudgetError`` names the part
+    left unfactored.
     """
     n = abs(n)
     if n == 0:
@@ -209,13 +228,17 @@ def _rho_brent(n: int) -> int:
     Brent's cycle-finding variant of Pollard rho on x -> x^2 + c, with the
     gcds batched over runs of 128 steps; a batch that overshoots to n is
     replayed one step at a time, and a c whose cycle closes mod n is
-    dropped for the next.
+    dropped for the next.  Raises ``FactorizationBudgetError`` rather than
+    take more than ``_RHO_STEPS`` steps over all c.
     """
-    c = 0
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # r steps to move x, at most r more to search
+            if steps > _RHO_STEPS:
+                raise FactorizationBudgetError(n, _RHO_STEPS)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

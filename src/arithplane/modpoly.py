@@ -2,21 +2,33 @@
 
 A polynomial is a plain list of ints in [0, p), constant term first, with no
 trailing zeros; [] is the zero polynomial.  The prime p travels as an
-explicit argument — these are free functions, not methods, so the hot scan
+explicit argument — these are free functions, not methods, so the hot
 loops pay no object overhead.  Nothing here validates primality of p; that
 is the caller's contract.
 
 The nontrivial algorithms are x^e mod f by binary exponentiation with a
-precomputed reduction row (the innermost loop of every density scan), one
-distinct-degree factorization (:func:`ddf`, behind splitting-type patterns,
-the fibrewise Pi/Psi count and :func:`factor`), and complete factorization:
-squarefree decomposition, DDF, then seeded Cantor-Zassenhaus equal-degree
-splitting (Cantor-Zassenhaus 1981; von zur Gathen-Shoup 1992).
+precomputed reduction row, one distinct-degree factorization (:func:`ddf`,
+behind splitting-type patterns, the fibrewise Pi/Psi count and
+:func:`factor`), and complete factorization: squarefree decomposition, DDF,
+then seeded Cantor-Zassenhaus equal-degree splitting (Cantor-Zassenhaus
+1981; von zur Gathen-Shoup 1992).
+
+The prime-lane kernels at the end answer one question about one monic
+integer f for a whole array of primes at once, one prime per numpy lane
+(the many-primes approach of Kedlaya-Sutherland, ANTS VIII 2008): x^p mod f
+(:func:`lane_xpow_mod`), the root count (:func:`lane_root_count`) and the
+factor degrees (:func:`lane_factor_degrees`).  They are what the Q-base
+density and Frobenius scans run; the scalar :func:`xpow_mod`,
+:func:`root_count` and :func:`degree_pattern` are their oracles.  Lanes are
+int64 while every p^2 + p < 2^63 and Python integers (dtype=object) beyond,
+with the same code.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 
 def trim(a: list[int]) -> list[int]:
@@ -384,3 +396,202 @@ def linsolve(matrix: list[list[int]], rhs: list[int], p: int) -> list[int]:
     for i, c in enumerate(pivots):
         out[c] = rows[i][ncols]
     return out
+
+
+# ---------------------------------------------------------------------------
+# prime lanes: one monic integer polynomial reduced mod many primes at once
+# ---------------------------------------------------------------------------
+
+LANE_INT64_MAX = 3037000499
+"""The largest p with p^2 + p < 2^63: every lane product stays in int64."""
+
+LANE_BLOCK = 1024
+"""Lanes per kernel call: a temporary of 2n - 1 rows stays near 100 KB up to
+degree 8, so a scan's memory does not grow with the primes in its range."""
+
+
+def lanes(primes: np.ndarray) -> np.ndarray:
+    """The primes as lanes: int64 while every p <= LANE_INT64_MAX, else
+    dtype=object, on which the same kernels run with Python integers."""
+    fits = primes.size == 0 or int(primes.max()) <= LANE_INT64_MAX
+    return primes.astype(np.int64 if fits else object, copy=False)
+
+
+def lane_mod(c: int, P: np.ndarray) -> np.ndarray:
+    """c mod p in every lane, for an int c of any size."""
+    if P.dtype == object or abs(c) < 1 << 62:
+        return np.remainder(c, P)
+    acc = np.zeros_like(P)  # Horner over 31-bit limbs: acc < p < 2^32
+    m = abs(c)
+    for shift in range(m.bit_length() // 31 * 31, -1, -31):
+        acc = ((acc << 31) + ((m >> shift) & 0x7FFFFFFF)) % P
+    return acc if c > 0 else (-acc) % P
+
+
+def _lane_powmod(a: np.ndarray, e: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """a^e mod p per lane, left to right over the largest bit length of e."""
+    r = np.ones_like(P)
+    for b in range(int(e.max()).bit_length() - 1 if e.size else -1, -1, -1):
+        r = r * r % P
+        r = np.where(((e >> b) & 1).astype(bool), r * a % P, r)
+    return r
+
+
+class _LaneRing:
+    """Arithmetic in F_p[x]/(f) for one monic integer f and an array of
+    primes p, one prime per lane.
+
+    A residue is an (n, L) array whose row i holds the coefficient of x^i in
+    every lane.  Every product of two residues mod p is reduced before the
+    next is added, so int64 lanes never exceed p^2 + p.
+    """
+
+    def __init__(self, f: list[int], P: np.ndarray):
+        if not f or f[-1] != 1:
+            raise ValueError("lane kernels need a monic polynomial")
+        self.P = P
+        self.n = n = len(f) - 1
+        self.f = np.array([lane_mod(c, P) for c in f]).reshape(n + 1, len(P))
+        self.red = (-self.f[:n]) % P  # x^n mod f
+
+    def const(self, c: int) -> np.ndarray:
+        out = np.zeros((self.n, len(self.P)), dtype=self.P.dtype)
+        out[0] = c
+        return out
+
+    def mulx(self, a: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(a)
+        out[1:] = a[:-1]
+        return (out + a[-1] * self.red) % self.P
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        n, P = self.n, self.P
+        out = np.zeros((2 * n - 1, len(P)), dtype=P.dtype)
+        for i in range(n):
+            out[i:i + n] += a[i] * b % P  # each row sums at most n terms < p
+        out %= P
+        for k in range(2 * n - 2, n - 1, -1):  # fold x^k = x^(k-n) * x^n
+            out[k - n:k] = (out[k - n:k] + out[k] * self.red) % P
+        return out[:n]
+
+    def xpow(self) -> np.ndarray:
+        """x^p mod f in every lane.  A lane whose p is shorter than the
+        longest keeps 1 through its leading zero bits."""
+        P, cur = self.P, self.const(1)
+        for b in range(int(P.max()).bit_length() - 1 if P.size else -1, -1, -1):
+            cur = self.mul(cur, cur)
+            cur = np.where(((P >> b) & 1).astype(bool), self.mulx(cur), cur)
+        return cur
+
+    def compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a(b) mod f, by Horner's rule."""
+        acc = self.const(0)
+        for row in a[::-1]:
+            acc = self.mul(acc, b)
+            acc[0] = (acc[0] + row) % self.P
+        return acc
+
+    def fixed_count(self, xq: np.ndarray) -> np.ndarray:
+        """deg gcd(xq - x, f) per lane.  For xq = x^(p^d) mod f and f
+        squarefree mod p, this is the number of roots of f in F_(p^d).
+
+        Inverse-free Euclid: one step replaces u, the operand of higher
+        degree, with lc(v)*u - lc(u)*x^(deg u - deg v)*v, so the leading
+        terms cancel and the gcd changes only by a unit.  It ends when v is
+        zero.
+        """
+        P, n = self.P, self.n
+        v = np.vstack([xq, np.zeros_like(xq[:1])])
+        v[1] = (v[1] - 1) % P
+        u = self.f
+        du, dv = np.full(len(P), n), _lane_degrees(v)
+        rows = np.arange(n + 1)[:, None]
+        while (live := dv >= 0).any():
+            top_v = np.maximum(dv, 0)
+            idx = rows - (du - top_v)
+            shifted = np.where(idx >= 0, np.take_along_axis(v, np.maximum(idx, 0), 0), 0)
+            lu = np.take_along_axis(u, du[None], 0)
+            lv = np.take_along_axis(v, top_v[None], 0)
+            w = np.where(live, (lv * u - lu * shifted) % P, u)
+            dw = np.where(live, _lane_degrees(w), du)
+            swap = dw < dv
+            u, v = np.where(swap, v, w), np.where(swap, w, v)
+            du, dv = np.where(swap, dv, dw), np.where(swap, dw, dv)
+        return du
+
+
+def _lane_degrees(a: np.ndarray) -> np.ndarray:
+    nz = a != 0
+    return np.where(nz.any(0), len(a) - 1 - np.argmax(nz[::-1], axis=0), -1)
+
+
+def _by_block(kernel, f: list[int], primes: np.ndarray) -> np.ndarray:
+    """kernel(f, lanes) over blocks of LANE_BLOCK primes, joined lane-wise."""
+    starts = range(0, max(len(primes), 1), LANE_BLOCK)
+    return np.concatenate([kernel(f, lanes(primes[i:i + LANE_BLOCK])) for i in starts],
+                          axis=-1)
+
+
+def lane_xpow_mod(f: list[int], primes: np.ndarray) -> np.ndarray:
+    """x^p mod f for every prime p of the array, as an (n, L) coefficient
+    array; the lane form of ``xpow_mod(p, f mod p, p)``."""
+    return _by_block(lambda f, P: _LaneRing(f, P).xpow(), f, primes)
+
+
+def lane_root_count(f: list[int], primes: np.ndarray) -> np.ndarray:
+    """Distinct roots of monic f in F_p for every prime p of the array.
+
+    Degree 2 reads Euler's criterion on the discriminant (p = 2 by
+    evaluating f at 0 and 1); degree 3 and up take deg gcd(x^p - x, f).
+    """
+    return _by_block(_root_count, f, primes)
+
+
+def _root_count(f: list[int], P: np.ndarray) -> np.ndarray:
+    n = len(f) - 1
+    if n == 1:
+        return np.ones(len(P), dtype=np.int64)
+    if n == 2:
+        c0, c1 = f[0], f[1]
+        disc = lane_mod(c1 * c1 - 4 * c0, P)
+        euler = _lane_powmod(disc, (P - 1) >> 1, P)
+        roots = np.where(disc == 0, 1, np.where(euler == 1, 2, 0))
+        at_two = (c0 % 2 == 0) + ((1 + c1 + c0) % 2 == 0)
+        return np.where(P == 2, at_two, roots).astype(np.int64)
+    ring = _LaneRing(f, P)
+    return ring.fixed_count(ring.xpow())
+
+
+def lane_factor_degrees(f: list[int], primes: np.ndarray) -> np.ndarray:
+    """Irreducible-factor degrees of monic f mod p, for every p of the array
+    at which f is squarefree: row d-1 of the (n, L) result counts the
+    factors of degree d.
+
+    c_d = deg gcd(x^(p^d) - x, f) is the sum of e * N_e over e | d, where
+    N_e counts the degree-e factors, so N_d follows for d <= n/2 by Möbius
+    inversion, solved one d at a time; what is left is one factor of degree
+    above n/2.  The Frobenius powers come by composition,
+    x^(p^d) = x^(p^(d-1)) o x^p.
+    """
+    return _by_block(_factor_degrees, f, primes)
+
+
+def _factor_degrees(f: list[int], P: np.ndarray) -> np.ndarray:
+    n = len(f) - 1
+    if n <= 2:
+        counts = [_root_count(f, P)]
+    else:
+        ring = _LaneRing(f, P)
+        x1 = xd = ring.xpow()
+        counts = [ring.fixed_count(x1)]
+        for _ in range(2, n // 2 + 1):
+            xd = ring.compose(xd, x1)
+            counts.append(ring.fixed_count(xd))
+    out = np.zeros((n, len(P)), dtype=np.int64)
+    for d, c in enumerate(counts, 1):  # c_d = sum of e * N_e over e | d
+        out[d - 1] = (c - sum(e * out[e - 1] for e in range(1, d) if d % e == 0)) // d
+    rest = n - (np.arange(1, n + 1)[:, None] * out).sum(axis=0)
+    lanes_with_rest = np.nonzero(rest)[0]
+    out[rest[lanes_with_rest] - 1, lanes_with_rest] += 1
+    return out.astype(np.min_scalar_type(n))
+

@@ -8,7 +8,10 @@ both so tests can pin the ceiling.
 
 Ranges are the unit of parallelism: :func:`partition_ranges` splits [2, N]
 into disjoint intervals and :func:`prime_range` sieves one of them on its
-own, so a scan worker needs nothing from its parent but the bounds.
+own, so a scan worker needs nothing from its parent but the bounds.  A range
+comes back as one int64 array, the form the prime-lane kernels of
+:mod:`~arithplane.modpoly` take; :func:`stream_primes` yields Python ints
+one at a time for the per-prime walks.
 """
 
 from __future__ import annotations
@@ -54,9 +57,14 @@ class PrimeStream:
         return self.base_buffer_bytes + self.segment_buffer_bytes
 
     def __iter__(self):
+        for chunk in self.segments():
+            yield from chunk.tolist()
+
+    def segments(self):
+        """The primes of each segment in turn, as int64 arrays."""
         lo, hi, seg = self.lo, self.hi, self.segment
         if lo <= 2 <= hi:
-            yield 2
+            yield np.array([2], dtype=np.int64)
         low = lo if lo % 2 else lo + 1  # first odd candidate
         if low < 3:
             low = 3
@@ -77,8 +85,7 @@ class PrimeStream:
                 if start > high:
                     continue
                 view[(start - low) // 2 :: p] = False
-            for idx in np.nonzero(view)[0]:
-                yield int(low + 2 * idx)
+            yield low + 2 * np.nonzero(view)[0]
             low = high + (1 if high % 2 == 0 else 2)
 
 
@@ -87,9 +94,10 @@ def stream_primes(n: int, segment: int = DEFAULT_SEGMENT) -> PrimeStream:
     return PrimeStream(2, n, segment)
 
 
-def prime_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeStream:
-    """Primes in the inclusive interval [lo, hi]."""
-    return PrimeStream(lo, hi, segment)
+def prime_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+    """Primes in the inclusive interval [lo, hi], ascending, as one int64 array."""
+    segments = PrimeStream(lo, hi, segment).segments()
+    return np.concatenate([np.empty(0, dtype=np.int64), *segments])
 
 
 def partition_ranges(n: int, parts: int) -> list[tuple[int, int]]:

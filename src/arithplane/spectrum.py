@@ -21,6 +21,9 @@ gcd over F_p (``compatible_root_count``): no residue field or field
 element is built.
 ``in_pi_absolute``/``in_psi_absolute`` re-derive them from the full
 splitting and the residue-field naming maps as an independent cross-check.
+``pi_psi_flags`` and ``degree_pattern`` answer the Q-base scan questions
+one prime at a time; the scans run the prime-lane kernels of ``modpoly``
+instead, and the tests hold those against these two.
 
 Ramified primes (dividing a discriminant or an embedding denominator) are
 represented honestly as points with ``ramified_flag`` set, but every
@@ -257,29 +260,26 @@ def fingerprint(pL: SplitPrime, family: Iterable[Extension]) -> tuple[bool, ...]
 
 
 # ---------------------------------------------------------------------------
-# prime-field fast paths (used by scans; no field objects, no allocation)
+# scalar oracles of the prime-lane scan kernels
 # ---------------------------------------------------------------------------
 
 
 def pi_psi_flags(fbar: list[int], p: int) -> tuple[bool, bool]:
-    """(in_pi, in_psi) of K/Q at unramified p from the root count alone."""
+    """(in_pi, in_psi) of K/Q at unramified p from the root count alone.
+
+    The one-prime form of what a Q-base density scan reads off
+    ``modpoly.lane_root_count``; the scan tests recount with it.
+    """
     r = mp.root_count(fbar, p)
     return r >= 1, r == mp.deg(fbar)
 
 
 def degree_pattern(field: NumberField, p: int) -> tuple[int, ...]:
-    """Multiset of residue degrees over an unramified p, ascending."""
+    """Multiset of residue degrees over an unramified p, ascending.
+
+    The one-prime form of what ``frobenius_histogram`` reads off
+    ``modpoly.lane_factor_degrees``; the scan tests recount with it.
+    """
     if field.disc % p == 0:
         raise RamifiedPrimeError(f"prime {p} ramifies in {field.name}")
-    fbar = reduce_mod_p(field.poly, p)
-    n = mp.deg(fbar)
-    if n <= 3:
-        r = mp.root_count(fbar, p)
-        if n == 1:
-            return (1,)
-        if n == 2:
-            return (1, 1) if r == 2 else (2,)
-        if r == 3:
-            return (1, 1, 1)
-        return (1, 2) if r == 1 else (3,)
-    return tuple(mp.degree_pattern(fbar, p))
+    return mp.degree_pattern(reduce_mod_p(field.poly, p), p)

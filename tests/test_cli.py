@@ -1,6 +1,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -196,6 +197,19 @@ def test_validate_bad_config_exits_2(capsys, tmp_path):
     bad.write_text("field K\n  poly 1 1\nfield K\n  poly -2 0 1\n")
     code, _, err = run(capsys, "validate", "--lattice", str(bad))
     assert code == 2 and "K" in err
+
+
+def test_validate_unfactorable_discriminant_exits_2(capsys, tmp_path):
+    # disc = 4 * q1 * q2 with both primes near 10^16: Pollard-Brent would need
+    # about 10^8 steps, so validate gives up at its step budget and names
+    # the cofactor instead of running for minutes
+    q1, q2 = 10000000000000061, 10000000000000069
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"field Big\n  poly {-q1 * q2} 0 1\n")
+    start = time.monotonic()
+    code, _, err = run(capsys, "validate", "--lattice", str(cfg))
+    assert time.monotonic() - start < 60
+    assert code == 2 and str(q1 * q2) in err
 
 
 def test_missing_lattice_file_exits_2(capsys):

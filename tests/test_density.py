@@ -1,4 +1,5 @@
 import pathlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from arithplane import density as dn
 from arithplane import spectrum as sp
 from arithplane.errors import ExprSyntaxError, UnknownFieldError
-from arithplane.lattice import load_lattice
+from arithplane.intpoly import reduce_mod_p
+from arithplane.lattice import ExclusionRule, load_lattice
 from arithplane.sieve import stream_primes
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -392,3 +394,89 @@ def test_pi_intersection_no_witness(demo):
     tight = dn.check_pi_intersection(demo, ["Qi", "Qw"], "Q", 12)
     assert tight.witness is None
     assert "no witness" in str(tight)
+
+
+# ------------------------------------- Q-base scans against a per-prime recount
+
+RECOUNT_N = 19997  # prime: the last range ends on a prime of a prime set
+RECOUNT_EXPRS = [
+    "Pi(Qc2/Q) & !Psi(Qi/Q)",
+    "Psi(Q8/Q) | {3, 7, 19997} & !Pi(Qw/Q)",
+    "!(Pi(S3c/Q) | Psi(Qc2/Q)) & (Pi(Qi/Q) | {2})",
+    "Psi(S3c/Q) | !Pi(Q8/Q) & Psi(Qw/Q) | !{5, 13}",
+]
+
+
+def _truth(node, p):
+    """The expression at p, asked prime by prime of the scalar oracles."""
+    if isinstance(node, dn.Not):
+        return not _truth(node.inner, p)
+    if isinstance(node, dn.And):
+        return _truth(node.left, p) and _truth(node.right, p)
+    if isinstance(node, dn.Or):
+        return _truth(node.left, p) or _truth(node.right, p)
+    if isinstance(node, dn.PrimeSet):
+        return p in node.primes
+    pi, psi = sp.pi_psi_flags(reduce_mod_p(node.ext.field.poly, p), p)
+    return pi if isinstance(node, dn.PiAtom) else psi
+
+
+def _recount(exprs, n):
+    """(per-checkpoint [total, hits of each expression], skips by reason)."""
+    rule = ExclusionRule.of(a.ext for e in exprs for a in e.atoms())
+    checkpoints = dn._checkpoints(n)
+    rows = {ck: [0] * (1 + (1 << len(exprs))) for ck in checkpoints}
+    skipped = {}
+    for p in stream_primes(n):
+        reason = rule.reason(p)
+        if reason:
+            skipped[reason] = skipped.get(reason, 0) + 1
+            continue
+        row = rows[next(ck for ck in checkpoints if p <= ck)]
+        row[0] += 1
+        row[1 + sum(_truth(e.node, p) << j for j, e in enumerate(exprs))] += 1
+    return rows, skipped
+
+
+def _recounted_estimate(rows, skipped, n, holds):
+    trace, hits, total = [], 0, 0
+    for ck, row in rows.items():
+        total += row[0]
+        hits += sum(v for mask, v in enumerate(row[1:]) if holds(mask))
+        trace.append(dn.TraceRow(ck, hits, total))
+    skips = tuple((r, skipped[r]) for r in ExclusionRule.REASONS if r in skipped)
+    return dn.DensityEstimate(n, hits, total, skips, tuple(trace))
+
+
+@pytest.fixture
+def narrow_ranges(monkeypatch):
+    # seven ranges, so ranges and checkpoints 100, 1000, 10^4 are crossed
+    monkeypatch.setattr(dn, "RANGE_WIDTH", 3000)
+
+
+@pytest.mark.parametrize("text", RECOUNT_EXPRS)
+def test_qbase_density_matches_recount(demo, narrow_ranges, text):
+    e = expr(demo, text)
+    rows, skipped = _recount([e], RECOUNT_N)
+    want = _recounted_estimate(rows, skipped, RECOUNT_N, bool)
+    assert dn.estimate_density(e, RECOUNT_N) == want
+
+
+def test_qbase_inclusion_exclusion_matches_recount(demo, narrow_ranges):
+    a, b = expr(demo, RECOUNT_EXPRS[0]), expr(demo, RECOUNT_EXPRS[1])
+    rows, skipped = _recount([a, b], RECOUNT_N)
+    report = dn.check_inclusion_exclusion(a, b, RECOUNT_N)
+    for got, holds in ((report.a, lambda m: m & 1), (report.b, lambda m: m & 2),
+                       (report.union, lambda m: m != 0),
+                       (report.intersection, lambda m: m == 3)):
+        assert got == _recounted_estimate(rows, skipped, RECOUNT_N, holds)
+    assert report.exact
+
+
+@pytest.mark.parametrize("name", ["Qi", "Qw", "Qc2", "Q8", "S3c"])
+def test_frobenius_matches_recount(demo, narrow_ranges, name):
+    fld = demo.field(name)
+    want = Counter(sp.degree_pattern(fld, p) for p in stream_primes(RECOUNT_N)
+                   if fld.disc % p)
+    got = dn.frobenius_histogram(fld, RECOUNT_N)
+    assert dict(got.counts) == want and got.total == sum(want.values())

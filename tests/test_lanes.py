@@ -1,0 +1,114 @@
+"""The prime-lane kernels of ``modpoly`` against the scalar kernels they batch.
+
+Every lane of ``lane_xpow_mod``, ``lane_root_count`` and
+``lane_factor_degrees`` must equal ``xpow_mod``, ``root_count`` and
+``degree_pattern`` at that lane's prime, on int64 lanes and on the
+dtype=object lanes that take over above ``LANE_INT64_MAX``.  The prime
+arrays mix bit lengths, so lanes with leading zero bits run beside full
+ones.
+"""
+
+import numpy as np
+import pytest
+
+from arithplane import modpoly as mp
+from arithplane.finitefield import is_prime
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+
+def _primes(start, step, count):
+    out, q = [], start
+    while len(out) < count:
+        if is_prime(q):
+            out.append(q)
+        q += step
+    return out
+
+
+BELOW = _primes(mp.LANE_INT64_MAX, -1, 2)  # the largest int64-lane primes
+ABOVE = _primes(mp.LANE_INT64_MAX + 1, 1, 2)  # the smallest object-lane ones
+M61 = 2**61 - 1
+INT64_POOL = [2, 3, 5, 7, 11, 13, 101, 7919, 65537, 2**31 - 1, 2147483659, *BELOW]
+OBJECT_POOL = [*INT64_POOL, *ABOVE, M61]
+
+
+def _squarefree(f, p):
+    return mp.deg(mp.gcd_p(f, mp.derivative(f, p), p)) == 0
+
+
+def _pattern(col):
+    return tuple(d for d, k in enumerate(col.tolist(), 1) for _ in range(k))
+
+
+def check_lanes(f, primes):
+    P = np.array(primes, dtype=np.int64)
+    xs, roots = mp.lane_xpow_mod(f, P), mp.lane_root_count(f, P)
+    for j, p in enumerate(primes):
+        fp = mp.trim([c % p for c in f])
+        assert mp.trim([int(c) for c in xs[:, j]]) == mp.xpow_mod(p, fp, p), (f, p)
+        assert roots[j] == mp.root_count(fp, p), (f, p)
+    ok = [p for p in primes if _squarefree(mp.trim([c % p for c in f]), p)]
+    degrees = mp.lane_factor_degrees(f, np.array(ok, dtype=np.int64))
+    for j, p in enumerate(ok):
+        want = mp.degree_pattern(mp.trim([c % p for c in f]), p)
+        assert _pattern(degrees[:, j]) == want, (f, p)
+
+
+def test_lane_dtype_switches_at_the_int64_bound():
+    assert BELOW[0] <= mp.LANE_INT64_MAX < ABOVE[0]
+    assert mp.LANE_INT64_MAX**2 + mp.LANE_INT64_MAX < 2**63
+    assert (mp.LANE_INT64_MAX + 1) ** 2 + mp.LANE_INT64_MAX + 1 >= 2**63
+    assert mp.lanes(np.array(INT64_POOL)).dtype == np.int64
+    assert mp.lanes(np.array(OBJECT_POOL)).dtype == object
+
+
+@pytest.mark.parametrize("f", [
+    [5, 1],
+    [1, 1, 1],  # x^2 + x + 1: irreducible at p = 2, a double root at p = 3
+    [-2, 0, 0, 1],
+    [1, 0, 0, 0, 1],
+    [3, 0, 1, -5, 1],  # a quartic with factors of degree 1 and 3 mod some p
+    [9, 9, 0, 3, 6, 3, 1],
+    [-1, 1, 0, 0, 0, 0, 1],
+    [1, -3, 0, 7, 0, 0, 0, 1],
+    [1, 0, -2, 0, 0, 0, 0, 0, 1],
+    [-(2**80) - 1, 3, 1],  # a coefficient beyond int64: reduced 31 bits at a time
+])
+@pytest.mark.parametrize("pool", ["int64", "object"])
+def test_lanes_match_scalar_kernels(f, pool):
+    check_lanes(f, INT64_POOL if pool == "int64" else OBJECT_POOL)
+
+
+def test_x2_x_1_at_two():
+    two = np.array([2], dtype=np.int64)
+    assert mp.lane_root_count([1, 1, 1], two).tolist() == [0]
+    assert _pattern(mp.lane_factor_degrees([1, 1, 1], two)[:, 0]) == (2,)
+    assert mp.lane_xpow_mod([1, 1, 1], two)[:, 0].tolist() == [1, 1]  # x^2 = x + 1
+
+
+def test_empty_prime_array():
+    empty = np.empty(0, dtype=np.int64)
+    assert mp.lane_xpow_mod([9, 9, 0, 3, 6, 3, 1], empty).shape == (6, 0)
+    assert mp.lane_root_count([1, 0, 1], empty).shape == (0,)
+    assert mp.lane_factor_degrees([-2, 0, 0, 1], empty).shape == (3, 0)
+
+
+@st.composite
+def lane_cases(draw):
+    """(f, primes): monic f of degree 1-8 with small or beyond-int64
+    coefficients, and 1-8 distinct primes from both pools."""
+    coeff = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
+    f = draw(st.lists(coeff, min_size=1, max_size=8)) + [1]
+    primes = draw(st.lists(st.sampled_from(OBJECT_POOL), min_size=1, max_size=8,
+                           unique=True))
+    return f, primes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(lane_cases())
+@example(([1, 1, 1], [2, 3, 7, 13]))
+@example(([-2, 0, 0, 1], [2, 3, 5, 31, 2**31 - 1, *BELOW, *ABOVE, M61]))
+def test_lanes_property(case):
+    check_lanes(*case)

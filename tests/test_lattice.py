@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
@@ -83,6 +84,19 @@ def test_exclusion_rule(demo):
     # a ramified prime is reported as ramified even if it is also a denominator
     assert ExclusionRule((-4,), frozenset({2, 5})).reason(2) == "ramified"
     assert ExclusionRule((-4,), frozenset({2, 5})).reason(5) == "denominator"
+
+
+def test_exclusion_rule_on_prime_arrays(demo):
+    # the array form agrees with the per-prime rule, including a
+    # discriminant beyond int64 (reduced per lane 31 bits at a time)
+    big = 3 * 7919 * 2**70
+    rules = [ExclusionRule.of([demo.extension("S3c/Qw"), demo.extension("Qc2/Q")]),
+             ExclusionRule((-4, big), frozenset({2, 5, 7919, 104729, 2**64 + 13}))]
+    primes = list(stream_primes(105000))
+    for rule in rules:
+        want = [0 if rule.reason(p) is None else 1 + ExclusionRule.REASONS.index(rule.reason(p))
+                for p in primes]
+        assert rule.reasons(np.array(primes, dtype=np.int64)).tolist() == want
 
 
 def test_validation_report(demo):
