@@ -41,6 +41,7 @@ from . import plane
 from . import spectrum as sp
 from .errors import ExprSyntaxError, UnknownFieldError
 from .finitefield import MAX_CHARACTERISTIC, is_prime
+from .intpoly import Composer
 from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
 from .modpoly import lane_factor_degrees, lane_root_count
 from .sieve import partition_ranges, prime_range
@@ -480,7 +481,7 @@ def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
         group = cfg.automorphisms_fixing(m.name, base.name)
         if len(group) * base.degree != m.degree:
             continue
-        fmod = m.poly.to_rat()
+        fmod = Composer(m.poly)
         homs: dict[str, tuple] = {}
         ok = True
         for atom in atoms:
@@ -488,10 +489,10 @@ def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
             if k.name in homs:
                 continue
             root0 = embs[k.name]
-            orbit = {root0.compose_mod(a.h, fmod) for a in cfg.autos(m.name)}
+            orbit = {fmod.compose_mod(root0, a.h) for a in cfg.autos(m.name)}
             rel_h = atom.ext.emb.h
             hom = tuple(r for r in sorted(orbit, key=lambda r: r.coeffs)
-                        if rel_h.compose_mod(r, fmod) == base_h)
+                        if fmod.compose_mod(rel_h, r) == base_h)
             if len(orbit) != k.degree or len(hom) != k.degree // base.degree:
                 ok = False
                 break
@@ -504,7 +505,7 @@ def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
             def atom_truth(a, _s=sigma):
                 if isinstance(a, PrimeSet):
                     return np.False_  # finite sets carry no density
-                fixed = [r.compose_mod(_s.h, fmod) == r for r in homs[a.ext.field.name]]
+                fixed = [fmod.compose_mod(r, _s.h) == r for r in homs[a.ext.field.name]]
                 return np.bool_(any(fixed) if isinstance(a, PiAtom) else all(fixed))
 
             if _eval_node(expr.node, atom_truth):

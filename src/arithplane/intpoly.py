@@ -5,22 +5,33 @@ trailing zeros; the zero polynomial is the empty tuple and has degree -1.
 :class:`IntPoly` holds Python ints, :class:`RatPoly` holds
 :class:`fractions.Fraction` values in lowest terms.
 
-Integer arithmetic here is exact, but every product and accumulated sum is
-checked against a 128-bit magnitude bound: the structures downstream are
-specified for desk-scale inputs, and a silent blow-up inside a resultant is
-worse than a loud error.  Exceeding the bound raises
-:class:`~arithplane.errors.ArithmeticOverflowError`.
+:class:`IntPoly` arithmetic and the resultant are exact, but every product
+and accumulated sum is checked against a 128-bit magnitude bound: the
+structures downstream are specified for desk-scale inputs, and a silent
+blow-up inside a resultant is worse than a loud error.  Exceeding the bound
+raises :class:`~arithplane.errors.ArithmeticOverflowError`.
 
 The resultant uses the subresultant polynomial remainder sequence
 (pseudo-division with the Brown/Collins content corrections), which keeps
 every intermediate coefficient an integer while bounding growth.
+
+Map composition — ``outer(inner(x)) mod m`` for a monic m, which is what
+every embedding, transitivity and automorphism-group check of the lattice
+reduces to — runs on one kernel over Z, :class:`Composer`: each map is an
+integer numerator over one common denominator (``RatPoly.over_z``), the
+powers of an inner map mod m are tabulated once and shared by every outer
+map, and only results become ``Fraction`` coefficients again.
+``validate_embedding`` is a root test on the same kernel.  The ``Fraction``
+Horner route (``RatPoly.__mul__``, ``divmod``, ``mod``, ``compose``,
+``compose_mod``) is kept only as the reference oracle for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ArithmeticOverflowError, DenominatorNotInvertibleError
@@ -122,7 +133,12 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class RatPoly:
-    """Polynomial over Q; ``coeffs[i]`` multiplies x^i."""
+    """Polynomial over Q; ``coeffs[i]`` multiplies x^i.
+
+    The ``Fraction`` Horner methods (``__mul__``, ``divmod``, ``mod``,
+    ``compose``, ``compose_mod``) are the reference oracle for
+    :class:`Composer`, which computes from ``over_z``.
+    """
 
     coeffs: tuple[Fraction, ...]
 
@@ -150,12 +166,6 @@ class RatPoly:
         for i, c in enumerate(b):
             out[i] += c
         return RatPoly(_trim(out))
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.coeffs, other.coeffs
@@ -207,6 +217,13 @@ class RatPoly:
 
     def denominators(self) -> set[int]:
         return {c.denominator for c in self.coeffs if c.denominator != 1}
+
+    @cached_property
+    def over_z(self) -> tuple[tuple[int, ...], int]:
+        """(N, D) with self = N/D: integer coefficients over their least
+        common denominator D >= 1."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
@@ -346,14 +363,99 @@ def reduce_mod_p(h: RatPoly | IntPoly, p: int) -> list[int]:
     return list(_trim(out))
 
 
-def validate_embedding(h: RatPoly, f_src: IntPoly, f_dst: IntPoly) -> bool:
+class Composer:
+    """Exact composition ``outer(inner) mod modulus`` over Z, for one monic
+    modulus m of degree r.
+
+    A map h = N/D is taken as ``h.over_z``.  For an outer map M/E of degree
+    n, E·D^n·outer(h) = Σ M_i·D^(n-i)·N^i, and because m is monic each N^i
+    reduces mod m without leaving Z.  So a composition is an integer linear
+    combination of the rows N^i mod m, and a single division by E·D^n
+    turns it back into a ``RatPoly``.  The rows are tabulated per inner
+    map on first use (the baby steps of Brent and Kung, "Fast algorithms
+    for manipulating formal power series", 1978) and kept for the
+    composer's lifetime: a loop composing many outer maps with one inner
+    map multiplies polynomials only to extend that map's table.
+
+    The integers are not held to the 128-bit bound: as on the ``Fraction``
+    route, they grow with r and with the heights of the maps.
+    """
+
+    def __init__(self, modulus: IntPoly):
+        if not modulus.is_monic:
+            raise ValueError(f"modulus {modulus} is not monic")
+        self.modulus = modulus
+        self._tail = modulus.coeffs[:-1]  # m = x^r + tail
+        self._rows: dict[tuple, tuple[int, list[list[int]]]] = {}  # by inner.over_z
+
+    def compose_mod(self, outer: RatPoly, inner: RatPoly) -> RatPoly:
+        """outer(inner(x)) mod the modulus, equal to
+        ``outer.compose_mod(inner, modulus.to_rat())``."""
+        num, den = outer.over_z
+        acc, scale = self._combine(num, inner)
+        total = den * scale
+        return RatPoly(_trim([Fraction(c, total) for c in acc]))
+
+    def vanishes(self, f: IntPoly, h: RatPoly) -> bool:
+        """True iff f(h(x)) ≡ 0 mod the modulus."""
+        return not any(self._combine(f.coeffs, h)[0])
+
+    def _combine(self, coeffs: Sequence[int], inner: RatPoly) -> tuple[list[int], int]:
+        """(Σ c_i·D^(n-i)·(N^i mod m), D^n) for inner = N/D, n = len(coeffs) - 1."""
+        entry = self._rows.get(inner.over_z)
+        if entry is None:
+            num, den = inner.over_z
+            entry = self._rows[inner.over_z] = (den, [self._reduce([1]), self._reduce(list(num))])
+        den, rows = entry
+        n = len(coeffs) - 1
+        while len(rows) <= n:
+            rows.append(self._mulmod(rows[-1], rows[1]))
+        acc = [0] * len(self._tail)
+        scale = 1
+        for i in range(n, -1, -1):
+            c = coeffs[i]
+            if c:
+                k = c * scale
+                for j, v in enumerate(rows[i]):
+                    acc[j] += k * v
+            if i:
+                scale *= den
+        return acc, scale
+
+    def _mulmod(self, a: list[int], b: list[int]) -> list[int]:
+        prod = [0] * (len(a) + len(b) - 1) if a else []
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        return self._reduce(prod)
+
+    def _reduce(self, c: list[int]) -> list[int]:
+        """c mod m as exactly r coefficients; c is consumed."""
+        tail, r = self._tail, len(self._tail)
+        for k in range(len(c) - 1, r - 1, -1):
+            t = c[k]
+            if t:
+                for j, mj in enumerate(tail):
+                    c[k - r + j] -= t * mj
+        return c[:r] + [0] * (r - len(c))
+
+
+def validate_embedding(
+    h: RatPoly, f_src: IntPoly, f_dst: IntPoly, composer: Composer | None = None
+) -> bool:
     """True iff f_src(h(x)) ≡ 0 (mod f_dst) over Q.
 
     That is exactly the condition for x ↦ h(x) to send the generator root of
     f_dst's field to a root of f_src, i.e. for h to define a field embedding
-    of the source field into the destination field.
+    of the source field into the destination field.  f_dst must be monic;
+    pass a ``composer`` for f_dst to share its table for h with later
+    compositions.
     """
     if h.degree >= f_dst.degree:
         raise ValueError("embedding polynomial must have degree < deg f_dst")
-    image = f_src.to_rat().compose_mod(h, f_dst.to_rat())
-    return image.is_zero
+    if composer is None:
+        composer = Composer(f_dst)
+    elif composer.modulus != f_dst:
+        raise ValueError(f"composer reduces mod {composer.modulus}, not {f_dst}")
+    return composer.vanishes(f_src, h)

@@ -15,6 +15,15 @@ deriving it.  Predicates downstream only ever evaluate at primes away from
 each pair's excluded set — primes dividing a discriminant or an embedding
 denominator — and those sets are surfaced in the validation report.
 
+Every map identity the loader checks (each embedding and automorphism is a
+root map, declared two-step embeddings compose to the declared one-step
+map, each automorphism set is closed, has the identity and finite orders)
+is an exact composition mod a field polynomial, done by
+``intpoly.Composer`` over Z.  ``_assemble`` keeps one composer per field
+for the whole load, so the power table of a map built to validate it also
+serves the transitivity, closure and order loops.  The checks run in a
+fixed order and the first failure is the error raised.
+
 Configuration format (line-oriented, ``#`` comments)::
 
     field <name>
@@ -49,7 +58,7 @@ from .errors import (
     UnknownFieldError,
 )
 from .finitefield import is_prime
-from .intpoly import IntPoly, RatPoly, discriminant, validate_embedding
+from .intpoly import Composer, IntPoly, RatPoly, discriminant, validate_embedding
 from .modpoly import lane_mod, lanes
 from .sieve import stream_primes
 
@@ -307,12 +316,8 @@ class LatticeConfig:
     def automorphisms_fixing(self, name: str, base: str) -> tuple[Automorphism, ...]:
         """Declared automorphisms of `name` that fix the image of `base`."""
         emb = self.embedding(base, name)
-        fmod = self.field(name).poly.to_rat()
-        out = []
-        for sigma in self.autos(name):
-            if emb.h.compose_mod(sigma.h, fmod) == emb.h:
-                out.append(sigma)
-        return tuple(out)
+        fmod = Composer(self.field(name).poly)
+        return tuple(s for s in self.autos(name) if fmod.compose_mod(emb.h, s.h) == emb.h)
 
     def closure_of(self, name: str) -> str | None:
         self.field(name)
@@ -452,6 +457,10 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
             name, poly, disc=discriminant(poly), trusted=name in trusted_names, certificate_prime=cert
         )
 
+    # one composer per field: a map's power table, built when the map is
+    # validated, serves every later composition with it as the inner map
+    composer = {name: Composer(f.poly) for name, f in fields.items()}
+
     def need(name, lineno):
         if name not in fields:
             raise LatticeSyntaxError(f"unknown field {name!r}", lineno)
@@ -471,7 +480,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
                 f"embed {src} -> {dst}: degree {fs.degree} does not divide {fd.degree}"
             )
         try:
-            ok = validate_embedding(h, fs.poly, fd.poly)
+            ok = validate_embedding(h, fs.poly, fd.poly, composer[dst])
         except ValueError as exc:
             raise EmbeddingInvalidError(f"embed {src} -> {dst}: {exc}") from None
         if not ok:
@@ -505,8 +514,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
         for (b2, c), e_bc in embeddings.items():
             if b2 != b or (a, c) not in embeddings:
                 continue
-            f_c = fields[c].poly.to_rat()
-            composed = e_ab.h.compose_mod(e_bc.h, f_c)
+            composed = composer[c].compose_mod(e_ab.h, e_bc.h)
             if composed != embeddings[(a, c)].h:
                 raise EmbeddingInvalidError(
                     f"embeddings {a} -> {b} -> {c} compose to {composed}, but "
@@ -517,7 +525,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
     for name, h, lineno in raw_autos:
         fld = need(name, lineno)
         try:
-            ok = validate_embedding(h, fld.poly, fld.poly)
+            ok = validate_embedding(h, fld.poly, fld.poly, composer[name])
         except ValueError:
             ok = False
         if not ok:
@@ -525,7 +533,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
         automorphisms.setdefault(name, []).append(Automorphism(name, h))
 
     for name, sigmas in automorphisms.items():
-        fmod = fields[name].poly.to_rat()
+        fmod = composer[name]
         seen = {s.h.coeffs for s in sigmas}
         if len(seen) != len(sigmas):
             raise AutomorphismGroupError(f"auto {name}: duplicate map declared")
@@ -534,7 +542,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
             raise AutomorphismGroupError(f"auto {name}: identity map is not declared")
         for s in sigmas:
             for t in sigmas:
-                comp = s.h.compose_mod(t.h, fmod)
+                comp = fmod.compose_mod(s.h, t.h)
                 if comp.coeffs not in seen:
                     raise AutomorphismGroupError(
                         f"auto {name}: composition {s.h} o {t.h} = {comp} is not declared"
@@ -545,7 +553,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
             for _ in range(len(sigmas)):
                 if power.coeffs == identity:
                     break
-                power = power.compose_mod(s.h, fmod)
+                power = fmod.compose_mod(power, s.h)
             else:
                 raise AutomorphismGroupError(f"auto {name}: {s.h} has no finite order")
 

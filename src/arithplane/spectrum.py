@@ -10,9 +10,9 @@ naming map that sends a polynomial expression in α to its class mod
 that a set of extensions can evaluate, for the sequential checkers.
 
 Two families of predicates live here.  Pointwise ones relate a point of K
-to a point of L along a declared embedding: ``lies_over``,
-``relative_degree`` and the multiplicity bound ``pn_holds``; ``plane``
-builds its projections and its direct Galois action on ``lies_over`` too.
+to a point of L along a declared embedding: ``lies_over`` and
+``relative_degree``; ``plane`` builds its projections and its direct
+Galois action on ``lies_over`` too.
 Fibrewise ones quantify over all points of K above a fixed point of L:
 ``in_pi`` (some point has relative degree 1) and ``in_psi`` (all do).  The
 fibrewise predicates count the roots of f_K in the residue field of the
@@ -169,21 +169,6 @@ def relative_degree(pK: SplitPrime, pL: SplitPrime, emb) -> int:
 def primes_over(ext: Extension, pL: SplitPrime) -> list[SplitPrime]:
     """Points of ext.field restricting to pL, in canonical order."""
     return [pK for pK in split_prime(ext.field, pL.p) if lies_over(pK, pL, ext.emb)]
-
-
-def pn_holds(pK: SplitPrime, pL: SplitPrime, emb, n: int) -> bool:
-    """Multiplicity bound: (|pK|-1)/(|pL|-1) <= n.
-
-    The quotient is the size of every nonzero fibre of the norm projection,
-    so this bounds how many names above collapse onto one name below.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not lies_over(pK, pL, emb):
-        raise NotLyingOverError(f"{pK} does not lie over {pL}")
-    qk, ql = pK.order, pL.order
-    assert (qk - 1) % (ql - 1) == 0
-    return (qk - 1) // (ql - 1) <= n
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ independent oracle: the determinant of the Sylvester matrix computed by
 fraction Gaussian elimination.
 """
 
+import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 
 from arithplane.errors import ArithmeticOverflowError, DenominatorNotInvertibleError
 from arithplane.intpoly import (
+    Composer,
     IntPoly,
     RatPoly,
     discriminant,
@@ -19,6 +22,9 @@ from arithplane.intpoly import (
     resultant,
     validate_embedding,
 )
+from arithplane.lattice import load_lattice
+
+DEMO = (pathlib.Path(__file__).resolve().parent.parent / "configs" / "demo.cfg").read_text()
 
 
 def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
@@ -242,3 +248,121 @@ def test_validate_embedding_rational_coefficients():
     f_dst = IntPoly.of(-2, 0, 1)
     assert validate_embedding(RatPoly.of(0, 2), f_src, f_dst)
     assert validate_embedding(RatPoly.of(0, Fraction(1, 2)), f_dst, f_src)
+
+
+def test_validate_embedding_needs_monic_modulus():
+    # 2x^2 + 1 is not monic: the integer kernel cannot reduce by it
+    assert not IntPoly.of(1, 0, 2).is_monic
+    with pytest.raises(ValueError, match="not monic"):
+        Composer(IntPoly.of(1, 0, 2))
+    with pytest.raises(ValueError, match="not monic"):
+        validate_embedding(RatPoly.of(0, 1), IntPoly.of(2, 0, 1), IntPoly.of(1, 0, 2))
+    with pytest.raises(ValueError, match="reduces mod"):
+        validate_embedding(RatPoly.of(0, 1), IntPoly.of(1, 0, 1), IntPoly.of(1, 0, 1),
+                           Composer(IntPoly.of(-2, 0, 1)))
+
+
+# ------------------------------------------ Composer against the Fraction oracle
+
+
+def oracle_compose(outer: RatPoly, inner: RatPoly, modulus: IntPoly) -> RatPoly:
+    return outer.compose_mod(inner, modulus.to_rat())
+
+
+def test_composer_matches_oracle_on_demo_maps(monkeypatch):
+    # record every composition and root test that assembling the demo
+    # lattice makes, plus the fixing-subgroup compositions, then redo each
+    # one on the Fraction route
+    calls = []
+    compose, vanishes = Composer.compose_mod, Composer.vanishes
+
+    def record_compose(self, outer, inner):
+        calls.append(("compose", self.modulus, outer, inner))
+        return compose(self, outer, inner)
+
+    def record_vanishes(self, f, h):
+        calls.append(("vanishes", self.modulus, f, h))
+        return vanishes(self, f, h)
+
+    monkeypatch.setattr(Composer, "compose_mod", record_compose)
+    monkeypatch.setattr(Composer, "vanishes", record_vanishes)
+    cfg = load_lattice(DEMO)
+    # 20 root tests and 77 compositions: every check of the assembly runs
+    assert [kind for kind, *_ in calls].count("vanishes") == 20
+    assert len(calls) == 97
+    for name in cfg.fields:
+        for src, dst in cfg.embeddings:
+            if dst == name:
+                cfg.automorphisms_fixing(name, src)
+    assert len(calls) > 97
+    monkeypatch.undo()
+
+    for kind, modulus, a, b in calls:
+        if kind == "compose":
+            got = Composer(modulus).compose_mod(a, b)
+            want = oracle_compose(a, b, modulus)
+            assert got == want and str(got) == str(want)
+        else:
+            want = oracle_compose(a.to_rat(), b, modulus).is_zero
+            assert Composer(modulus).vanishes(a, b) == want
+            assert validate_embedding(b, a, modulus) == want
+
+
+def test_composer_reuses_inner_tables():
+    # one inner map against many outer maps, in both orders of growth
+    rng = random.Random(7)
+    m = rand_poly(rng, 6, monic=True)
+    while m.degree < 4:
+        m = rand_poly(rng, 6, monic=True)
+    inner = RatPoly.of(Fraction(1, 3), Fraction(-2, 9), 0, Fraction(5, 27))
+    comp = Composer(m)
+    for deg in (5, 1, 3, 6, 0):
+        outer = RatPoly.from_coeffs(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                    for _ in range(deg + 1))
+        assert comp.compose_mod(outer, inner) == oracle_compose(outer, inner, m)
+    assert comp.compose_mod(RatPoly.of(), inner) == RatPoly.of()
+
+
+def test_composer_matches_oracle_on_random_maps():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    dens = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(math.prod)  # up to 9^3
+    coeffs = st.builds(Fraction, st.integers(-30, 30), dens)
+    maps = st.lists(coeffs, max_size=7).map(RatPoly.from_coeffs)
+    ints = st.integers(-9, 9)
+    moduli = st.lists(ints, min_size=1, max_size=6).map(lambda c: IntPoly.from_coeffs(c + [1]))
+
+    @hyp.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hyp.given(outer=maps, inner=maps, modulus=moduli, f_src=moduli)
+    def random_maps(outer, inner, modulus, f_src):
+        comp = Composer(modulus)
+        got = comp.compose_mod(outer, inner)
+        assert got == oracle_compose(outer, inner, modulus)
+        assert comp.compose_mod(outer, inner) == got  # now from the stored table
+        if inner.degree < modulus.degree:
+            want = oracle_compose(f_src.to_rat(), inner, modulus).is_zero
+            assert validate_embedding(inner, f_src, modulus) == want
+
+    # planted embeddings: for monic f of degree n and monic u, the monic
+    # integer polynomial g = d^n * f(u/d) has f(u/d) = g/d^n ≡ 0 (mod g)
+    @hyp.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hyp.given(f_low=st.lists(ints, min_size=2, max_size=3),
+               u_low=st.lists(ints, min_size=1, max_size=2),
+               d=st.integers(1, 729))
+    def planted(f_low, u_low, d):
+        f_src = IntPoly.from_coeffs(f_low + [1])
+        u = IntPoly.from_coeffs(u_low + [1])
+        n = f_src.degree
+        g = IntPoly(())
+        u_pow = IntPoly.of(1)
+        for i, c in enumerate(f_src.coeffs):
+            g = g + u_pow.scale(c * d ** (n - i))
+            u_pow = u_pow * u
+        h = RatPoly.from_coeffs(Fraction(c, d) for c in u.coeffs)
+        assert validate_embedding(h, f_src, g)
+        assert oracle_compose(f_src.to_rat(), h, g).is_zero
+        off = f_src + IntPoly.of(1)
+        assert validate_embedding(h, off, g) == oracle_compose(off.to_rat(), h, g).is_zero
+
+    random_maps()
+    planted()

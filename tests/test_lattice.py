@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
+from arithplane.cli import main
 from arithplane.errors import (
     AutomorphismGroupError,
     EmbeddingInvalidError,
@@ -313,6 +314,106 @@ def test_closure_needs_embedding():
     )
     with pytest.raises(EmbeddingInvalidError):
         load_lattice(doc)
+
+
+# One document per refusal of the assembly checks, each with the full
+# message it produced before map composition moved onto the integer kernel.
+# The kernel must refuse the same documents with the same first message.
+REFUSALS = [
+    (
+        "bad_embedding_map",
+        "field Qi\n  poly 1 0 1\nfield Qs2\n  poly -2 0 1\nembed Qi -> Qs2\n  map 0 1\n",
+        EmbeddingInvalidError,
+        "embed Qi -> Qs2: map does not send a root of 1 + x^2 into -2 + x^2",
+    ),
+    (
+        "embedding_degree_precondition",
+        "field A\n  poly 1 0 1\nfield B\n  poly -2 0 1\nembed A -> B\n  map 0 0 1\n",
+        EmbeddingInvalidError,
+        "embed A -> B: embedding polynomial must have degree < deg f_dst",
+    ),
+    (
+        "composition_mismatch",
+        "field A\n  poly 1 0 1\n"
+        "field B\n  poly 1 0 0 0 1\ntrusted B\n"
+        "field C\n  poly 1 0 0 0 0 0 0 0 1\ntrusted C\n"
+        "embed A -> B\n  map 0 0 1\nembed B -> C\n  map 0 0 1\n"
+        "embed A -> C\n  map 0 0 0 0 -1\n",
+        EmbeddingInvalidError,
+        "embeddings A -> B -> C compose to x^4, but A -> C is declared as -x^4",
+    ),
+    (
+        "rational_composition_mismatch",
+        "field A\n  poly -2 0 1\nfield B\n  poly -8 0 1\nfield C\n  poly -32 0 1\n"
+        "embed A -> B\n  map 0 1/2\nembed B -> C\n  map 0 1/2\n"
+        "embed A -> C\n  map 0 -1/4\n",
+        EmbeddingInvalidError,
+        "embeddings A -> B -> C compose to 1/4*x, but A -> C is declared as -1/4*x",
+    ),
+    (
+        "auto_not_root_map",
+        "field A\n  poly 1 0 1\nauto A\n  map 1 1\n",
+        AutomorphismGroupError,
+        "auto A: 1 + x is not a root map of 1 + x^2",
+    ),
+    (
+        "non_closed_group",
+        "field B\n  poly 1 0 0 0 1\ntrusted B\n"
+        "auto B\n  map 0 1\nauto B\n  map 0 0 0 1\nauto B\n  map 0 -1\n",
+        AutomorphismGroupError,
+        "auto B: composition x^3 o -x = -x^3 is not declared",
+    ),
+    (
+        "rational_non_closed_group",  # the S3c group without its last element
+        "field S\n  poly 9 9 0 3 6 3 1\ntrusted S\n"
+        "auto S\n  map 0 1\n"
+        "auto S\n  map -1 0 4/3 0 0 -1/9\n"
+        "auto S\n  map -5 -1 2/3 -2 -1 -5/9\n"
+        "auto S\n  map 3 1 -4/3 4/3 2/3 4/9\n"
+        "auto S\n  map 2 0 0 4/3 2/3 1/3\n",
+        AutomorphismGroupError,
+        "auto S: composition -1 + 4/3*x^2 - 1/9*x^5 o 3 + x - 4/3*x^2 + 4/3*x^3 + 2/3*x^4"
+        " + 4/9*x^5 = -2 - x - 2/3*x^2 - 2/3*x^3 - 1/3*x^4 - 1/9*x^5 is not declared",
+    ),
+    (
+        "missing_identity",
+        "field A\n  poly 1 0 1\nauto A\n  map 0 -1\n",
+        AutomorphismGroupError,
+        "auto A: identity map is not declared",
+    ),
+    (
+        "duplicate_automorphism",
+        "field A\n  poly 1 0 1\nauto A\n  map 0 1\nauto A\n  map 0 -1\nauto A\n  map 0 1\n",
+        AutomorphismGroupError,
+        "auto A: duplicate map declared",
+    ),
+    (
+        # x^2 - x = x(x - 1) is reducible (hence trusted): x -> 0 is a root map
+        # closed under composition with the identity, but not invertible
+        "no_finite_order",
+        "field A\n  poly 0 -1 1\ntrusted A\nauto A\n  map 0 1\nauto A\n  map 0\n",
+        AutomorphismGroupError,
+        "auto A: 0 has no finite order",
+    ),
+    (
+        "wrong_galois_count",
+        "field A\n  poly 1 0 1\nauto A\n  map 0 1\ngalois A\n",
+        AutomorphismGroupError,
+        "galois A: 1 automorphisms declared, degree is 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, doc, error, message", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_refusal_messages_are_pinned(name, doc, error, message, tmp_path, capsys):
+    with pytest.raises(error) as ei:
+        load_lattice(doc)
+    assert str(ei.value) == message
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(doc)
+    code = main(["validate", "--lattice", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"arithplane: {message}\n")
 
 
 def test_bad_coefficient_token():

@@ -195,19 +195,28 @@ def test_relative_degree_multiplicativity(demo):
 
 
 def test_pn_examples(demo):
+    # the norm fibre (|pK| - 1)/(|pL| - 1) has (q^f - 1)/(q - 1) names, since
+    # |pK| = |pL|^f with f the relative degree: 4 at the inert 3, 1 at the split 5
     qi = demo.field("Qi")
     e = demo.embedding("Q", "Qi")
     (p3,) = sp.split_prime(qi, 3)
-    assert sp.pn_holds(p3, q_point(demo, 3), e, 4)
-    assert not sp.pn_holds(p3, q_point(demo, 3), e, 3)
+    assert sp.relative_degree(p3, q_point(demo, 3), e) == 2
+    assert p3.order == q_point(demo, 3).order ** 2 == 9
     p5 = sp.split_prime(qi, 5)[0]
-    assert sp.pn_holds(p5, q_point(demo, 5), e, 1)
-    with pytest.raises(ValueError):
-        sp.pn_holds(p5, q_point(demo, 5), e, 0)
+    assert sp.relative_degree(p5, q_point(demo, 5), e) == 1
+    assert p5.order == q_point(demo, 5).order == 5
+    with pytest.raises(NotLyingOverError):
+        sp.relative_degree(p5, q_point(demo, 3), e)
+    # each point of Q8 over 5 lies over one of the two points of Qi over 5
+    ext8 = demo.extension("Q8/Qi")
+    pk = sp.split_prime(demo.field("Q8"), 5)[0]
+    (other,) = [pl for pl in sp.split_prime(qi, 5) if not sp.lies_over(pk, pl, ext8.emb)]
+    with pytest.raises(NotLyingOverError):
+        sp.relative_degree(pk, other, ext8.emb)
 
 
 def test_pn_boundary_is_exact(demo):
-    # the fibre size (q^d - 1)/(q - 1) is attained, never undercut
+    # |pK| = |pL|^d exactly, so the fibre size (q^d - 1)/(q - 1) is attained
     pairs = [("Qi", "Q"), ("Q8", "Qi"), ("S3c", "Qc2"), ("Qc2", "Q")]
     for top, base in pairs:
         ext = demo.extension((top, base))
@@ -217,11 +226,7 @@ def test_pn_boundary_is_exact(demo):
             for pl in sp.split_prime(ext.base, p):
                 for pk in sp.primes_over(ext, pl):
                     d = sp.relative_degree(pk, pl, ext.emb)
-                    ql = pl.order
-                    exact = (ql**d - 1) // (ql - 1)
-                    assert sp.pn_holds(pk, pl, ext.emb, exact)
-                    if exact > 1:
-                        assert not sp.pn_holds(pk, pl, ext.emb, exact - 1)
+                    assert pk.order == pl.order**d
 
 
 def test_pi_psi_examples(demo):
