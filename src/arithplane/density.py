@@ -525,9 +525,6 @@ class FrobeniusStats:
     total: int
     counts: tuple[tuple[tuple[int, ...], int], ...]
 
-    def frequencies(self) -> dict[tuple[int, ...], float]:
-        return {pat: c / self.total for pat, c in self.counts}
-
     def __str__(self) -> str:
         parts = [
             f"{'+'.join(map(str, pat))}: {c}/{self.total} = {c / self.total:.4f}"

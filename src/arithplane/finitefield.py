@@ -11,10 +11,11 @@ order.  Randomized equal-degree splitting draws from a private generator
 seeded by a stable fold of (p, modulus, input coefficients), so factor
 lists are reproducible across runs and processes.
 
-``fq_factor`` and ``fq_roots`` are reference oracles: the program splits
-primes and counts fibrewise roots with the prime-field kernels of
-``modpoly`` (``factor``, ``ddf``), and the tests compare those against the
-independent element-by-element route kept here.
+``fq_factor``, ``fq_roots``, ``fq_norm`` and ``fq_minpoly`` are reference
+oracles: the program splits primes, counts fibrewise roots, takes fibre
+norms and relative degrees with the prime-field kernels of ``modpoly``
+(``factor``, ``ddf``, one composition or power per question), and the tests
+compare those against the independent element-by-element route kept here.
 
 Set ``VERIFY = True`` (the test suite does) to make ``fq_factor`` and
 ``spectrum.split_prime`` re-expand their output and compare against the
@@ -187,13 +188,6 @@ class FqField:
     def one(self) -> "FqElement":
         return self.element(1)
 
-    @property
-    def gen(self) -> "FqElement":
-        """The residue class of t (for m = 1 this is the constant -g[0])."""
-        if self.m == 1:
-            return self.element((-self.modulus[0]) % self.p)
-        return self.element([0, 1])
-
     def from_index(self, idx: int) -> "FqElement":
         rep = []
         for _ in range(self.m):
@@ -321,7 +315,7 @@ def fq_norm(x: FqElement, sub_deg: int) -> FqElement:
 
     The result is returned as an element of the ambient field; it provably
     lies in the subfield (its p^sub_deg-power Frobenius fixes it), which is
-    asserted here.
+    asserted here.  Reference oracle for ``plane._Projector.norm``.
     """
     fld = x.field
     if sub_deg < 1 or fld.m % sub_deg != 0:
@@ -338,7 +332,8 @@ def fq_minpoly(x: FqElement) -> list[int]:
     """Minimal polynomial of x over F_p (monic, int coefficients).
 
     Product of (T - y) over the Frobenius orbit of x; the coefficients land
-    in the prime field, which is asserted.
+    in the prime field, which is asserted.  Reference oracle for
+    ``spectrum.relative_degree``.
     """
     fld = x.field
     orbit = [x]

@@ -34,7 +34,8 @@ Configuration format (line-oriented, ``#`` comments)::
       map c0 c1 ...
     closure <field> -> <galois-field-name>
     galois <field>               # assertion: #automorphisms == degree
-    trusted <field>              # skip the irreducibility certificate
+    trusted <field>              # skip the irreducibility certificate, but refuse an
+                                 # integer root: reducibility is caught to degree 3 only
 
 Unknown directives are errors, not warnings.  Names may be declared after
 first use; resolution happens once the whole document is read.
@@ -50,6 +51,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import modpoly as mp
 from .errors import (
     AutomorphismGroupError,
     EmbeddingInvalidError,
@@ -58,8 +60,7 @@ from .errors import (
     UnknownFieldError,
 )
 from .finitefield import is_prime
-from .intpoly import Composer, IntPoly, RatPoly, discriminant, validate_embedding
-from .modpoly import lane_mod, lanes
+from .intpoly import Composer, IntPoly, RatPoly, discriminant, reduce_mod_p, validate_embedding
 from .sieve import stream_primes
 
 CERTIFICATE_PRIME_BOUND = 200
@@ -171,10 +172,10 @@ class ExclusionRule:
     def reasons(self, primes: np.ndarray) -> np.ndarray:
         """The rule on an int64 array of primes: 0 where p is evaluable,
         else 1 + the index of its reason in ``REASONS``."""
-        P = lanes(primes)
+        P = mp.lanes(primes)
         ramified = np.zeros(len(P), dtype=bool)
         for d in self.discs:
-            ramified |= lane_mod(d, P) == 0
+            ramified |= mp.lane_mod(d, P) == 0
         dens = [q for q in self.denominators if q <= np.iinfo(np.int64).max]
         return np.where(ramified, 1, np.where(np.isin(primes, dens), 2, 0))
 
@@ -427,10 +428,24 @@ def load_lattice(text: str) -> LatticeConfig:
     return _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_trusted)
 
 
-def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_trusted):
-    from . import modpoly as mp
-    from .intpoly import reduce_mod_p
+def _integer_root(poly: IntPoly) -> int | None:
+    """An integer root of monic poly, or None: each has |r| < B = 1 + max|c_i|,
+    so it is the lift to (-p/2, p/2) of a root mod a prime p > 2B."""
+    p = 2 * (1 + max(abs(c) for c in poly.coeffs)) + 1
+    while not is_prime(p):
+        p += 1
+    fbar = reduce_mod_p(poly, p)
+    if not mp.root_count(fbar, p):
+        return None  # the common case, without a full factorization
+    for g, _ in mp.factor(fbar, p):
+        if mp.deg(g) == 1:
+            r = (p // 2 - g[0]) % p - p // 2  # the root -g[0], lifted
+            if sum(c * r**i for i, c in enumerate(poly.coeffs)) == 0:
+                return r
+    return None
 
+
+def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_trusted):
     trusted_names = {}
     for name, lineno in raw_trusted:
         if name not in raw_fields:
@@ -453,6 +468,9 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
                     f"{CERTIFICATE_PRIME_BOUND}; declare 'trusted {name}' if intended",
                     poly_line,
                 )
+        elif (root := _integer_root(poly)) is not None:
+            raise LatticeSyntaxError(f"trusted field {name!r} has the integer root {root}, "
+                                     "so its polynomial is reducible", poly_line)
         fields[name] = NumberField(
             name, poly, disc=discriminant(poly), trusted=name in trusted_names, certificate_prime=cert
         )

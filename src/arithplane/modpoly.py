@@ -112,13 +112,6 @@ def gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
-def eval_at(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def xpow_mod(e: int, fmod: list[int], p: int) -> list[int]:
     """x^e mod fmod for monic fmod, by binary exponentiation.
 

@@ -7,18 +7,17 @@ nonzero base point per fibre; the projection to a subfield's fibre sends
 η·a_pK to Norm(η)·a_pL, and everything downstream checks that choices of
 section wash out exactly where the theory says they must.
 
-The norm lands in the subfield of F_pK generated by the embedded
-generator; converting that subfield element into honest F_pL coordinates
-is a small linear solve against the powers of the embedded generator,
-cached per (point, point, embedding) triple.  The projector refuses any
-pair for which ``spectrum.lies_over`` fails.
+The norm is x -> x^((|pK|-1)/(|pL|-1)) (Lidl-Niederreiter, Thm 2.28); a
+fixed F_p-linear left inverse of the powers of the embedded generator
+rewrites its value in F_pL coordinates.  Both are set up once per (point,
+point, embedding) triple, and ``finitefield.fq_norm`` is their oracle.  The
+projector refuses any pair for which ``spectrum.lies_over`` fails.
 
 ``galois_image`` moves points of the spectrum by a declared automorphism.
-The direct mode picks the candidate over the same p that lies over the
-source point along σ, read as the self-embedding α -> σ(α); the bruteforce
-mode re-derives the image from an existential search over fibre pairs whose
-projections agree — slow, base-Q, and restricted to fully split primes,
-but an independent oracle for the direct criterion.
+The direct mode takes σ(q) as the one factor of f_K mod p on which g_q(σ)
+vanishes, by one gcd over F_p; the bruteforce mode re-derives the image
+from an existential search over fibre pairs whose projections agree — slow,
+base-Q, and restricted to fully split primes, but an independent oracle.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from .errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from . import finitefield as ff
-from .finitefield import FqElement, fq_norm
+from .finitefield import FqElement
 from .intpoly import IntPoly, reduce_mod_p
-from .lattice import Automorphism, Embedding, Extension, LatticeConfig
+from .lattice import Automorphism, Extension, LatticeConfig
 from .sieve import stream_primes
 from .spectrum import (
     SplitPrime,
@@ -114,41 +112,39 @@ class _Projector:
     """Norm-and-rewrite machinery from the fibre at pK onto the one at pL.
 
     Refuses with ``NotLyingOverError`` unless ``spectrum.lies_over`` holds.
-    Caches the embedded-generator powers so that expressing a subfield
-    element in F_pL coordinates is one linear solve.
+    Fixes the norm exponent and a left inverse of the basis 1, u, ...,
+    u^(d-1) of F_pL, u the embedded generator and d = deg pL.
     """
 
     def __init__(self, pK: SplitPrime, pL: SplitPrime, emb):
         if not lies_over(pK, pL, emb):
             raise NotLyingOverError(f"{pK} does not lie over {pL}")
-        self.dst = pL
         self.fld_k = residue_field(pK)
         self.fld_l = residue_field(pL)
-        u = residue_name(pK, emb.h)
-        d, m = pL.residue_degree, pK.residue_degree
-        w = self.fld_k.one
-        self._matrix = [[0] * d for _ in range(m)]
-        for j in range(d):
-            for i in range(m):
-                self._matrix[i][j] = w.rep[i]
-            w = w * u
+        p, d, m = pK.p, pL.residue_degree, pK.residue_degree
+        u, g = reduce_mod_p(emb.h, p), list(pK.local_factor)
+        self._e = (pK.order - 1) // (pL.order - 1)
+        powers = (mp.powmod(u, j, g, p) for j in range(d))
+        self._powers = [w + [0] * (m - len(w)) for w in powers]
+        # row i of the left inverse solves (u^j . row) = [i == j] for all j
+        self._inverse = [mp.linsolve(self._powers, [int(i == j) for j in range(d)], p)
+                         for i in range(d)]
 
     def to_base(self, w: FqElement) -> FqElement:
         """Rewrite a subfield element of F_pK as an element of F_pL."""
-        coords = mp.linsolve(self._matrix, list(w.rep), self.fld_k.p)
-        if ff.VERIFY:
-            total = self.fld_k.zero
-            for j, c in enumerate(coords):
-                col = [row[j] for row in self._matrix]
-                total = total + self.fld_k.element(col) * self.fld_k.element(c)
-            assert total == w, "subfield rewrite failed to reconstruct"
+        p, rep = self.fld_k.p, w.rep
+        coords = [sum(r * x for r, x in zip(row, rep)) % p for row in self._inverse]
+        # the rows invert the basis on the subfield only: rebuilding w proves w lies in it
+        back = tuple(sum(c * col[i] for c, col in zip(coords, self._powers)) % p
+                     for i in range(len(rep)))
+        assert back == rep, "subfield rewrite failed to reconstruct"
         return self.fld_l.element(coords)
 
     def norm(self, x: FqElement) -> FqElement:
         """Multiplicative norm F_pK -> F_pL (zero to zero)."""
         if x.is_zero:
             return self.fld_l.zero
-        return self.to_base(fq_norm(x, self.dst.residue_degree))
+        return self.to_base(x ** self._e)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -272,10 +268,15 @@ def galois_image(
 
 
 def _galois_direct(fld, sigma: Automorphism, q: SplitPrime) -> SplitPrime:
-    own = Embedding(fld.name, fld.name, sigma.h)
-    matches = [cand for cand in split_prime(fld, q.p) if lies_over(cand, q, own)]
-    assert len(matches) == 1, f"kernel transport produced {len(matches)} candidates"
-    return matches[0]
+    p = q.p
+    fbar = reduce_mod_p(fld.poly, p)
+    moved = mp.compose_mod(list(q.local_factor), reduce_mod_p(sigma.h, p), fbar, p)
+    factor = mp.gcd_p(fbar, moved, p)
+    # f_K is squarefree mod an unramified p, so the gcd is the product of
+    # the factors φ with g_q(σ) = 0 mod φ; each has degree at least deg g_q,
+    # as F_p[t]/φ holds a root of g_q, so degree deg g_q means exactly one
+    assert mp.deg(factor) == q.residue_degree, "kernel transport is not one point"
+    return SplitPrime(fld.name, p, tuple(factor), e=1, ramified_flag=False)
 
 
 def _galois_bruteforce(cfg: LatticeConfig, sigma: Automorphism, q: SplitPrime) -> SplitPrime:

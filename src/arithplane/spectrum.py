@@ -5,14 +5,16 @@ the irreducible factors of f_K mod p, found by ``modpoly.factor`` on plain
 coefficient lists over F_p.  ``residue_field`` returns the point's residue
 field F_p[t]/(g) as a cached ``FqField``, and ``residue_name`` is the
 naming map that sends a polynomial expression in α to its class mod
-(p, g) — evaluation and membership questions all reduce to that map.
+(p, g); the fibres of ``plane`` carry values of that field.
 ``points_over`` walks the points of a field over the primes up to a bound
 that a set of extensions can evaluate, for the sequential checkers.
 
 Two families of predicates live here.  Pointwise ones relate a point of K
-to a point of L along a declared embedding: ``lies_over`` and
-``relative_degree``; ``plane`` builds its projections and its direct
-Galois action on ``lies_over`` too.
+to a point of L along a declared embedding, each by one computation over
+F_p: ``lies_over`` (g_L(h) = 0 mod (p, g_K)) and ``relative_degree`` (a
+ratio of residue degrees); their oracles evaluate g_L at
+``residue_name(pK, h)`` and take ``finitefield.fq_minpoly`` of that name.
+``plane`` builds its projections on ``lies_over`` too.
 Fibrewise ones quantify over all points of K above a fixed point of L:
 ``in_pi`` (some point has relative degree 1) and ``in_psi`` (all do).  The
 fibrewise predicates count the roots of f_K in the residue field of the
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import finitefield as ff
 from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
-from .finitefield import MAX_CHARACTERISTIC, FqElement, FqField, fq_minpoly, is_prime
+from .finitefield import MAX_CHARACTERISTIC, FqElement, FqField, is_prime
 from .intpoly import IntPoly, RatPoly, reduce_mod_p
 from .lattice import ExclusionRule, Extension, NumberField
 from .sieve import stream_primes
@@ -130,19 +132,11 @@ def points_over(field: NumberField, n: int, exts: Iterable[Extension]) -> Iterat
             yield from split_prime(field, p)
 
 
-def _eval_ints(coeffs: Sequence[int], x: FqElement) -> FqElement:
-    fld = x.field
-    acc = fld.zero
-    for c in reversed(coeffs):
-        acc = acc * x + fld.element(c)
-    return acc
-
-
 def lies_over(pK: SplitPrime, pL: SplitPrime, emb) -> bool:
     """Does the point of K restrict to the point of L along emb?
 
-    True iff pL's local factor vanishes at the name of the embedded
-    generator, i.e. the naming kernels agree on the subring.  Raises
+    True iff pL's local factor vanishes at the embedded generator mod pK,
+    i.e. g_L(h) = 0 mod (p, g_K): one composition over F_p.  Raises
     ``NotLyingOverError`` when emb does not run from pL's field to pK's or
     the points sit over different rational primes.
     """
@@ -153,17 +147,17 @@ def lies_over(pK: SplitPrime, pL: SplitPrime, emb) -> bool:
         )
     if pK.p != pL.p:
         raise NotLyingOverError(f"points sit over different rational primes {pK.p}, {pL.p}")
-    image = residue_name(pK, emb.h)
-    return _eval_ints(pL.local_factor, image) == image.field.zero
+    p = pK.p
+    return not mp.compose_mod(list(pL.local_factor), reduce_mod_p(emb.h, p),
+                              list(pK.local_factor), p)
 
 
 def relative_degree(pK: SplitPrime, pL: SplitPrime, emb) -> int:
-    """Residue-field extension degree [F_pK : F_pL]."""
+    """Residue-field extension degree [F_pK : F_pL]: the image of h in F_pK
+    is a root of the irreducible g_L, so it is deg pK / deg pL."""
     if not lies_over(pK, pL, emb):
         raise NotLyingOverError(f"{pK} does not lie over {pL}")
-    image = residue_name(pK, emb.h)
-    sub = len(fq_minpoly(image)) - 1
-    return pK.residue_degree // sub
+    return pK.residue_degree // pL.residue_degree
 
 
 def primes_over(ext: Extension, pL: SplitPrime) -> list[SplitPrime]:

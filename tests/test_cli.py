@@ -157,6 +157,36 @@ def test_galois_output_and_mode_parity(capsys):
     assert code == 0 and brute == direct
 
 
+def test_galois_direct_splits_once_and_builds_no_element(capsys, monkeypatch):
+    # the direct transport is one gcd over F_p per point: the command splits
+    # p once, to list the points, and builds no residue-field element
+    from arithplane import plane, spectrum
+    from arithplane.finitefield import FqElement
+
+    calls = {"split": 0, "elements": 0}
+    split, init = spectrum.split_prime, FqElement.__init__
+
+    def counting_split(*args):
+        calls["split"] += 1
+        return split(*args)
+
+    def counting_init(obj, *args):
+        calls["elements"] += 1
+        init(obj, *args)
+
+    monkeypatch.setattr(spectrum, "split_prime", counting_split)
+    monkeypatch.setattr(plane, "split_prime", counting_split)
+    monkeypatch.setattr(FqElement, "__init__", counting_init)
+    code, out, _ = run(capsys, "galois", "--lattice", LATTICE, "--field", "S3c",
+                       "--auto", "1", "--prime", "31", "--mode", "direct")
+    assert code == 0 and len(out.splitlines()) == 6
+    assert calls == {"split": 1, "elements": 0}
+    # the counters do see both: the bruteforce mode splits and builds elements
+    code, _, _ = run(capsys, "galois", "--lattice", LATTICE, "--field", "Qi",
+                     "--auto", "1", "--prime", "13", "--mode", "bruteforce")
+    assert code == 0 and calls["split"] > 2 and calls["elements"] > 0
+
+
 def test_galois_bruteforce_refusal(capsys):
     code, _, err = run(capsys, "galois", "--lattice", LATTICE,
                        "--field", "Qi", "--auto", "1", "--prime", "7",

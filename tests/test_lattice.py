@@ -388,12 +388,24 @@ REFUSALS = [
         "auto A: duplicate map declared",
     ),
     (
-        # x^2 - x = x(x - 1) is reducible (hence trusted): x -> 0 is a root map
-        # closed under composition with the identity, but not invertible
+        # (x^2 - 2)(x^2 - 8) is reducible (hence trusted) with no integer
+        # root: the map sending (√2, 2√2) to (√2, √2) in Q(√2) x Q(√2) is a
+        # root map closed under composition with the identity, since it is
+        # idempotent, but not invertible
         "no_finite_order",
-        "field A\n  poly 0 -1 1\ntrusted A\nauto A\n  map 0 1\nauto A\n  map 0\n",
+        "field A\n  poly 16 0 -10 0 1\ntrusted A\n"
+        "auto A\n  map 0 1\nauto A\n  map 0 7/6 0 -1/12\n",
         AutomorphismGroupError,
-        "auto A: 0 has no finite order",
+        "auto A: 7/6*x - 1/12*x^3 has no finite order",
+    ),
+    (
+        # x^2 - x = x(x - 1): a reducible polynomial of degree <= 3 has an
+        # integer root, which refuses it although it is trusted
+        "trusted_integer_root",
+        "field A\n  poly 0 -1 1\ntrusted A\nauto A\n  map 0 1\nauto A\n  map 1 -1\n"
+        "galois A\n",
+        LatticeSyntaxError,
+        "line 2: trusted field 'A' has the integer root 0, so its polynomial is reducible",
     ),
     (
         "wrong_galois_count",
@@ -429,6 +441,14 @@ def test_bad_coefficient_token():
 # ---------------------------------------------------------------------------
 
 
+def horner(a, x, p):
+    """a(x) mod p by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def _roots_mod(poly, p):
     factors = mp.factor(reduce_mod_p(poly, p), p)
     return sorted((-g[0]) % p for g, _ in factors if mp.deg(g) == 1)
@@ -451,9 +471,9 @@ def test_autos_permute_roots_simply(demo):
             rset = set(roots)
             for sigma in demo.autos(name):
                 hbar = reduce_mod_p(sigma.h, p)
-                assert {mp.eval_at(hbar, r, p) for r in roots} == rset
+                assert {horner(hbar, r, p) for r in roots} == rset
             if demo.is_galois(name) and len(roots) == fld.degree:
-                images = [mp.eval_at(reduce_mod_p(s.h, p), roots[0], p) for s in demo.autos(name)]
+                images = [horner(reduce_mod_p(s.h, p), roots[0], p) for s in demo.autos(name)]
                 assert sorted(images) == roots
                 checked += 1
         if demo.is_galois(name):
@@ -482,5 +502,5 @@ def test_embedding_chain_through_compositum(demo):
         assert len(roots8) == 4
         hbar = reduce_mod_p(emb.h, p)
         for r in roots8:
-            img = mp.eval_at(hbar, r, p)
+            img = horner(hbar, r, p)
             assert (img * img + 1) % p == 0

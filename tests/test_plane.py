@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from arithplane import modpoly as mp
 from arithplane import plane as pl
 from arithplane import spectrum as sp
 from arithplane.errors import (
@@ -10,6 +11,7 @@ from arithplane.errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
+from arithplane.finitefield import fq_norm
 from arithplane.intpoly import IntPoly, resultant, reduce_mod_p
 from arithplane.lattice import load_lattice, prime_factors
 from arithplane.sieve import stream_primes
@@ -22,6 +24,14 @@ ALPHA = IntPoly.of(0, 1)
 @pytest.fixture(scope="module")
 def demo():
     return load_lattice((CONFIG_DIR / "demo.cfg").read_text())
+
+
+def horner(a, x, p):
+    """a(x) mod p by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def q_point(demo, p):
@@ -344,8 +354,6 @@ def test_galois_image_permutes_points(demo):
 def test_galois_image_root_transport_oracle(demo):
     # independent check at fully split primes: the point with residue r maps
     # to the point whose residue r' satisfies h_sigma(r') = r
-    from arithplane import modpoly as mp
-
     qi = demo.field("Qi")
     for p in (13, 17, 29, 37):
         pts = sp.split_prime(qi, p)
@@ -356,7 +364,7 @@ def test_galois_image_root_transport_oracle(demo):
                 r = (-q.local_factor[0]) % p
                 img = pl.galois_image(demo, sigma, q)
                 r_img = (-img.local_factor[0]) % p
-                assert mp.eval_at(hbar, r_img, p) == r
+                assert horner(hbar, r_img, p) == r
 
 
 def test_galois_composition_order(demo):
@@ -430,6 +438,91 @@ def test_galois_bruteforce_guards(demo):
         pl.galois_image(demo, conj, big, "bruteforce")
     with pytest.raises(ValueError):
         pl.galois_image(demo, conj, sp.split_prime(qi, 5)[0], "sideways")
+
+
+# ------------------------------------ projector and Galois move vs FqElement
+
+
+def _vanishes_at_name(g, pK, h):
+    """Horner of g at the FqElement name of h in the residue field at pK."""
+    u = sp.residue_name(pK, h)
+    acc = u.field.zero
+    for c in reversed(g):
+        acc = acc * u + u.field.element(c)
+    return acc.is_zero
+
+
+def _oracle_norm(pK, pL, emb):
+    """fq_norm, then a linear solve per element against the powers of the
+    embedded generator: the route the projector replaced."""
+    fld_l = sp.residue_field(pL)
+    u = sp.residue_name(pK, emb.h)
+    matrix = [list(row) for row in zip(*((u**j).rep for j in range(pL.residue_degree)))]
+
+    def norm(x):
+        w = fq_norm(x, pL.residue_degree)
+        return fld_l.element(mp.linsolve(matrix, list(w.rep), pK.p))
+
+    return norm
+
+
+NEAR_2_61 = (2305843009213693951, 2305843009213693921, 2305843009213693907)
+
+
+def test_projector_norm_matches_element_oracle(demo):
+    # every projector over p < 20 and two large primes: every element of
+    # fibres with at most 5000 elements, 50 seeded random elements of each
+    # larger one
+    rng = random.Random(101)
+    exts = [demo.extension((dst, src)) for src, dst in demo.embeddings]
+    exts += [demo.extension((name, "Q")) for name in demo.fields if name != "Q"]
+    shapes = set()
+    for ext in exts:
+        for p in [*stream_primes(20), 998244353, NEAR_2_61[0]]:
+            if ext.is_excluded(p):
+                continue
+            for pK in sp.split_prime(ext.field, p):
+                pL = pl.project_point(ext, pK)
+                proj = pl._projector(pK, pL, ext.emb)
+                oracle = _oracle_norm(pK, pL, ext.emb)
+                if pK.order <= 5000:
+                    indices = range(pK.order)
+                else:
+                    indices = [rng.randrange(pK.order) for _ in range(50)]
+                for idx in indices:
+                    x = proj.fld_k.from_index(idx)
+                    assert proj.norm(x) == oracle(x), (ext.name, pK, idx)
+                shapes.add((pK.residue_degree, pL.residue_degree, pK.order <= 5000))
+    assert shapes == {(m, d, small) for m, d in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3))
+                      for small in (True, False)}
+
+
+def test_projector_refuses_non_subfield_input(demo):
+    # the rewrite rebuilds its input from the coordinates, so an element
+    # outside the image of F_pL is caught rather than silently truncated
+    ext = demo.extension("Qi/Q")
+    (p3,) = sp.split_prime(demo.field("Qi"), 3)
+    proj = pl._projector(p3, q_point(demo, 3), ext.emb)
+    assert proj.to_base(proj.fld_k.element(2)).index == 2
+    with pytest.raises(AssertionError):
+        proj.to_base(proj.fld_k.element([0, 1]))
+
+
+def test_galois_direct_matches_split_and_filter(demo):
+    # the old route: split p, keep the candidates that lie over q along the
+    # self-embedding alpha -> sigma(alpha), judged by FqElement evaluation
+    checked = 0
+    for name, fld in demo.fields.items():
+        for p in [*stream_primes(300), *NEAR_2_61]:
+            if not demo.autos(name) or fld.disc % p == 0:
+                continue
+            pts = sp.split_prime(fld, p)
+            for sigma in demo.autos(name):
+                for q in pts:
+                    (want,) = [c for c in pts if _vanishes_at_name(q.local_factor, c, sigma.h)]
+                    assert pl.galois_image(demo, sigma, q) == want, (name, p, sigma.h, q)
+                    checked += 1
+    assert checked == 2374
 
 
 # ------------------------------------------------------------ annihilators

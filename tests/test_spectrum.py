@@ -9,7 +9,7 @@ from arithplane.errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from arithplane.finitefield import FqField, fq_roots, poly_over
+from arithplane.finitefield import FqField, fq_minpoly, fq_roots, poly_over
 from arithplane.intpoly import IntPoly, reduce_mod_p
 from arithplane.lattice import load_lattice
 from arithplane.sieve import stream_primes
@@ -82,7 +82,7 @@ def test_residue_name_examples(demo):
     # in the inert residue field the generator names the class of t
     (p3,) = sp.split_prime(qi, 3)
     named = sp.residue_name(p3, alpha)
-    assert named == named.field.gen
+    assert named == named.field.element([0, 1])
 
 
 def test_naming_kernel_degree_one(demo):
@@ -192,6 +192,63 @@ def test_relative_degree_multiplicativity(demo):
             assert sp.relative_degree(pk, pq, e_q_q8) == sp.relative_degree(
                 pk, pl, ext8.emb
             ) * sp.relative_degree(pl, pq, e_q_qi)
+
+
+# ---------------------------------------------------------------------------
+# lies_over and relative_degree against the FqElement reference oracles
+# ---------------------------------------------------------------------------
+
+
+def _all_extensions(cfg):
+    """Every declared embedding plus the implicit one of each field over Q."""
+    declared = [cfg.extension((dst, src)) for src, dst in cfg.embeddings]
+    over_q = [cfg.extension((name, "Q")) for name in cfg.fields if name != "Q"]
+    return declared + over_q
+
+
+def _point_pairs(cfg, bound):
+    """(ext, pK, pL) for every pair of points over each p <= bound at which
+    the embedding map reduces, ramified points included."""
+    for ext in _all_extensions(cfg):
+        skip = ext.emb.denominator_primes()
+        for p in stream_primes(bound):
+            if p in skip:
+                continue
+            below = sp.split_prime(ext.base, p)
+            for pK in sp.split_prime(ext.field, p):
+                for pL in below:
+                    yield ext, pK, pL
+
+
+def _oracle_lies_over(pK, pL, emb):
+    """Horner of g_L at the FqElement name of h in the residue field at pK."""
+    u = sp.residue_name(pK, emb.h)
+    acc = u.field.zero
+    for c in reversed(pL.local_factor):
+        acc = acc * u + u.field.element(c)
+    return acc.is_zero
+
+
+def test_lies_over_matches_element_oracle(demo):
+    assert len(_all_extensions(demo)) == 10
+    seen = {True: 0, False: 0}
+    for ext, pK, pL in _point_pairs(demo, 200):
+        got = sp.lies_over(pK, pL, ext.emb)
+        assert got == _oracle_lies_over(pK, pL, ext.emb), (ext.name, pK, pL)
+        seen[got] += 1
+    assert seen == {True: 997, False: 305}
+
+
+def test_relative_degree_matches_minpoly_oracle(demo):
+    ratios = set()
+    for ext, pK, pL in _point_pairs(demo, 200):
+        if not _oracle_lies_over(pK, pL, ext.emb):
+            continue
+        sub = len(fq_minpoly(sp.residue_name(pK, ext.emb.h))) - 1
+        assert sp.relative_degree(pK, pL, ext.emb) == pK.residue_degree // sub, (ext.name, pK)
+        ratios.add((pK.residue_degree, sub))
+    # relative degrees 1, 2 and 3 all occur, over bases of degree 1 to 3
+    assert ratios == {(1, 1), (2, 1), (2, 2), (3, 1), (3, 3)}
 
 
 def test_pn_examples(demo):
@@ -385,7 +442,7 @@ def _brute_count(ext, pl):
     double the cost of the 10^6 evaluations the exhaustion test makes.
     """
     fld, f, h = _residue_polys(ext, pl)
-    zero, gen = fld.zero.rep, fld.gen.rep
+    zero, gen = fld.zero.rep, fld.element([0, 1]).rep
     f, h = [c.rep for c in f], [c.rep for c in h]
 
     def ev(poly, x):
@@ -404,7 +461,7 @@ def _roots_count(ext, pl):
         acc = fld.zero
         for c in reversed(h):
             acc = acc * x + c
-        count += acc == fld.gen
+        count += acc == fld.element([0, 1])
     return count
 
 
