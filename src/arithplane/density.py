@@ -16,14 +16,16 @@ Counters are added in range order, so results are identical for any worker
 count.  Whether a prime is skipped, and why, is decided by
 :class:`~arithplane.lattice.ExclusionRule`; skips are counted once per point.
 
-A range is evaluated as arrays.  Over Q a point is its prime, so every atom
-is one boolean array over the range's primes: Pi/Psi from the prime-lane
-root count of ``modpoly`` (once per atom field), prime sets by membership.
-The expression tree combines those arrays, and ``searchsorted`` plus
-``bincount`` tally them by checkpoint.  The Frobenius histogram counts the
-lane factor-degree patterns the same way.  Over a larger base each prime is
-split and every point asks ``spectrum.in_pi``/``in_psi``; the answers are
-tallied by the same code.
+A range is evaluated as arrays: every atom is one boolean array over the
+range's evaluable points.  Pi(K/L) and Psi(K/L) threshold one count per
+extension and point, the roots of f_K in the point's residue field that
+restrict to it (at least one, or all [K:L]), made once per range however
+many atoms name the extension: over Q a point is its prime and the count
+is the prime-lane root count of ``modpoly``; over a larger base each prime
+is split and each point takes ``spectrum.compatible_root_count``.  Prime
+sets are tested by membership.  The expression tree combines those arrays,
+and ``searchsorted`` plus ``bincount`` tally them by checkpoint.  The
+Frobenius histogram counts the lane factor-degree patterns the same way.
 """
 
 from __future__ import annotations
@@ -344,9 +346,11 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     slot 1 + i skipped points by reason ``ExclusionRule.REASONS[i]``, and
     slot ``3 + mask`` the points whose expression truth values form ``mask``
     (expression j giving bit j).  Every count is per point of the base
-    spectrum.  Over Q the points are the primes of the range, and each atom
-    field's Pi/Psi flags come once per range from the prime-lane root count;
-    over a larger base each prime is split and each point asks its atoms.
+    spectrum.  Each extension's Pi and Psi read one array of counts of the
+    roots of f_K at the evaluable points that restrict to each, made once
+    per range: over Q the points are the primes of the range and the
+    counts come from the prime-lane root count; over a larger base each
+    prime is split and each point takes ``spectrum.compatible_root_count``.
     """
     exprs, checkpoints, rule = payload
     base = exprs[0].base
@@ -354,20 +358,32 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     if base.degree == 1:
         ps = orders = primes
         slots = rule.reasons(ps)
-        flags = _root_flags(ps[slots == 0])
+        evaluable = ps[slots == 0]
+
+        def root_counts(ext: Extension) -> np.ndarray:
+            return lane_root_count(list(ext.field.poly.coeffs), evaluable)
     else:
         points = [pL for p in primes.tolist() for pL in sp.split_prime(base, p)
                   if pL.order <= checkpoints[-1]]
         ps = np.array([pL.p for pL in points], dtype=np.int64)
         orders = np.array([pL.order for pL in points], dtype=np.int64)
         slots = rule.reasons(ps)
-        flags = _point_flags([pL for pL, s in zip(points, slots.tolist()) if not s])
+        evaluable = [pL for pL, s in zip(points, slots.tolist()) if not s]
+
+        def root_counts(ext: Extension) -> np.ndarray:
+            return np.array([sp.compatible_root_count(ext, pL) for pL in evaluable],
+                            dtype=np.int64)
     ok = slots == 0
+    counts: dict[str, np.ndarray] = {}
 
     def leaf(atom: Node) -> np.ndarray:
         if isinstance(atom, PrimeSet):
             return np.isin(ps[ok], [q for q in atom.primes if q <= hi])
-        return flags(atom)
+        ext = atom.ext
+        if ext.name not in counts:
+            counts[ext.name] = root_counts(ext)
+        c = counts[ext.name]
+        return c >= 1 if isinstance(atom, PiAtom) else c == ext.rel_degree
 
     slots[ok] = 3 + sum(_eval_node(expr.node, leaf).astype(np.int64) << j
                         for j, expr in enumerate(exprs))
@@ -376,30 +392,6 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     table = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
     table[:, 0] = table[:, 3:].sum(axis=1)
     return Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(table) if v})
-
-
-def _root_flags(primes: np.ndarray) -> Callable[[Node], np.ndarray]:
-    """Pi/Psi of K/Q over unramified primes: f_K has a root / n roots mod p."""
-    roots: dict[str, np.ndarray] = {}
-
-    def flags(atom: Node) -> np.ndarray:
-        fld = atom.ext.field
-        if fld.name not in roots:
-            roots[fld.name] = lane_root_count(list(fld.poly.coeffs), primes)
-        r = roots[fld.name]
-        return r >= 1 if isinstance(atom, PiAtom) else r == fld.degree
-
-    return flags
-
-
-def _point_flags(points: list[sp.SplitPrime]) -> Callable[[Node], np.ndarray]:
-    """Pi/Psi of K/L at each base point, asked point by point."""
-
-    def flags(atom: Node) -> np.ndarray:
-        pred = sp.in_pi if isinstance(atom, PiAtom) else sp.in_psi
-        return np.array([pred(atom.ext, pL) for pL in points], dtype=bool)
-
-    return flags
 
 
 def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int):

@@ -17,9 +17,11 @@ norms and relative degrees with the prime-field kernels of ``modpoly``
 (``factor``, ``ddf``, one composition or power per question), and the tests
 compare those against the independent element-by-element route kept here.
 
-Set ``VERIFY = True`` (the test suite does) to make ``fq_factor`` and
-``spectrum.split_prime`` re-expand their output and compare against the
-input on every call.
+Field arithmetic runs on the residue-ring kernels of ``modpoly``: a product
+is its reduction-row product ``_mul_red`` and a power its one ladder
+``powmod``; the prime field F_p keeps plain integer arithmetic.
+``fq_factor``, like ``spectrum.split_prime``, re-expands its factors and
+compares them with the input on every call.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from typing import Iterable, Iterator, Sequence
 from . import modpoly as mp
 from .errors import InvalidPrimeError, InvalidSubfieldError, ReducibleModulusError
 from .intpoly import _format_poly
-
-VERIFY = False
 
 MAX_CHARACTERISTIC = 2**64
 MAX_EXTENSION_DEGREE = 16
@@ -214,22 +214,9 @@ class FqField:
         return tuple((-x) % p for x in a)
 
     def _mul(self, a, b):
-        m, p = self.m, self.p
-        if m == 1:
-            return (a[0] * b[0] % p,)
-        out = [0] * (2 * m - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        red = self._red
-        for k in range(2 * m - 2, m - 1, -1):
-            c = out[k] % p
-            if c:
-                base = k - m
-                for j in range(m):
-                    out[base + j] += c * red[j]
-        return tuple(c % p for c in out[:m])
+        if self.m == 1:
+            return (a[0] * b[0] % self.p,)
+        return tuple(mp._mul_red(a, b, self._red, self.m, self.p))
 
     def _inv(self, a):
         if not any(a):
@@ -242,15 +229,10 @@ class FqField:
     def _pow(self, a, e: int):
         if e < 0:
             return self._pow(self._inv(a), -e)
-        result = (1 % self.p,) + (0,) * (self.m - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self._mul(result, base)
-            e >>= 1
-            if e:
-                base = self._mul(base, base)
-        return result
+        if self.m == 1:
+            return (pow(a[0], e, self.p),)
+        out = mp.powmod(mp.trim(list(a)), e, self.modulus, self.p)
+        return tuple(out) + (0,) * (self.m - len(out))
 
     def _index(self, a) -> int:
         idx = 0
@@ -510,12 +492,11 @@ def fq_factor(f: Sequence[FqElement]) -> list[tuple[tuple[FqElement, ...], int]]
             for fac, _d in _edf(part, d, seed):
                 out.append((tuple(fac), mult))
     out.sort(key=lambda fm_: _ppolykey(list(fm_[0])))
-    if VERIFY:
-        check = [fld.one]
-        for fac, mult in out:
-            for _ in range(mult):
-                check = _pmul(check, list(fac))
-        assert check == _pmonic(f), "factor re-expansion mismatch"
+    check = [fld.one]
+    for fac, mult in out:
+        for _ in range(mult):
+            check = _pmul(check, list(fac))
+    assert check == fm, "factor re-expansion mismatch"
     return out
 
 

@@ -6,8 +6,12 @@ explicit argument — these are free functions, not methods, so the hot
 loops pay no object overhead.  Nothing here validates primality of p; that
 is the caller's contract.
 
-The nontrivial algorithms are x^e mod f by binary exponentiation with a
-precomputed reduction row, one distinct-degree factorization (:func:`ddf`,
+Residues mod a monic f are multiplied in one place: one general product
+(:func:`_mul_red`), with a square and a multiply-by-x beside it, each
+folding degrees n..2n-2 back with the precomputed reduction row -f[:n].
+:func:`powmod` is the one ladder on them, and :func:`xpow_mod`,
+:func:`compose_mod` and ``finitefield.FqField`` all run on these kernels.
+The other algorithms are one distinct-degree factorization (:func:`ddf`,
 behind splitting-type patterns, the fibrewise Pi/Psi count and
 :func:`factor`), and complete factorization: squarefree decomposition, DDF,
 then seeded Cantor-Zassenhaus equal-degree splitting (Cantor-Zassenhaus
@@ -112,30 +116,6 @@ def gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
-def xpow_mod(e: int, fmod: list[int], p: int) -> list[int]:
-    """x^e mod fmod for monic fmod, by binary exponentiation.
-
-    The reduction row (-fmod[:n]) is precomputed once; squaring and the
-    shift-by-x step run on fixed-length coefficient lists.  This is the
-    innermost kernel of the prime scans, so it avoids divmod entirely.
-    """
-    n = deg(fmod)
-    if n <= 0:
-        raise ValueError("modulus must have degree >= 1")
-    if n == 1:
-        return trim([pow((-fmod[0]) % p, e, p)])
-    if e == 0:
-        return [1 % p]
-    red = [(-c) % p for c in fmod[:n]]
-    cur = [0] * n
-    cur[1] = 1  # x, matching the leading bit of e
-    for bit in bin(e)[3:]:
-        cur = _sqr_red(cur, red, n, p)
-        if bit == "1":
-            cur = _shift_red(cur, red, n, p)
-    return trim(cur)
-
-
 def _sqr_red(a: list[int], red: list[int], n: int, p: int) -> list[int]:
     # full square, then fold degrees n..2n-2 down with the reduction row
     out = [0] * (2 * n - 1)
@@ -182,23 +162,35 @@ def _shift_red(a: list[int], red: list[int], n: int, p: int) -> list[int]:
 
 
 def powmod(a: list[int], e: int, fmod: list[int], p: int) -> list[int]:
-    """a^e mod fmod for monic fmod."""
+    """a^e mod fmod for monic fmod, left to right over the bits of e.
+
+    The reduction row (-fmod[:n]) is fixed once; every step squares with
+    :func:`_sqr_red` and multiplies with :func:`_shift_red` when a is x,
+    with :func:`_mul_red` otherwise, so the ladder takes no inverse.  The
+    base is reduced only when it is longer than fmod.
+    """
     n = deg(fmod)
     if n <= 0:
         raise ValueError("modulus must have degree >= 1")
-    a = rem_p(a, fmod, p)
+    if len(a) > n:
+        a = rem_p(a, fmod, p)
     if e == 0:
         return [1 % p]
     if not a:
         return []
     red = [(-c) % p for c in fmod[:n]]
-    base = a + [0] * (n - len(a))
-    cur = list(base)
+    is_x = a == [0, 1]
+    cur = a + [0] * (n - len(a))
     for bit in bin(e)[3:]:
         cur = _sqr_red(cur, red, n, p)
         if bit == "1":
-            cur = _mul_red(cur, base, red, n, p)
+            cur = _shift_red(cur, red, n, p) if is_x else _mul_red(cur, a, red, n, p)
     return trim(cur)
+
+
+def xpow_mod(e: int, fmod: list[int], p: int) -> list[int]:
+    """x^e mod fmod for monic fmod."""
+    return powmod([0, 1], e, fmod, p)
 
 
 def root_count(f: list[int], p: int) -> int:
@@ -216,12 +208,19 @@ def derivative(a: list[int], p: int) -> list[int]:
 
 
 def compose_mod(a: list[int], b: list[int], fmod: list[int], p: int) -> list[int]:
-    """a(b) mod fmod, by Horner's rule."""
-    b = rem_p(b, fmod, p)
+    """a(b) mod fmod for monic fmod, by Horner's rule on the reduction row
+    (everything is 0 mod a constant fmod)."""
+    n = deg(fmod)
+    if n == 0:
+        return []
+    if len(b) > n:
+        b = rem_p(b, fmod, p)
+    red = [(-c) % p for c in fmod[:n]]
     acc: list[int] = []
     for c in reversed(a):
-        acc = rem_p(add(mul(acc, b, p), [c], p), fmod, p)
-    return acc
+        acc = _mul_red(acc, b, red, n, p)
+        acc[0] = (acc[0] + c) % p
+    return trim(acc)
 
 
 def ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:

@@ -39,7 +39,6 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import finitefield as ff
 from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
 from .finitefield import MAX_CHARACTERISTIC, FqElement, FqField, is_prime
@@ -109,12 +108,11 @@ def split_prime(field: NumberField, p: int) -> list[SplitPrime]:
         raise InvalidPrimeError(f"{p} is not a prime in [2, 2^64)")
     fbar = reduce_mod_p(field.poly, p)
     factors = mp.factor(fbar, p)
-    if ff.VERIFY:
-        check = [1]
-        for g, mult in factors:
-            for _ in range(mult):
-                check = mp.mul(check, g, p)
-        assert check == mp.monic(fbar, p), "factor re-expansion mismatch"
+    check = [1]
+    for g, mult in factors:
+        for _ in range(mult):
+            check = mp.mul(check, g, p)
+    assert check == mp.monic(fbar, p), "factor re-expansion mismatch"
     ramified = field.disc % p == 0
     return [
         SplitPrime(field=field.name, p=p, local_factor=tuple(g), e=mult,

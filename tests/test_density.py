@@ -407,18 +407,25 @@ RECOUNT_EXPRS = [
 ]
 
 
-def _truth(node, p):
-    """The expression at p, asked prime by prime of the scalar oracles."""
+def _truth(node, p, atom):
+    """The expression at a point over p; atom(node) decides each Pi/Psi."""
     if isinstance(node, dn.Not):
-        return not _truth(node.inner, p)
+        return not _truth(node.inner, p, atom)
     if isinstance(node, dn.And):
-        return _truth(node.left, p) and _truth(node.right, p)
+        return _truth(node.left, p, atom) and _truth(node.right, p, atom)
     if isinstance(node, dn.Or):
-        return _truth(node.left, p) or _truth(node.right, p)
+        return _truth(node.left, p, atom) or _truth(node.right, p, atom)
     if isinstance(node, dn.PrimeSet):
         return p in node.primes
-    pi, psi = sp.pi_psi_flags(reduce_mod_p(node.ext.field.poly, p), p)
-    return pi if isinstance(node, dn.PiAtom) else psi
+    return atom(node)
+
+
+def _scalar_atom(p):
+    """Pi/Psi of K/Q at p, asked prime by prime of the scalar oracles."""
+    def atom(node):
+        pi, psi = sp.pi_psi_flags(reduce_mod_p(node.ext.field.poly, p), p)
+        return pi if isinstance(node, dn.PiAtom) else psi
+    return atom
 
 
 def _recount(exprs, n):
@@ -434,7 +441,7 @@ def _recount(exprs, n):
             continue
         row = rows[next(ck for ck in checkpoints if p <= ck)]
         row[0] += 1
-        row[1 + sum(_truth(e.node, p) << j for j, e in enumerate(exprs))] += 1
+        row[1 + sum(_truth(e.node, p, _scalar_atom(p)) << j for j, e in enumerate(exprs))] += 1
     return rows, skipped
 
 
@@ -459,6 +466,31 @@ def test_qbase_density_matches_recount(demo, narrow_ranges, text):
     e = expr(demo, text)
     rows, skipped = _recount([e], RECOUNT_N)
     want = _recounted_estimate(rows, skipped, RECOUNT_N, bool)
+    assert dn.estimate_density(e, RECOUNT_N) == want
+
+
+@pytest.mark.parametrize("text", ["Pi(Q8/Qi) & !Psi(Q8/Qi) | {5}",
+                                  "Psi(S3c/Qw) | Pi(S3c/Qw) & !{7}"])
+def test_relative_density_matches_recount(demo, narrow_ranges, text):
+    # every base point asks the full-splitting route of spectrum
+    e = expr(demo, text)
+    exts = [a.ext for a in e.atoms()]
+    rows = {ck: [0, 0, 0] for ck in dn._checkpoints(RECOUNT_N)}
+
+    def absolute(pL):
+        return lambda a: (sp.in_pi_absolute if isinstance(a, dn.PiAtom)
+                          else sp.in_psi_absolute)(a.ext, pL)
+
+    for pL in sp.points_over(e.base, RECOUNT_N, exts):
+        if pL.order <= RECOUNT_N:
+            row = rows[next(ck for ck in rows if pL.order <= ck)]
+            row[0] += 1
+            row[1 + _truth(e.node, pL.p, absolute(pL))] += 1
+    rule = ExclusionRule.of(exts)
+    skipped = Counter(rule.reason(p) for p in stream_primes(RECOUNT_N) if rule.reason(p)
+                      for pL in sp.split_prime(e.base, p) if pL.order <= RECOUNT_N)
+    want = _recounted_estimate(rows, skipped, RECOUNT_N, bool)
+    assert want.skipped and want.hits
     assert dn.estimate_density(e, RECOUNT_N) == want
 
 

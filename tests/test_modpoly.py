@@ -119,6 +119,37 @@ def test_powmod_general_base():
             assert mp.powmod(a, e, f, p) == want
 
 
+def naive_compose(a, b, f, p):
+    """a(b) mod f by Horner's rule on naive products and remainders."""
+    acc = []
+    for c in reversed(a):
+        acc = naive_mul(acc, b, p) or [0]
+        acc[0] = (acc[0] + c) % p
+        acc = mp.rem_p(mp.trim(acc), f, p)
+    return acc
+
+
+def test_compose_mod_matches_naive_horner():
+    rng = random.Random(11)
+    for p in [2, 3, 7, 101, 2**61 - 1]:
+        for _ in range(40):
+            f = rand_poly(rng, p, 6, monic=True)  # [1] when the degree draw is 0
+            a, b = rand_poly(rng, p, 6), rand_poly(rng, p, 9)  # deg b may pass deg f
+            assert mp.compose_mod(a, b, f, p) == naive_compose(a, b, f, p), (p, a, b, f)
+            assert mp.compose_mod(a, [], f, p) == naive_compose(a, [], f, p)
+        f = [rng.randrange(p) for _ in range(3)] + [1]
+        a = [rng.randrange(p) for _ in range(5)] + [1]
+        assert mp.compose_mod(a, [1], [1], p) == []  # everything is 0 mod a unit
+        assert mp.compose_mod(a, [], f, p) == mp.trim([a[0]])  # zero inner map: a(0)
+        assert mp.compose_mod(a, mp.add(f, [0, 1], p), f, p) == mp.rem_p(a, f, p)  # f + x = x
+        assert mp.compose_mod(a, [0, 1], f, p) == mp.rem_p(a, f, p)
+        assert mp.compose_mod([], [0, 1], f, p) == []
+        for c in {0, 1, p - 1}:  # powmod of x mod x + c, where x = -c
+            for e in [0, 1, 5, p + 3]:
+                want = mp.trim([pow(-c % p, e, p)])
+                assert mp.powmod([0, 1], e, [c, 1], p) == mp.xpow_mod(e, [c, 1], p) == want
+
+
 def test_root_count_brute_force():
     rng = random.Random(6)
     for p in [2, 3, 5, 7, 13, 31]:

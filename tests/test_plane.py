@@ -7,6 +7,7 @@ from arithplane import modpoly as mp
 from arithplane import plane as pl
 from arithplane import spectrum as sp
 from arithplane.errors import (
+    ArithPlaneError,
     HypothesisViolatedError,
     NotLyingOverError,
     RamifiedPrimeError,
@@ -506,6 +507,53 @@ def test_projector_refuses_non_subfield_input(demo):
     assert proj.to_base(proj.fld_k.element(2)).index == 2
     with pytest.raises(AssertionError):
         proj.to_base(proj.fld_k.element([0, 1]))
+
+
+def _tower_document(f_l, g):
+    """L = Q[x]/(f_L) inside K = Q[x]/(f_L(g(x))) along alpha -> g(alpha)."""
+    f_k = IntPoly.of(0)
+    for c in reversed(f_l):
+        f_k = f_k * IntPoly.from_coeffs(g) + IntPoly.of(c)
+    poly_l, poly_k, map_g = (" ".join(map(str, c)) for c in (f_l, f_k.coeffs, g))
+    return f"field L\n  poly {poly_l}\nfield K\n  poly {poly_k}\nembed L -> K\n  map {map_g}\n"
+
+
+def test_random_towers_match_oracles():
+    # f_L(g(alpha)) = 0 in K, so alpha -> g(alpha) embeds L in K with h = g;
+    # documents that load_lattice refuses (f_K reducible, or no
+    # irreducibility certificate) are discarded, never declared trusted.
+    # The norm is checked on every element of each fibre of 4 to 800
+    # elements; on the drawn towers those have the shapes (deg pK, deg pL)
+    # (2, 1), (2, 2), (3, 3), (4, 2) and (6, 3)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    small = st.integers(-5, 5)
+    shapes = set()
+
+    @hyp.settings(max_examples=40, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[hyp.HealthCheck.filter_too_much])
+    @hyp.given(f_low=st.lists(small, min_size=2, max_size=3),
+               g_low=st.lists(small, min_size=2, max_size=2))
+    def random_tower(f_low, g_low):
+        try:
+            cfg = load_lattice(_tower_document(f_low + [1], g_low + [1]))
+        except ArithPlaneError:
+            hyp.assume(False)
+        ext = cfg.extension(("K", "L"))
+        for pL in sp.points_over(ext.base, 200, (ext,)):
+            assert sp.in_pi(ext, pL) == sp.in_pi_absolute(ext, pL), (ext, pL)
+            assert sp.in_psi(ext, pL) == sp.in_psi_absolute(ext, pL), (ext, pL)
+        for pK in sp.points_over(ext.field, 200, (ext,)):
+            if pK.residue_degree == 1 or pK.order > 800:
+                continue  # a norm F_p -> F_p is the identity
+            pL = pl.project_point(ext, pK)
+            proj, oracle = pl._projector(pK, pL, ext.emb), _oracle_norm(pK, pL, ext.emb)
+            for x in proj.fld_k.elements():
+                assert proj.norm(x) == oracle(x), (ext, pK, x)
+            shapes.add((pK.residue_degree, pL.residue_degree))
+
+    random_tower()
+    assert {(2, 1), (2, 2)} <= shapes
 
 
 def test_galois_direct_matches_split_and_filter(demo):
