@@ -10,10 +10,11 @@ closure, when the lattice declares enough data.  The ``check_*`` functions
 are finite-truncation verifiers for the structural identities the rest of
 the package relies on; they report what they find and adjudicate nothing.
 
-Every pooled scan goes through :func:`scan`: it splits [2, N] into
-fixed-width ranges, each worker sieves its own range, and the per-range
-Counters are added in range order, so results are identical for any worker
-count.  Whether a prime is skipped, and why, is decided by
+Every pooled scan goes through :func:`scan`: it walks the fixed-width
+ranges of :func:`~arithplane.sieve.ranges` lazily, each worker sieves its
+own range, and the per-range Counters are added in range order, so results
+are identical for any worker count and memory does not grow with N.
+Whether a prime is skipped, and why, is decided by
 :class:`~arithplane.lattice.ExclusionRule`; skips are counted once per point.
 
 A range is evaluated as arrays: every atom is one boolean array over the
@@ -35,6 +36,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -46,10 +48,10 @@ from .finitefield import MAX_CHARACTERISTIC, is_prime
 from .intpoly import Composer
 from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
 from .modpoly import lane_factor_degrees, lane_root_count
-from .sieve import partition_ranges, prime_range
+from .sieve import prime_range, ranges
 
 CHECKPOINT_START = 100
-RANGE_WIDTH = 1 << 18
+SCAN_BATCH = 4  # ranges queued in the pool at a time, per worker
 
 # --------------------------------------------------------------------------
 # expression AST
@@ -321,22 +323,31 @@ def _checkpoints(n: int) -> tuple[int, ...]:
 
 
 def scan(kernel: Callable[..., Counter], payload, n: int, workers: int) -> Counter:
-    """Sum ``kernel(payload, lo, hi)`` over fixed-width ranges covering [2, n].
+    """Sum ``kernel(payload, lo, hi)`` over the ranges ``sieve.ranges(n)``.
 
     Each call sieves only its own range, in this process or in a pool of at
-    most ``os.cpu_count()`` workers.  The ranges depend on n alone and the
-    per-range Counters are added in range order, so the total is the same
-    for every worker count.  ``kernel`` and ``payload`` must pickle.
+    most ``os.cpu_count()`` workers.  Ranges are drawn lazily and queued in
+    the pool ``SCAN_BATCH`` per worker at a time, so memory does not grow
+    with n.  The ranges depend on n alone and the per-range Counters are
+    added in range order, so the total is the same for every worker count.
+    ``kernel`` and ``payload`` must pickle.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    ranges = partition_ranges(n, max(1, -(-(n - 1) // RANGE_WIDTH)))
-    jobs = ([payload] * len(ranges), *zip(*ranges))
-    workers = min(workers, os.cpu_count() or 1, len(ranges))
+    spans = ranges(n)
+    workers = min(workers, os.cpu_count() or 1)
+    batch = list(islice(spans, SCAN_BATCH * workers))
+    workers = min(workers, len(batch))
     if workers == 1:
-        return sum(map(kernel, *jobs), Counter())
+        return sum((kernel(payload, lo, hi) for lo, hi in chain(batch, spans)), Counter())
+    batches = chain([batch], iter(lambda: list(islice(spans, SCAN_BATCH * workers)), []))
+    total, pending = Counter(), ()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(kernel, *jobs), Counter())
+        for batch in batches:
+            # queue the next batch before summing this one, so no worker waits
+            queued = pool.map(kernel, [payload] * len(batch), *zip(*batch))
+            total, pending = sum(pending, total), queued
+        return sum(pending, total)
 
 
 def _density_kernel(payload, lo: int, hi: int) -> Counter:

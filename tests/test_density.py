@@ -1,13 +1,17 @@
 import pathlib
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from arithplane import density as dn
+from arithplane import modpoly as mp
+from arithplane import sieve
 from arithplane import spectrum as sp
-from arithplane.errors import ExprSyntaxError, UnknownFieldError
+from arithplane.errors import ArithPlaneError, ExprSyntaxError, UnknownFieldError
 from arithplane.intpoly import reduce_mod_p
 from arithplane.lattice import ExclusionRule, load_lattice
 from arithplane.sieve import stream_primes
@@ -137,7 +141,7 @@ def test_density_worker_parity(demo, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(dn, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(dn, "RANGE_WIDTH", 500)
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 500)
     monkeypatch.setattr(dn.os, "cpu_count", lambda: 2)
     scans = [
         lambda w: dn.estimate_density(expr(demo, "Psi(Qi/Q) | Pi(Qc2/Q)"), 20000, w),
@@ -150,6 +154,55 @@ def test_density_worker_parity(demo, monkeypatch):
     assert all(one == two for one, two in results)
     assert dn.trace_csv(results[0][0]) == dn.trace_csv(results[0][1])
     assert pools == [2, 2, 2, 2]
+
+
+def test_scan_memory_does_not_grow_with_n():
+    # the ranges of [2, 10^11] are drawn as the kernel asks for them, so a
+    # scan that stops at its third range has built almost nothing
+    calls = []
+
+    def kernel(payload, lo, hi):
+        calls.append((lo, hi))
+        if len(calls) == 3:
+            raise RuntimeError("third range")
+        return Counter()
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="third range"):
+            dn.scan(kernel, None, 10**11, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == list(islice(sieve.ranges(10**11), 3))
+    assert peak < 1 << 20
+
+
+def test_scan_queues_fixed_batches_in_range_order(demo, monkeypatch):
+    fld = demo.field("Qc2")
+    batches = []
+
+    class InlinePool:  # records each batch of ranges and starts no process
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, lows, highs):
+            batches.append((self.workers, list(zip(lows, highs))))
+            return map(fn, payloads, lows, highs)
+
+    monkeypatch.setattr(dn, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 100)
+    monkeypatch.setattr(dn.os, "cpu_count", lambda: 3)
+    want = dn.frobenius_histogram(fld, 3001, workers=1)
+    assert dn.frobenius_histogram(fld, 3001, workers=3) == want
+    assert [(w, len(b)) for w, b in batches] == [(3, 12), (3, 12), (3, 6)]
+    assert [r for _, b in batches for r in b] == list(sieve.ranges(3001))
 
 
 def test_scan_checks_workers(demo, monkeypatch):
@@ -170,7 +223,7 @@ def test_scan_checks_workers(demo, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(dn, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(dn, "RANGE_WIDTH", 100)
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 100)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         dn.frobenius_histogram(fld, 1000, workers=0)
     want = dn.frobenius_histogram(fld, 1000, workers=1)
@@ -428,7 +481,7 @@ def _scalar_atom(p):
     return atom
 
 
-def _recount(exprs, n):
+def _recount(exprs, n, atom_at=_scalar_atom):
     """(per-checkpoint [total, hits of each expression], skips by reason)."""
     rule = ExclusionRule.of(a.ext for e in exprs for a in e.atoms())
     checkpoints = dn._checkpoints(n)
@@ -441,7 +494,7 @@ def _recount(exprs, n):
             continue
         row = rows[next(ck for ck in checkpoints if p <= ck)]
         row[0] += 1
-        row[1 + sum(_truth(e.node, p, _scalar_atom(p)) << j for j, e in enumerate(exprs))] += 1
+        row[1 + sum(_truth(e.node, p, atom_at(p)) << j for j, e in enumerate(exprs))] += 1
     return rows, skipped
 
 
@@ -458,7 +511,7 @@ def _recounted_estimate(rows, skipped, n, holds):
 @pytest.fixture
 def narrow_ranges(monkeypatch):
     # seven ranges, so ranges and checkpoints 100, 1000, 10^4 are crossed
-    monkeypatch.setattr(dn, "RANGE_WIDTH", 3000)
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 3000)
 
 
 @pytest.mark.parametrize("text", RECOUNT_EXPRS)
@@ -503,6 +556,72 @@ def test_qbase_inclusion_exclusion_matches_recount(demo, narrow_ranges):
                        (report.intersection, lambda m: m == 3)):
         assert got == _recounted_estimate(rows, skipped, RECOUNT_N, holds)
     assert report.exact
+
+
+TOWER_N = 4999  # prime, and in the prime set of TOWER_EXPR
+TOWER_EXPR = "Pi(K/Q) & !Psi(L/Q) | Psi(K/Q) | {97, 101, 4999} & !Pi(L/Q)"
+
+
+def test_random_tower_scans_ignore_range_boundaries(monkeypatch):
+    # towers L inside K = Q[x]/(f_L(g(x))) drawn as in the plane tests; the
+    # density CSV and the Frobenius histogram of K come out the same bytes at
+    # every range width (99 puts a boundary on checkpoint 100) and worker
+    # count, and equal a prime-by-prime recount that uses no prime lanes
+    hyp = pytest.importorskip("hypothesis")
+    from test_plane import _tower_document
+
+    st = hyp.strategies
+    small = st.integers(-5, 5)
+    towers = []
+
+    @hyp.settings(max_examples=15, derandomize=True, deadline=None, database=None,
+                  suppress_health_check=[hyp.HealthCheck.filter_too_much])
+    @hyp.given(f_low=st.lists(small, min_size=2, max_size=3),
+               g_low=st.lists(small, min_size=2, max_size=2))
+    def random_tower(f_low, g_low):
+        try:
+            cfg = load_lattice(_tower_document(f_low + [1], g_low + [1]))
+        except ArithPlaneError:
+            hyp.assume(False)
+        towers.append(cfg)
+        e, fld = dn.parse_set_expr(TOWER_EXPR, cfg), cfg.field("K")
+
+        def outputs(workers=1):
+            est = dn.estimate_density(e, TOWER_N, workers)
+            return str(est), dn.trace_csv(est), str(dn.frobenius_histogram(fld, TOWER_N, workers))
+
+        got = outputs()
+        for width in (97, 99, 3000):
+            with monkeypatch.context() as m:
+                m.setattr(sieve, "RANGE_WIDTH", width)
+                assert outputs() == got, (cfg, width)
+                if width == 97 and len(towers) <= 3:  # 52 ranges in 7 batches
+                    m.setattr(dn.os, "cpu_count", lambda: 2)
+                    assert outputs(workers=2) == got, cfg
+        # one-prime recount: K's root count is the number of its degree-1
+        # factors, L's comes from the one-prime root count
+        patterns = {p: mp.degree_pattern(reduce_mod_p(fld.poly, p), p)
+                    for p in stream_primes(TOWER_N) if fld.disc % p}
+
+        def roots(f, p):
+            if f.name == "K":
+                return patterns[p].count(1)
+            return mp.root_count(reduce_mod_p(f.poly, p), p)
+
+        def atom_at(p):
+            def atom(node):
+                f = node.ext.field
+                return roots(f, p) >= 1 if isinstance(node, dn.PiAtom) else roots(f, p) == f.degree
+            return atom
+
+        rows, skipped = _recount([e], TOWER_N, atom_at)
+        want = _recounted_estimate(rows, skipped, TOWER_N, bool)
+        hist = Counter(patterns.values())
+        frob = dn.FrobeniusStats("K", TOWER_N, len(patterns), tuple(sorted(hist.items())))
+        assert got == (str(want), dn.trace_csv(want), str(frob)), cfg
+
+    random_tower()
+    assert len(towers) >= 10
 
 
 @pytest.mark.parametrize("name", ["Qi", "Qw", "Qc2", "Q8", "S3c"])

@@ -1,10 +1,11 @@
-"""Sieve correctness against trial division, plus memory accounting."""
+"""Sieve correctness against trial division, plus the memory ceiling."""
 
 import random
 
 import pytest
 
-from arithplane.sieve import DEFAULT_SEGMENT, partition_ranges, prime_range, stream_primes
+from arithplane import sieve
+from arithplane.sieve import prime_range, ranges, stream_primes
 
 
 def trial_division_primes(n):
@@ -26,11 +27,14 @@ def test_small_exact():
     assert list(stream_primes(3)) == [2, 3]
 
 
-def test_matches_trial_division_to_1e5():
+def test_matches_trial_division_to_1e5(monkeypatch):
     want = trial_division_primes(10**5)
+    stream = stream_primes(10**5)
+    assert list(stream) == want
+    assert list(stream) == want  # a stream walks again from 2
+    # tiny ranges force many boundary crossings
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 64)
     assert list(stream_primes(10**5)) == want
-    # tiny segments force many boundary crossings
-    assert list(stream_primes(10**5, segment=64)) == want
 
 
 def test_pi_of_1e6():
@@ -44,7 +48,7 @@ def test_prime_range_windows():
         lo = rng.randint(2, 2900)
         hi = rng.randint(lo, 3000)
         want = [p for p in full if lo <= p <= hi]
-        assert list(prime_range(lo, hi, segment=32)) == want
+        assert list(prime_range(lo, hi)) == want
 
 
 def test_prime_range_single_prime_window():
@@ -53,45 +57,50 @@ def test_prime_range_single_prime_window():
     assert list(prime_range(2, 2)) == [2]
 
 
-def test_partition_ranges_cover_disjoint():
-    for n, workers in [(100, 1), (100, 4), (101, 7), (10, 30), (2, 3)]:
-        ranges = partition_ranges(n, workers)
-        assert len(ranges) <= workers
-        assert ranges[0][0] == 2 and ranges[-1][1] == n
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
+def test_ranges_cover_disjoint(monkeypatch):
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 7)
+    for n in [2, 8, 9, 10, 100, 101]:
+        spans = list(ranges(n))
+        assert spans[0][0] == 2 and spans[-1][1] == n
+        assert all(hi - lo + 1 == 7 for lo, hi in spans[:-1])
+        assert 1 <= spans[-1][1] - spans[-1][0] + 1 <= 7
+        for (a, b), (c, d) in zip(spans, spans[1:]):
             assert a <= b and c == b + 1 and c <= d
 
 
 def test_partition_matches_example():
-    assert partition_ranges(100, 1) == [(2, 100)]
-    assert len(partition_ranges(100, 4)) == 4
+    assert list(ranges(100)) == [(2, 100)]
+    w = sieve.RANGE_WIDTH
+    assert list(ranges(3 * w)) == [(2, w + 1), (w + 2, 2 * w + 1), (2 * w + 2, 3 * w)]
 
 
-def test_union_over_partitions_equals_full_stream():
+def test_union_over_partitions_equals_full_stream(monkeypatch):
     n = 10**5
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 30011)
     merged = []
-    for lo, hi in partition_ranges(n, 4):
+    for lo, hi in ranges(n):
         merged.extend(prime_range(lo, hi))
     assert merged == list(stream_primes(n))
 
 
-def test_segment_buffer_independent_of_n():
-    seg = 4096
-    a = stream_primes(10**5, segment=seg)
-    b = stream_primes(10**6, segment=seg)
-    assert a.segment_buffer_bytes == b.segment_buffer_bytes == seg
-    # total peak = fixed segment + O(sqrt(N)) base table
-    assert b.peak_buffer_bytes <= seg + 32 * (10**3)
+def test_stream_sieves_at_most_one_range_at_a_time(monkeypatch):
+    # the odd-slot buffer of prime_range is the only one that grows with the
+    # interval, so bounding every interval the stream asks for bounds its memory
+    widths = []
+    real = sieve.prime_range
 
+    def spy(lo, hi):
+        widths.append(hi - lo + 1)
+        return real(lo, hi)
 
-def test_default_segment():
-    assert stream_primes(100).segment == DEFAULT_SEGMENT
+    monkeypatch.setattr(sieve, "prime_range", spy)
+    assert sum(1 for _ in stream_primes(10**6)) == 78498
+    assert len(widths) == -(-(10**6 - 1) // sieve.RANGE_WIDTH)
+    assert max(widths) <= sieve.RANGE_WIDTH
 
 
 def test_bad_arguments():
     with pytest.raises(ValueError):
         stream_primes(1)
     with pytest.raises(ValueError):
-        partition_ranges(100, 0)
-    with pytest.raises(ValueError):
-        prime_range(2, 100, segment=4)
+        ranges(1)
