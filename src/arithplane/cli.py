@@ -188,7 +188,8 @@ def _run(args, out) -> int:
         raise _UsageError("a checker is required (see: arithplane check --help)")
     cfg = load_lattice(pathlib.Path(args.lattice).read_text(encoding="utf-8"))
     if cmd == "check":
-        return _run_check(args, cfg, out)
+        print(_check_report(args, cfg), file=out)
+        return 0
     if cmd == "validate":
         print(validate_lattice(cfg).render(), file=out)
         return 0
@@ -261,60 +262,48 @@ def _run(args, out) -> int:
     return 0
 
 
-def _run_check(args, cfg: LatticeConfig, out) -> int:
+def _check_report(args, cfg: LatticeConfig):
+    """The report of the checker the arguments name."""
     checker = args.checker
     if checker == "pullback":
         names = _names(args.tower)
         if len(names) != 4:
             raise _UsageError("--tower needs exactly four fields: L,K,M,KM")
-        print(dn.check_pullback(cfg, *names, args.max), file=out)
-        return 0
+        return dn.check_pullback(cfg, *names, args.max)
     if checker == "psi-product":
         names = _names(args.fields)
         if len(names) != 3:
             raise _UsageError("--fields needs exactly three fields: K1,K2,composite")
-        print(
-            dn.check_psi_product(cfg, names[0], names[1], names[2], args.base,
-                                 args.max),
-            file=out,
-        )
-        return 0
+        return dn.check_psi_product(cfg, *names, args.base, args.max)
     if checker == "pi-eq-psi":
-        print(dn.check_pi_eq_psi(cfg, args.ext, args.max), file=out)
-        return 0
+        return dn.check_pi_eq_psi(cfg, args.ext, args.max)
     if checker == "inclusion-exclusion":
-        report = dn.check_inclusion_exclusion(
+        return dn.check_inclusion_exclusion(
             dn.parse_set_expr(args.first, cfg),
             dn.parse_set_expr(args.second, cfg),
             args.max,
             workers=args.workers,
         )
-        print(report, file=out)
-        return 0
     if checker == "pi-intersection":
-        report = dn.check_pi_intersection(cfg, _names(args.fields), args.base,
-                                          args.max)
-        print(report, file=out)
-        return 0
+        return dn.check_pi_intersection(cfg, _names(args.fields), args.base, args.max)
     if checker == "norm-fiber":
-        print(plane.check_norm_fibres(cfg.extension(args.ext), args.max), file=out)
-        return 0
+        return plane.check_norm_fibres(cfg.extension(args.ext), args.max)
     # section-independence, the last checker
     if args.box < 0:
         raise _UsageError(f"--box must be at least 0, got {args.box}")
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
-    report = plane.check_section_independence(
+    return plane.check_section_independence(
         cfg.extension(args.ext), args.max, args.box, args.trials, args.seed
     )
-    print(report, file=out)
-    return 0
+
+
+PARSER = build_parser()  # pure, so built once per process and reused by main
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
         return _run(args, sys.stdout)
     except SystemExit as exc:  # argparse --help
         return exc.code or 0

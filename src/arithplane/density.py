@@ -27,6 +27,9 @@ is split and each point takes ``spectrum.compatible_root_count``.  Prime
 sets are tested by membership.  The expression tree combines those arrays,
 and ``searchsorted`` plus ``bincount`` tally them by checkpoint.  The
 Frobenius histogram counts the lane factor-degree patterns the same way.
+The psi-product and pi-eq-psi checkers scan two expressions each, and the
+kernel also lists the primes of the points where the two disagree; the
+pi-intersection and pullback checkers walk ``spectrum.points_over``.
 """
 
 from __future__ import annotations
@@ -362,8 +365,10 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     per range: over Q the points are the primes of the range and the
     counts come from the prime-lane root count; over a larger base each
     prime is split and each point takes ``spectrum.compatible_root_count``.
+    Keys ``("at", p)`` count the first ``witnesses`` points of the range
+    (all of them when None) where the expressions disagree, by prime.
     """
-    exprs, checkpoints, rule = payload
+    exprs, checkpoints, rule, witnesses = payload
     base = exprs[0].base
     primes = prime_range(lo, hi)
     if base.degree == 1:
@@ -396,25 +401,31 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
         c = counts[ext.name]
         return c >= 1 if isinstance(atom, PiAtom) else c == ext.rel_degree
 
-    slots[ok] = 3 + sum(_eval_node(expr.node, leaf).astype(np.int64) << j
-                        for j, expr in enumerate(exprs))
+    masks = sum(_eval_node(expr.node, leaf).astype(np.int64) << j
+                for j, expr in enumerate(exprs))
+    slots[ok] = 3 + masks
     width = 3 + (1 << len(exprs))
     keys = np.searchsorted(checkpoints, orders) * width + slots
     table = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
     table[:, 0] = table[:, 3:].sum(axis=1)
-    return Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(table) if v})
+    out = Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(table) if v})
+    if witnesses != 0:
+        disagree = (masks != 0) & (masks != (1 << len(exprs)) - 1)
+        out.update(("at", p) for p in ps[ok][disagree][:witnesses].tolist())
+    return out
 
 
-def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int):
+def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int,
+                    checkpoints: tuple[int, ...] | None = None, witnesses: int | None = 0):
     """(checkpoints, counts) of one scan evaluating every expression at once."""
-    checkpoints = _checkpoints(n)
+    checkpoints = checkpoints or _checkpoints(n)
     for expr in exprs[1:]:
         if expr.base.name != exprs[0].base.name:
             raise ExprSyntaxError(
                 f"mixed base fields: {exprs[0].base.name!r} and {expr.base.name!r}"
             )
     rule = ExclusionRule.of(atom.ext for expr in exprs for atom in expr.atoms())
-    payload = (tuple(exprs), checkpoints, rule)
+    payload = (tuple(exprs), checkpoints, rule, witnesses)
     return checkpoints, scan(_density_kernel, payload, n, workers)
 
 
@@ -560,9 +571,14 @@ def frobenius_histogram(
 # structural checkers
 
 
-def _evaluable_primes(exts: Sequence[Extension], n: int):
-    """Base-spectrum points with norm <= n evaluable for every extension."""
-    return (pL for pL in sp.points_over(exts[0].base, n, exts) if pL.order <= n)
+def _compare(a: Node, b: Node, base: NumberField, n: int, witnesses: int | None):
+    """One scan of a and b over the evaluable base points of norm <= n: the
+    point count of each truth mask (a giving bit 0, b bit 1), and the primes
+    of the first ``witnesses`` points where a and b disagree (all when None)."""
+    exprs = (SetExpr(a, base, ""), SetExpr(b, base, ""))
+    _, counts = _density_counts(exprs, n, 1, (n,), witnesses)
+    differ = sorted(p for (tag, p), v in counts.items() if tag == "at" for _ in range(v))
+    return [counts[0, 3 + m] for m in range(4)], differ[:witnesses]
 
 
 @dataclass(frozen=True)
@@ -596,24 +612,16 @@ class PsiProductReport:
 def check_psi_product(
     cfg: LatticeConfig, k1: str, k2: str, composite: str, base: str, n: int
 ) -> PsiProductReport:
-    """Compare Psi(k1) & Psi(k2) against Psi(composite), prime by prime."""
+    """Compare Psi(k1) & Psi(k2) with Psi(composite) at each evaluable base point."""
     e1 = cfg.extension((k1, base))
     e2 = cfg.extension((k2, base))
     ec = cfg.extension((composite, base))
     # the square must actually be declared
     cfg.embedding(k1, composite)
     cfg.embedding(k2, composite)
-    total = hits = 0
-    violations = []
-    for pL in _evaluable_primes((e1, e2, ec), n):
-        total += 1
-        both = sp.in_psi(e1, pL) and sp.in_psi(e2, pL)
-        comp = sp.in_psi(ec, pL)
-        if both != comp:
-            violations.append(pL.p)
-        if comp:
-            hits += 1
-    return PsiProductReport(k1, k2, composite, base, n, total, hits, tuple(violations))
+    masks, violations = _compare(And(PsiAtom(e1), PsiAtom(e2)), PsiAtom(ec), ec.base, n, None)
+    return PsiProductReport(k1, k2, composite, base, n, sum(masks), masks[2] + masks[3],
+                            tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -638,23 +646,12 @@ class PiEqPsiReport:
 
 
 def check_pi_eq_psi(cfg: LatticeConfig, spec: str, n: int) -> PiEqPsiReport:
-    """Count primes where the two membership predicates disagree."""
+    """Count base points where Pi and Psi disagree, sampling the first 32."""
     ext = cfg.extension(spec)
-    autos = cfg.autos(ext.field.name)
-    if autos:
-        fixing = cfg.automorphisms_fixing(ext.field.name, ext.base.name)
-        galois = len(fixing) == ext.rel_degree
-    else:
-        galois = False
-    total = mismatches = 0
-    sample = []
-    for pL in _evaluable_primes((ext,), n):
-        total += 1
-        if sp.in_pi(ext, pL) != sp.in_psi(ext, pL):
-            mismatches += 1
-            if len(sample) < 32:
-                sample.append(pL.p)
-    return PiEqPsiReport(ext.name, n, galois, total, mismatches, tuple(sample))
+    galois = bool(cfg.autos(ext.field.name)) and len(
+        cfg.automorphisms_fixing(ext.field.name, ext.base.name)) == ext.rel_degree
+    masks, sample = _compare(PiAtom(ext), PsiAtom(ext), ext.base, n, 32)
+    return PiEqPsiReport(ext.name, n, galois, sum(masks), masks[1] + masks[2], tuple(sample))
 
 
 @dataclass(frozen=True)
@@ -783,7 +780,7 @@ def check_pi_intersection(
     if not tops:
         raise ValueError("need at least one extension")
     exts = [cfg.extension((k, base)) for k in tops]
-    for pL in _evaluable_primes(exts, n):
-        if all(sp.in_pi(ext, pL) for ext in exts):
+    for pL in sp.points_over(exts[0].base, n, exts):
+        if pL.order <= n and all(sp.in_pi(ext, pL) for ext in exts):
             return PiIntersectionReport(tuple(tops), base, n, pL.p)
     return PiIntersectionReport(tuple(tops), base, n, None)

@@ -123,7 +123,8 @@ def split_prime(field: NumberField, p: int) -> list[SplitPrime]:
 
 def points_over(field: NumberField, n: int, exts: Iterable[Extension]) -> Iterator[SplitPrime]:
     """Points of `field` over the primes p <= n not excluded for any of exts,
-    ascending in p and in ``split_prime`` order over each p."""
+    ascending in p and in ``split_prime`` order over each p: the walk of the
+    pi-intersection, pullback, norm-fibre and section-independence checkers."""
     rule = ExclusionRule.of(exts)
     for p in stream_primes(n):
         if rule.reason(p) is None:

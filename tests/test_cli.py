@@ -1,3 +1,5 @@
+import contextlib
+import io
 import pathlib
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from arithplane.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LATTICE = str(ROOT / "configs" / "demo.cfg")
 GOLDEN_HELP = pathlib.Path(__file__).parent / "data" / "cli_help.txt"
+GOLDEN_CHECKS = pathlib.Path(__file__).parent / "data" / "cli_checks.txt"
 
 
 def run(capsys, *argv):
@@ -43,6 +46,21 @@ def test_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "prime splitting" in proc.stdout
+
+
+def test_main_reuses_the_import_time_parser(capsys, monkeypatch):
+    from arithplane import cli
+
+    def rebuilt():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    code, out, _ = run(capsys, "split", "--lattice", LATTICE, "--field", "Qi",
+                       "--prime", "5")
+    assert code == 0 and out == "(5, 2 + t) in Qi\n(5, 3 + t) in Qi\n"
+    code, out, _ = run(capsys, "check", "pi-eq-psi", "--lattice", LATTICE,
+                       "--ext", "Qi/Q", "--max", "1000")
+    assert code == 0 and "0/167 disagree" in out
 
 
 # --------------------------------------------------------------- commands
@@ -294,6 +312,62 @@ def test_check_section_independence_cli(capsys):
                        "--lattice", LATTICE, "--ext", "Qi/Q", "--max", "20",
                        "--trials", "2", "--box", "2")
     assert code == 0 and "independent" in out
+
+
+# The README's check examples (section-independence aside: 30 s at --max 100)
+# and the psi-product and pi-eq-psi squares at bounds that put 0, 1, 2 or many
+# points below them, over Q, over quadratic and cubic bases, and where the
+# square is violated or undeclared.  Relative bases stop at 10^4 to keep the
+# test short.
+README_CHECKS = [
+    "psi-product --fields Qi,Qs2,Q8 --max 10000",
+    "pi-eq-psi --ext Qi/Q --max 10000",
+    "pullback --tower Q,Qi,Qs2,Q8 --max 1000",
+    "inclusion-exclusion --first Psi(Qi/Q) --second Psi(Qs2/Q) --max 100000",
+    "pi-intersection --fields Qi,Qs2,Qc2 --max 1000",
+    "norm-fiber --ext Qi/Q --max 1000",
+]
+CHECK_BOUNDS = (1, 2, 3, 12, 50, 97, 100, 1000, 10**4)
+QBASE_CHECKS = [
+    "psi-product --fields Qi,Qs2,Q8",
+    "psi-product --fields Qi,Qi,Q8",
+    "psi-product --fields Qc2,Qw,S3c",
+    "psi-product --fields Qi,Qw,S3c",
+    "pi-eq-psi --ext Qc2/Q",
+    "pi-eq-psi --ext Qi/Q",
+    "pi-eq-psi --ext Q/Q",
+]
+RELATIVE_CHECKS = [
+    "psi-product --fields Q8,Q8,Q8 --base Qi",
+    "psi-product --fields Qi,Qi,Q8 --base Qi",
+    "pi-eq-psi --ext Q8/Qi",
+    "pi-eq-psi --ext S3c/Qw",
+    "pi-eq-psi --ext S3c/Qc2",
+    "pi-eq-psi --ext Qi/Qi",
+    "pi-eq-psi --ext Qi/Qw",
+]
+CHECK_COMMANDS = README_CHECKS + [
+    f"{args} --max {n}"
+    for args, bounds in ((QBASE_CHECKS, CHECK_BOUNDS + (10**5,)),
+                         (RELATIVE_CHECKS, CHECK_BOUNDS))
+    for args in args for n in bounds
+]
+
+
+def check_transcript() -> str:
+    """Each command of CHECK_COMMANDS, its stdout, stderr and exit code."""
+    blocks = []
+    for command in CHECK_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", *command.split(), "--lattice", LATTICE])
+        blocks.append(f"$ arithplane check {command}\n{out.getvalue()}{err.getvalue()}"
+                      f"[exit {code}]\n")
+    return "".join(blocks)
+
+
+def test_check_transcript_golden():
+    assert check_transcript() == GOLDEN_CHECKS.read_text()
 
 
 # ------------------------------------------------------------ usage errors

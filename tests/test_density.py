@@ -558,6 +558,65 @@ def test_qbase_inclusion_exclusion_matches_recount(demo, narrow_ranges):
     assert report.exact
 
 
+def _walk(a, b, exts, n):
+    """(points, points in b, primes of the points where a and b differ), asking
+    a and b point by point over the base points of norm <= n evaluable for
+    every extension: the oracle of the checkers' two-expression scans."""
+    total = hits = 0
+    differ = []
+    for pL in sp.points_over(exts[0].base, n, exts):
+        if pL.order <= n:
+            total += 1
+            hits += b(pL)
+            if a(pL) != b(pL):
+                differ.append(pL.p)
+    return total, hits, differ
+
+
+@pytest.mark.parametrize("n", [2, 12, 97, RECOUNT_N])
+@pytest.mark.parametrize("square", [("Qi", "Qs2", "Q8", "Q"), ("Qi", "Qi", "Q8", "Q"),
+                                    ("Q8", "Q8", "Q8", "Qi"), ("Qi", "Qi", "Q8", "Qi")])
+def test_psi_product_matches_walk(demo, narrow_ranges, square, n):
+    # over Qi a prime = 1 mod 4 has two points, so it is listed twice
+    e1, e2, ec = (demo.extension((k, square[3])) for k in square[:3])
+    total, hits, violations = _walk(lambda pL: sp.in_psi(e1, pL) and sp.in_psi(e2, pL),
+                                    lambda pL: sp.in_psi(ec, pL), (e1, e2, ec), n)
+    want = dn.PsiProductReport(*square, n, total, hits, tuple(violations))
+    assert dn.check_psi_product(demo, *square, n) == want
+
+
+@pytest.mark.parametrize("n", [2, 12, 97, RECOUNT_N])
+@pytest.mark.parametrize("spec", ["Qc2/Q", "Q8/Qi"])
+def test_pi_eq_psi_matches_walk(demo, narrow_ranges, spec, n):
+    e = demo.extension(spec)
+    total, _, differ = _walk(lambda pL: sp.in_pi(e, pL), lambda pL: sp.in_psi(e, pL), (e,), n)
+    report = dn.check_pi_eq_psi(demo, spec, n)
+    assert (report.total, report.mismatches, report.sample) == (total, len(differ),
+                                                                tuple(differ[:32]))
+
+
+def test_pi_eq_psi_sample_crosses_ranges(demo, monkeypatch):
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 97)
+    e = demo.extension("Qc2/Q")
+    _, _, differ = _walk(lambda pL: sp.in_pi(e, pL), lambda pL: sp.in_psi(e, pL), (e,), 1000)
+    report = dn.check_pi_eq_psi(demo, "Qc2/Q", 1000)
+    assert report.sample == tuple(differ[:32]) and report.mismatches == len(differ) > 32
+    assert report.sample[-1] > 3 * 97  # the 32 points come from more than three ranges
+
+
+def test_pi_intersection_stops_at_first_witness(demo, monkeypatch):
+    calls = []
+    split = sp.split_prime
+
+    def counting_split(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(sp, "split_prime", counting_split)
+    assert dn.check_pi_intersection(demo, ["Q8"], "Qi", 10**6).witness == 3
+    assert len(calls) < 10
+
+
 TOWER_N = 4999  # prime, and in the prime set of TOWER_EXPR
 TOWER_EXPR = "Pi(K/Q) & !Psi(L/Q) | Psi(K/Q) | {97, 101, 4999} & !Pi(L/Q)"
 
