@@ -435,7 +435,9 @@ class _LaneRing:
 
     A residue is an (n, L) array whose row i holds the coefficient of x^i in
     every lane.  Every product of two residues mod p is reduced before the
-    next is added, so int64 lanes never exceed p^2 + p.
+    next is added, so int64 lanes never exceed p^2 + p.  A ring of one prime
+    lane multiplies and powers residues of any lane count L, its p broadcast
+    over them: that is how ``plane`` runs one element per lane.
     """
 
     def __init__(self, f: list[int], P: np.ndarray):
@@ -458,13 +460,27 @@ class _LaneRing:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n, P = self.n, self.P
-        out = np.zeros((2 * n - 1, len(P)), dtype=P.dtype)
+        out = np.zeros((2 * n - 1, a.shape[1]), dtype=P.dtype)
         for i in range(n):
             out[i:i + n] += a[i] * b % P  # each row sums at most n terms < p
         out %= P
         for k in range(2 * n - 2, n - 1, -1):  # fold x^k = x^(k-n) * x^n
             out[k - n:k] = (out[k - n:k] + out[k] * self.red) % P
         return out[:n]
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e mod f in every lane, for one exponent e >= 0 shared by all
+        lanes, left to right over the bits of e."""
+        if e == 0:
+            cur = np.zeros_like(a)
+            cur[0] = 1
+            return cur
+        cur = a
+        for bit in bin(e)[3:]:
+            cur = self.mul(cur, cur)
+            if bit == "1":
+                cur = self.mul(cur, a)
+        return cur
 
     def xpow(self) -> np.ndarray:
         """x^p mod f in every lane.  A lane whose p is shorter than the

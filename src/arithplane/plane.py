@@ -1,23 +1,31 @@
 """Fibres over the spectrum: the module action, projections, Galois motion.
 
 Above each point pK of K sits a fibre — realized concretely as the residue
-field F_pK — on which integer-polynomial expressions γ(α) act by
-multiplication through the naming map.  A :class:`Section` picks one
+field F_pK = F_p[t]/(g) — on which integer-polynomial expressions γ(α) act
+by multiplication through the naming map.  A :class:`Section` picks one
 nonzero base point per fibre; the projection to a subfield's fibre sends
 η·a_pK to Norm(η)·a_pL, and everything downstream checks that choices of
 section wash out exactly where the theory says they must.
 
-The norm is x -> x^((|pK|-1)/(|pL|-1)) (Lidl-Niederreiter, Thm 2.28); a
-fixed F_p-linear left inverse of the powers of the embedded generator
-rewrites its value in F_pL coordinates.  Both are set up once per (point,
-point, embedding) triple, and ``finitefield.fq_norm`` is their oracle.  The
+Fibre elements are carried by their indices (base-p digits, constant digit
+least significant) and computed on element lanes: an array of indices
+becomes an (m, L) digit array, one element per lane, multiplied and powered
+on the reduction-row product and ladder of ``modpoly._LaneRing`` with the
+same p in every lane.  A single element is a length-1 lane.
+
+The norm is x -> x^((|pK|-1)/(|pL|-1)) (Lidl-Niederreiter, Thm 2.28): one
+lane power and one matrix per fibre.  The matrix is a fixed F_p-linear left
+inverse (d x m) of the powers of the embedded generator, which rewrites
+every power in F_pL coordinates; rebuilding the powers from those
+coordinates checks every lane.  Both are set up once per (point, point,
+embedding) triple, and ``finitefield.fq_norm`` is their oracle.  The
 projector refuses any pair for which ``spectrum.lies_over`` fails.
 
 ``galois_image`` moves points of the spectrum by a declared automorphism.
 The direct mode takes σ(q) as the one factor of f_K mod p on which g_q(σ)
 vanishes, by one gcd over F_p; the bruteforce mode re-derives the image
-from an existential search over fibre pairs whose projections agree — slow,
-base-Q, and restricted to fully split primes, but an independent oracle.
+from an existential search over fibre pairs whose projections agree —
+base-Q, restricted to fully split primes, and an independent oracle.
 """
 
 from __future__ import annotations
@@ -34,8 +42,7 @@ from .errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from .finitefield import FqElement
-from .intpoly import IntPoly, reduce_mod_p
+from .intpoly import IntPoly, RatPoly, reduce_mod_p
 from .lattice import Automorphism, Extension, LatticeConfig
 from .sieve import stream_primes
 from .spectrum import (
@@ -43,34 +50,100 @@ from .spectrum import (
     in_psi,
     lies_over,
     points_over,
-    residue_field,
-    residue_name,
     split_prime,
 )
 
 BRUTEFORCE_PRIME_BOUND = 1000
 
+SECTION_LANES = 1 << 14
+"""Lanes per step of the section-independence check: whole trials of every
+gamma in the box, so its memory does not grow with the number of trials."""
+
+
+class _Fibre:
+    """F_pK on element lanes.
+
+    Index arrays are int64 while |pK| < 2^63 and dtype=object above; digit
+    lanes are int64 while p^2 + p < 2^63, as in ``modpoly``.
+    """
+
+    def __init__(self, pk: SplitPrime):
+        self.p, self.m, self.order = pk.p, pk.residue_degree, pk.order
+        self.dtype = np.int64 if self.p <= mp.LANE_INT64_MAX else object
+        self.index_dtype = np.int64 if self.order < 1 << 63 else object
+        # one prime lane, broadcast over the element lanes
+        self.ring = mp._LaneRing(list(pk.local_factor), np.array([self.p], dtype=self.dtype))
+
+    def lane(self, idx) -> np.ndarray:
+        """Element indices as a 1-d index array; an int is a length-1 lane."""
+        return np.asarray(idx, dtype=self.index_dtype).reshape(-1)
+
+    def digits(self, idx) -> np.ndarray:
+        """The (m, L) base-p digits of the indices, constant digit first."""
+        idx = self.lane(idx)
+        out = np.empty((self.m, idx.size), dtype=self.dtype)
+        for i in range(self.m):
+            out[i] = idx % self.p
+            idx = idx // self.p
+        return out
+
+    def index(self, digits: np.ndarray) -> np.ndarray:
+        """The indices of (m, L) digit lanes."""
+        acc = np.zeros(digits.shape[1], dtype=self.index_dtype)
+        for row in digits[::-1]:
+            acc = acc * self.p + row.astype(self.index_dtype)
+        return acc
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Digit lanes a·b; a length-1 lane multiplies every lane."""
+        if a.shape[1] < b.shape[1]:
+            a, b = b, a  # the ring broadcasts its second operand
+        return self.ring.mul(a, b)
+
+    def times(self, a, b) -> np.ndarray:
+        """The products of two index arrays, lane by lane."""
+        return self.index(self.mul(self.digits(a), self.digits(b)))
+
+    def inverse(self, w: np.ndarray) -> np.ndarray:
+        """w^(r-1) / w^r in every digit lane, r = (|pK|-1)/(p-1): the inverse
+        of a nonzero w.  w^r is its norm to F_p, inverted in each lane by
+        Python integers, so the ladder runs over r - 1, not |pK| - 2."""
+        head = self.ring.pow(w, (self.order - 1) // (self.p - 1) - 1)
+        norm = self.ring.mul(head, w)[0]  # in F_p: the other digits are 0
+        inv = np.array([pow(int(v), -1, self.p) for v in norm], dtype=self.dtype)
+        return head * inv % self.p
+
+
+@functools.lru_cache(maxsize=1024)
+def _fibre(pk: SplitPrime) -> _Fibre:
+    return _Fibre(pk)
+
+
+def _name(pk: SplitPrime, gamma: IntPoly | RatPoly | int) -> int:
+    """Index of the class of γ(α) mod (p, local factor): the naming map."""
+    if isinstance(gamma, int):
+        gamma = IntPoly.of(gamma)
+    p = pk.p
+    rep = mp.rem_p(reduce_mod_p(gamma, p), list(pk.local_factor), p)
+    return sum(c * p**i for i, c in enumerate(rep))
+
 
 @dataclass(frozen=True)
 class FiberPoint:
-    """A point of the fibre over `prime`, carried by a residue-field value."""
+    """A point of the fibre over `prime`, carried by its element index."""
 
     prime: SplitPrime
-    value: FqElement
+    value: int
 
     @property
     def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def __str__(self) -> str:
-        return f"{self.value} over {self.prime}"
+        return self.value == 0
 
 
 class Section:
     """A choice of nonzero base point in each fibre; unit unless overridden.
 
-    Point values are stored by element index so a section can be declared
-    before any residue field is built.
+    Point values are element indices.
     """
 
     def __init__(self, choices: dict[SplitPrime, int] | None = None):
@@ -79,28 +152,25 @@ class Section:
             if idx % pk.order == 0:
                 raise ValueError(f"section must pick a nonzero point at {pk}")
 
-    def at(self, pk: SplitPrime) -> FqElement:
-        fld = residue_field(pk)
-        idx = self._choices.get(pk, 1)
-        return fld.from_index(idx % fld.order)
+    def at(self, pk: SplitPrime) -> int:
+        return self._choices.get(pk, 1) % pk.order
 
     @classmethod
     def random(cls, primes, rng) -> "Section":
         return cls({pk: rng.randrange(1, pk.order) for pk in primes})
 
 
-def fiber_point(pk: SplitPrime, value: FqElement | int) -> FiberPoint:
-    fld = residue_field(pk)
-    if isinstance(value, int):
-        value = fld.from_index(value % fld.order)
-    elif value.field != fld:
-        raise ValueError("value lives in a different residue field")
+def fiber_point(pk: SplitPrime, value: int) -> FiberPoint:
+    """The point of the fibre at pk with element index `value` in [0, |pk|)."""
+    if not 0 <= value < pk.order:
+        raise ValueError(f"element index {value} is outside [0, {pk.order}) at {pk}")
     return FiberPoint(pk, value)
 
 
 def act(gamma: IntPoly | int, x: FiberPoint) -> FiberPoint:
     """γ·x: multiply the fibre value by the name of γ at x's prime."""
-    return FiberPoint(x.prime, x.value * residue_name(x.prime, gamma))
+    (value,) = _fibre(x.prime).times(x.value, _name(x.prime, gamma))
+    return FiberPoint(x.prime, int(value))
 
 
 # ---------------------------------------------------------------------------
@@ -108,43 +178,65 @@ def act(gamma: IntPoly | int, x: FiberPoint) -> FiberPoint:
 # ---------------------------------------------------------------------------
 
 
+def _matmul_mod(a: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """a @ x mod p for an (r, k) matrix a of residues and a (k, L) lane array;
+    each product is reduced before it is added, so int64 lanes stay below
+    p^2 + p."""
+    out = np.zeros((a.shape[0], x.shape[1]), dtype=x.dtype)
+    for j in range(a.shape[1]):
+        out = (out + a[:, j:j + 1] * x[j] % p) % p
+    return out
+
+
 class _Projector:
     """Norm-and-rewrite machinery from the fibre at pK onto the one at pL.
 
     Refuses with ``NotLyingOverError`` unless ``spectrum.lies_over`` holds.
     Fixes the norm exponent and a left inverse of the basis 1, u, ...,
-    u^(d-1) of F_pL, u the embedded generator and d = deg pL.
+    u^(d-1) of F_pL, u the embedded generator and d = deg pL.  Every method
+    takes and returns arrays of element indices.
     """
 
     def __init__(self, pK: SplitPrime, pL: SplitPrime, emb):
         if not lies_over(pK, pL, emb):
             raise NotLyingOverError(f"{pK} does not lie over {pL}")
-        self.fld_k = residue_field(pK)
-        self.fld_l = residue_field(pL)
+        self.fibre_k, self.fibre_l = _fibre(pK), _fibre(pL)
         p, d, m = pK.p, pL.residue_degree, pK.residue_degree
         u, g = reduce_mod_p(emb.h, p), list(pK.local_factor)
         self._e = (pK.order - 1) // (pL.order - 1)
         powers = (mp.powmod(u, j, g, p) for j in range(d))
-        self._powers = [w + [0] * (m - len(w)) for w in powers]
+        powers = [w + [0] * (m - len(w)) for w in powers]
         # row i of the left inverse solves (u^j . row) = [i == j] for all j
-        self._inverse = [mp.linsolve(self._powers, [int(i == j) for j in range(d)], p)
-                         for i in range(d)]
+        inverse = [mp.linsolve(powers, [int(i == j) for j in range(d)], p) for i in range(d)]
+        self._powers_t = np.array(powers, dtype=self.fibre_k.dtype).T
+        self._inverse = np.array(inverse, dtype=self.fibre_k.dtype)
 
-    def to_base(self, w: FqElement) -> FqElement:
-        """Rewrite a subfield element of F_pK as an element of F_pL."""
-        p, rep = self.fld_k.p, w.rep
-        coords = [sum(r * x for r, x in zip(row, rep)) % p for row in self._inverse]
+    def _rewrite(self, w: np.ndarray) -> np.ndarray:
+        """F_pL coordinates of the (m, L) digit lanes w of subfield elements."""
+        p = self.fibre_k.p
+        coords = _matmul_mod(self._inverse, w, p)
         # the rows invert the basis on the subfield only: rebuilding w proves w lies in it
-        back = tuple(sum(c * col[i] for c, col in zip(coords, self._powers)) % p
-                     for i in range(len(rep)))
-        assert back == rep, "subfield rewrite failed to reconstruct"
-        return self.fld_l.element(coords)
+        assert (_matmul_mod(self._powers_t, coords, p) == w).all(), \
+            "subfield rewrite failed to reconstruct"
+        return coords
 
-    def norm(self, x: FqElement) -> FqElement:
-        """Multiplicative norm F_pK -> F_pL (zero to zero)."""
-        if x.is_zero:
-            return self.fld_l.zero
-        return self.to_base(x ** self._e)
+    def to_base(self, idx) -> np.ndarray:
+        """Rewrite subfield elements of F_pK as elements of F_pL."""
+        return self.fibre_l.index(self._rewrite(self.fibre_k.digits(idx)))
+
+    def _norm(self, w: np.ndarray) -> np.ndarray:
+        return self._rewrite(self.fibre_k.ring.pow(w, self._e))
+
+    def norm(self, idx) -> np.ndarray:
+        """Multiplicative norm F_pK -> F_pL in every lane (zero to zero)."""
+        return self.fibre_l.index(self._norm(self.fibre_k.digits(idx)))
+
+    def project(self, x, sec_k, sec_l) -> np.ndarray:
+        """η·s_k -> Norm(η)·s_l in every lane, for base points s_k upstairs
+        and s_l below; zero goes to zero whatever the base points."""
+        fk, fl = self.fibre_k, self.fibre_l
+        eta = fk.mul(fk.digits(x), fk.inverse(fk.digits(sec_k)))
+        return fl.index(fl.mul(self._norm(eta), fl.digits(sec_l)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -178,12 +270,9 @@ def project(
     if pK.ramified_flag or ext.is_excluded(pK.p):
         raise RamifiedPrimeError(f"prime {pK.p} is excluded for {ext.name}")
     pL = project_point(ext, pK)
-    proj = _projector(pK, pL, ext.emb)
-    if x.is_zero:
-        return FiberPoint(pL, proj.fld_l.zero)
     sec_k, sec_l = sections if sections is not None else (Section(), Section())
-    eta = x.value / sec_k.at(pK)
-    return FiberPoint(pL, proj.norm(eta) * sec_l.at(pL))
+    (value,) = _projector(pK, pL, ext.emb).project(x.value, sec_k.at(pK), sec_l.at(pL))
+    return FiberPoint(pL, int(value))
 
 
 def induced_action(
@@ -199,8 +288,8 @@ def induced_action(
     the point of b.
     """
     proj = _projector(pK, b.prime, emb)
-    scale = proj.norm(residue_name(pK, gamma))
-    return FiberPoint(b.prime, b.value * scale)
+    (value,) = proj.fibre_l.times(b.value, proj.norm(_name(pK, gamma)))
+    return FiberPoint(b.prime, int(value))
 
 
 def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
@@ -209,8 +298,8 @@ def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
     The fibre law makes it [1, k, ..., k] with k = (|pK|-1)/(|pL|-1).
     Raises ``NotLyingOverError`` unless pK lies over pL.  Quadratic-over-
     prime fibres go through a vectorized evaluation of the closed form
-    N(a+bt) = a² - c₁ab + c₀b²; everything else enumerates (bounded at
-    |pK| <= 10^5).
+    N(a+bt) = a² - c₁ab + c₀b²; everything else takes the norm of every
+    element in one lane array (bounded at |pK| <= 10^5).
     """
     proj = _projector(pK, pL, emb)
     p = pK.p
@@ -222,19 +311,13 @@ def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
         counts = np.bincount(norms.ravel(), minlength=p).tolist()
         # numpy evaluates the closed form; spot-check it against the
         # generic route on a few elements
-        fld = proj.fld_k
-        for idx in (1, p // 2 + 1, p + 3, fld.order - 1):
-            x = fld.from_index(idx)
-            a_i, b_i = x.rep
-            assert proj.norm(x).index == (a_i * a_i - c1 * a_i * b_i + c0 * b_i * b_i) % p
+        spots = [1, p // 2 + 1, p + 3, pK.order - 1]
+        a_s, b_s = proj.fibre_k.digits(spots)
+        assert (proj.norm(spots) == (a_s * a_s - c1 * a_s * b_s + c0 * b_s * b_s) % p).all()
         return counts
     if pK.order > 100_000:
         raise ValueError(f"fibre of size {pK.order} too large to enumerate")
-    counts = [0] * pL.order
-    fld = proj.fld_k
-    for i in range(fld.order):
-        counts[proj.norm(fld.from_index(i)).index] += 1
-    return counts
+    return np.bincount(proj.norm(np.arange(pK.order)), minlength=pL.order).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +373,28 @@ def _galois_bruteforce(cfg: LatticeConfig, sigma: Automorphism, q: SplitPrime) -
             f"prime {p} is not fully split for {ext.name}; the fibre-pair "
             "formula only determines the image over fully split primes"
         )
-    alpha = IntPoly.of(0, 1)
-    profile_q = _fibre_profile(ext, q, residue_name(q, alpha))
-    winners = []
-    for cand in split_prime(ext.field, p):
-        alpha_sigma = residue_name(cand, sigma.h)
-        if profile_q & _fibre_profile(ext, cand, alpha_sigma):
-            winners.append(cand)
+    profile_q = _fibre_profile(ext, q, _name(q, IntPoly.of(0, 1)))
+    winners = [cand for cand in split_prime(ext.field, p)
+               if _meets(profile_q, _fibre_profile(ext, cand, _name(cand, sigma.h)))]
     assert len(winners) == 1, f"existential formula satisfied by {len(winners)} points"
     return winners[0]
 
 
-def _fibre_profile(ext: Extension, pk: SplitPrime, multiplier: FqElement) -> set:
-    """All (π(x), π(m·x)) index pairs over nonzero x in the fibre at pk."""
+def _fibre_profile(ext: Extension, pk: SplitPrime, multiplier: int) -> np.ndarray:
+    """All (π(x), π(m·x)) pairs over nonzero x in the fibre at pk, sorted,
+    each encoded as π(x)·|pL| + π(m·x) (|pL| = p <= 1000 here)."""
     pl = project_point(ext, pk)
     proj = _projector(pk, pl, ext.emb)
-    fld = proj.fld_k
-    out = set()
-    for i in range(1, fld.order):
-        x = fld.from_index(i)
-        out.add((proj.norm(x).index, proj.norm(x * multiplier).index))
-    return out
+    fk = proj.fibre_k
+    x = fk.digits(np.arange(1, pk.order))
+    pairs = proj.fibre_l.index(proj._norm(x)) * pl.order
+    return np.sort(pairs + proj.fibre_l.index(proj._norm(fk.mul(x, fk.digits(multiplier)))))
+
+
+def _meets(a: np.ndarray, b: np.ndarray) -> bool:
+    """Does the sorted array a share a value with b?"""
+    at = np.minimum(np.searchsorted(a, b), a.size - 1)
+    return bool((a[at] == b).any())
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +496,11 @@ def check_section_independence(
     """Recompute the induced action through random sections and compare.
 
     Each trial draws fresh sections upstairs and downstairs, pushes a random
-    fibre point through ``project`` before and after acting by every gamma in
-    the coefficient box, and compares against the section-free
-    ``induced_action``.  Any disagreement is counted as a failure.
+    fibre point through the projection before and after acting by every
+    gamma in the coefficient box, and compares against the section-free
+    induced action.  Any disagreement is counted as a failure.  The trials
+    of a point run as lanes, one (trial, gamma) pair per lane, and draw from
+    the seeded generator in the order of one trial at a time.
     """
     rng = random.Random(seed)
     deg = ext.field.degree
@@ -423,18 +509,26 @@ def check_section_independence(
         IntPoly.of(a) for a in box
     ]
     comparisons = failures = 0
+    block = max(1, SECTION_LANES // len(gammas))
     for pk in points_over(ext.field, prime_bound, (ext,)):
         below = project_point(ext, pk)
-        for _ in range(trials):
-            secs = (Section.random([pk], rng), Section.random([below], rng))
-            x = fiber_point(pk, rng.randrange(pk.order))
-            base_pt = project(x, ext, secs)
-            for gamma in gammas:
-                via_sections = project(act(gamma, x), ext, secs)
-                canonical = induced_action(gamma, base_pt, pk, ext.emb)
-                comparisons += 1
-                if via_sections != canonical:
-                    failures += 1
+        proj = _projector(pk, below, ext.emb)
+        fk, fl = proj.fibre_k, proj.fibre_l
+        names = fk.lane([_name(pk, gamma) for gamma in gammas])
+        scales = proj.norm(names)
+        for start in range(0, trials, block):
+            # each trial draws its two sections, then its point
+            draws = [(Section.random([pk], rng).at(pk), Section.random([below], rng).at(below),
+                      rng.randrange(pk.order)) for _ in range(min(block, trials - start))]
+            sec_k, sec_l, x = (np.array(col) for col in zip(*draws))
+            base_pts = proj.project(x, sec_k, sec_l)
+            # lane t * k + j holds trial t and gamma j
+            k, t = len(gammas), len(draws)
+            acted = fk.times(np.repeat(x, k), np.tile(names, t))
+            via_sections = proj.project(acted, np.repeat(sec_k, k), np.repeat(sec_l, k))
+            canonical = fl.times(np.repeat(base_pts, k), np.tile(scales, t))
+            comparisons += canonical.size
+            failures += int(np.count_nonzero(via_sections != canonical))
     return SectionIndependenceReport(
         ext.name, prime_bound, gamma_bound, trials, comparisons, failures
     )

@@ -5,7 +5,8 @@ the irreducible factors of f_K mod p, found by ``modpoly.factor`` on plain
 coefficient lists over F_p.  ``residue_field`` returns the point's residue
 field F_p[t]/(g) as a cached ``FqField``, and ``residue_name`` is the
 naming map that sends a polynomial expression in α to its class mod
-(p, g); the fibres of ``plane`` carry values of that field.
+(p, g).  Both are the element-by-element reference: ``plane`` carries fibre
+values as element indices on lanes, and the tests hold it against them.
 ``points_over`` walks the points of a field over the primes up to a bound
 that a set of extensions can evaluate, for the sequential checkers.
 

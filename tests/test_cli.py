@@ -180,6 +180,7 @@ def test_galois_direct_splits_once_and_builds_no_element(capsys, monkeypatch):
     # p once, to list the points, and builds no residue-field element
     from arithplane import plane, spectrum
     from arithplane.finitefield import FqElement
+    from arithplane.lattice import load_lattice
 
     calls = {"split": 0, "elements": 0}
     split, init = spectrum.split_prime, FqElement.__init__
@@ -199,10 +200,40 @@ def test_galois_direct_splits_once_and_builds_no_element(capsys, monkeypatch):
                        "--auto", "1", "--prime", "31", "--mode", "direct")
     assert code == 0 and len(out.splitlines()) == 6
     assert calls == {"split": 1, "elements": 0}
-    # the counters do see both: the bruteforce mode splits and builds elements
+    # the counters do see both: the bruteforce mode splits more than once,
+    # and a residue name is one element
     code, _, _ = run(capsys, "galois", "--lattice", LATTICE, "--field", "Qi",
                      "--auto", "1", "--prime", "13", "--mode", "bruteforce")
-    assert code == 0 and calls["split"] > 2 and calls["elements"] > 0
+    assert code == 0 and calls["split"] > 2
+    qi = load_lattice(pathlib.Path(LATTICE).read_text()).field("Qi")
+    spectrum.residue_name(spectrum.split_prime(qi, 13)[0], 1)
+    assert calls["elements"] == 1
+
+
+def test_fibre_commands_build_no_element(capsys, monkeypatch):
+    # the bruteforce Galois search, the norm census and the section check
+    # run on element lanes: no residue-field element is built
+    from arithplane.finitefield import FqElement
+
+    init, built = FqElement.__init__, []
+
+    def counting_init(obj, *args):
+        built.append(1)
+        init(obj, *args)
+
+    monkeypatch.setattr(FqElement, "__init__", counting_init)
+    commands = [
+        "galois --field S3c --auto 1 --prime 457 --mode bruteforce",
+        "galois --field Q8 --auto 3 --prime 953 --mode bruteforce",
+        "check norm-fiber --ext Q8/Qi --max 200",
+        "check norm-fiber --ext S3c/Qc2 --max 60",
+        "check section-independence --ext Qi/Q --max 50 --trials 5",
+        "check section-independence --ext S3c/Qw --max 30 --trials 2",
+    ]
+    for command in commands:
+        code, _, _ = run(capsys, *command.split(), "--lattice", LATTICE)
+        assert code == 0, command
+    assert not built
 
 
 def test_galois_bruteforce_refusal(capsys):
@@ -314,7 +345,7 @@ def test_check_section_independence_cli(capsys):
     assert code == 0 and "independent" in out
 
 
-# The README's check examples (section-independence aside: 30 s at --max 100)
+# The README's check examples (section-independence runs at smaller sizes below)
 # and the psi-product and pi-eq-psi squares at bounds that put 0, 1, 2 or many
 # points below them, over Q, over quadratic and cubic bases, and where the
 # square is violated or undeclared.  Relative bases stop at 10^4 to keep the
@@ -354,20 +385,68 @@ CHECK_COMMANDS = README_CHECKS + [
 ]
 
 
-def check_transcript() -> str:
-    """Each command of CHECK_COMMANDS, its stdout, stderr and exit code."""
+# The fibre maps through the CLI: the bruteforce Galois search for every
+# automorphism of Qi and Q8 at each fully split p <= 1000 and of S3c at each
+# fully split p <= 500, its refusals (a p that is not fully split, p above
+# the bound, a ramified p), the norm-fibre census of every demo extension,
+# and section independence over absolute, relative and cubic bases at two
+# seeds.
+DEMO_EXTENSIONS = ("Qi/Q", "Qs2/Q", "Q8/Q", "Qc2/Q", "Qw/Q", "S3c/Q",
+                   "Q8/Qi", "Q8/Qs2", "S3c/Qc2", "S3c/Qw")
+CUBIC_EXTENSIONS = ("Qc2/Q", "S3c/Q", "S3c/Qc2", "S3c/Qw")
+GALOIS_REFUSALS = [
+    "galois --field Qi --auto 1 --prime 7 --mode bruteforce",
+    "galois --field Qi --auto 1 --prime 1009 --mode bruteforce",
+    "galois --field Qi --auto 1 --prime 2 --mode bruteforce",
+    "galois --field Q8 --auto 2 --prime 3 --mode bruteforce",
+    "galois --field S3c --auto 1 --prime 3 --mode bruteforce",
+]
+SECTION_CHECKS = [
+    "section-independence --ext Qi/Q --max 100 --trials 10",
+    "section-independence --ext Q8/Qi --max 60 --trials 5",
+    "section-independence --ext S3c/Qc2 --max 40 --trials 3",
+]
+
+
+def fully_split_primes(name: str, bound: int) -> list[int]:
+    from arithplane import spectrum as sp
+    from arithplane.lattice import load_lattice
+    from arithplane.sieve import stream_primes
+
+    cfg = load_lattice(pathlib.Path(LATTICE).read_text())
+    ext = cfg.extension((name, "Q"))
+    return [p for p in stream_primes(bound) if not ext.is_excluded(p)
+            and sp.in_psi(ext, sp.split_prime(cfg.field("Q"), p)[0])]
+
+
+def fibre_commands() -> list[str]:
+    autos = {"Qi": 2, "Q8": 4, "S3c": 6}
+    galois = [f"galois --field {name} --auto {i} --prime {p} --mode bruteforce"
+              for name, bound in (("Qi", 1000), ("Q8", 1000), ("S3c", 500))
+              for p in fully_split_primes(name, bound) for i in range(autos[name])]
+    # fibres of 61^3 elements stop the cubic censuses at --max 200, so they
+    # run to 60 as well
+    norm = [f"check norm-fiber --ext {ext} --max {n}"
+            for n, exts in ((200, DEMO_EXTENSIONS), (60, CUBIC_EXTENSIONS)) for ext in exts]
+    sections = [f"check {c} --seed {s}" for c in SECTION_CHECKS for s in (0, 7)]
+    return galois + GALOIS_REFUSALS + norm + sections
+
+
+def transcript(commands: list[str]) -> str:
+    """Each command, its stdout, stderr and exit code."""
     blocks = []
-    for command in CHECK_COMMANDS:
+    for command in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["check", *command.split(), "--lattice", LATTICE])
-        blocks.append(f"$ arithplane check {command}\n{out.getvalue()}{err.getvalue()}"
+            code = main([*command.split(), "--lattice", LATTICE])
+        blocks.append(f"$ arithplane {command}\n{out.getvalue()}{err.getvalue()}"
                       f"[exit {code}]\n")
     return "".join(blocks)
 
 
 def test_check_transcript_golden():
-    assert check_transcript() == GOLDEN_CHECKS.read_text()
+    commands = [f"check {c}" for c in CHECK_COMMANDS] + fibre_commands()
+    assert transcript(commands) == GOLDEN_CHECKS.read_text()
 
 
 # ------------------------------------------------------------ usage errors

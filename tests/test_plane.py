@@ -47,7 +47,7 @@ def test_act_examples(demo):
     qi = demo.field("Qi")
     pk = [x for x in sp.split_prime(qi, 5) if x.local_factor == (3, 1)][0]
     base = pl.fiber_point(pk, 1)
-    assert pl.act(ALPHA, base).value.index == 2
+    assert pl.act(ALPHA, base).value == 2
     assert pl.act(5, base).is_zero
     assert pl.act(1, base) == base
 
@@ -78,11 +78,13 @@ def test_act_zero_iff_in_kernel(demo):
 
 
 def test_fiber_point_validation(demo):
+    # a fibre point is an element index of its own residue field
     qi = demo.field("Qi")
-    p5a, p5b = sp.split_prime(qi, 5)
-    val = sp.residue_name(p5a, 2)
-    with pytest.raises(ValueError):
-        pl.fiber_point(p5b, val)  # value from a sibling residue field
+    p5a, _ = sp.split_prime(qi, 5)
+    assert pl.fiber_point(p5a, 4).value == 4
+    for idx in (-1, 5):
+        with pytest.raises(ValueError):
+            pl.fiber_point(p5a, idx)
 
 
 def test_section_validation(demo):
@@ -91,7 +93,7 @@ def test_section_validation(demo):
     with pytest.raises(ValueError):
         pl.Section({p3: 0})
     sec = pl.Section({p3: 5})
-    assert sec.at(p3).index == 5
+    assert sec.at(p3) == 5
 
 
 # -------------------------------------------------------------- projection
@@ -102,9 +104,9 @@ def test_project_examples(demo):
     ext = demo.extension("Qi/Q")
     (p3,) = sp.split_prime(qi, 3)
     out = pl.project(pl.fiber_point(p3, 1), ext)
-    assert out.prime == q_point(demo, 3) and out.value.index == 1
+    assert out.prime == q_point(demo, 3) and out.value == 1
     t_plus_1 = pl.fiber_point(p3, 4)  # rep (1, 1)
-    assert pl.project(t_plus_1, ext).value.index == 2
+    assert pl.project(t_plus_1, ext).value == 2
     assert pl.project(pl.fiber_point(p3, 0), ext).is_zero
     with pytest.raises(RamifiedPrimeError):
         pl.project(pl.fiber_point(sp.split_prime(qi, 2)[0], 1), ext)
@@ -129,7 +131,7 @@ def test_project_respects_default_section_base_point(demo):
                 continue
             for pk in sp.split_prime(ext.field, p):
                 out = pl.project(pl.fiber_point(pk, 1), ext)
-                assert out.value.index == 1
+                assert out.value == 1
 
 
 def test_morphism_equivariance(demo):
@@ -175,7 +177,7 @@ def test_induced_action_examples(demo):
     (p3,) = sp.split_prime(qi, 3)
     b = pl.fiber_point(q_point(demo, 3), 1)
     assert pl.induced_action(ALPHA, b, p3, ext.emb) == b
-    assert pl.induced_action(IntPoly.of(1, 1), b, p3, ext.emb).value.index == 2
+    assert pl.induced_action(IntPoly.of(1, 1), b, p3, ext.emb).value == 2
     assert pl.induced_action(3, b, p3, ext.emb).is_zero
     with pytest.raises(NotLyingOverError):
         pl.induced_action(3, pl.fiber_point(q_point(demo, 5), 1), p3, ext.emb)
@@ -490,9 +492,9 @@ def test_projector_norm_matches_element_oracle(demo):
                     indices = range(pK.order)
                 else:
                     indices = [rng.randrange(pK.order) for _ in range(50)]
-                for idx in indices:
-                    x = proj.fld_k.from_index(idx)
-                    assert proj.norm(x) == oracle(x), (ext.name, pK, idx)
+                fld = sp.residue_field(pK)
+                want = [oracle(fld.from_index(idx)).index for idx in indices]
+                assert proj.norm(list(indices)).tolist() == want, (ext.name, pK)
                 shapes.add((pK.residue_degree, pL.residue_degree, pK.order <= 5000))
     assert shapes == {(m, d, small) for m, d in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 3))
                       for small in (True, False)}
@@ -504,9 +506,44 @@ def test_projector_refuses_non_subfield_input(demo):
     ext = demo.extension("Qi/Q")
     (p3,) = sp.split_prime(demo.field("Qi"), 3)
     proj = pl._projector(p3, q_point(demo, 3), ext.emb)
-    assert proj.to_base(proj.fld_k.element(2)).index == 2
+    assert proj.to_base([2, 0, 1]).tolist() == [2, 0, 1]
+    # t has index 3; one lane outside the subfield fails the whole array
     with pytest.raises(AssertionError):
-        proj.to_base(proj.fld_k.element([0, 1]))
+        proj.to_base([3])
+    with pytest.raises(AssertionError):
+        proj.to_base([2, 0, 1, 3])
+
+
+def _element_profiles(ext, pk, multipliers):
+    """The bruteforce Galois profiles walked one FqElement at a time: for
+    each multiplier m, every (π(x), π(m·x)) index pair over nonzero x, with
+    the oracle norm."""
+    oracle = _oracle_norm(pk, pl.project_point(ext, pk), ext.emb)
+    fld = sp.residue_field(pk)
+    norms = [oracle(x).index for x in fld.elements()]
+    xs = [fld.from_index(i) for i in range(1, fld.order)]
+    return [{(norms[x.index], norms[(x * m).index]) for x in xs} for m in multipliers]
+
+
+def test_fibre_profile_matches_element_walk(demo):
+    # the lane profile against the element walk for every point of Q8 and S3c
+    # over each fully split p <= 500, with the multipliers the bruteforce
+    # search uses: the name of alpha and of every sigma(alpha)
+    checked = 0
+    for name in ("Q8", "S3c"):
+        ext = demo.extension((name, "Q"))
+        maps = (ALPHA, *(sigma.h for sigma in demo.autos(name)))
+        for p in stream_primes(500):
+            if ext.is_excluded(p) or not sp.in_psi(ext, q_point(demo, p)):
+                continue
+            for pk in sp.split_prime(ext.field, p):
+                walks = _element_profiles(ext, pk, [sp.residue_name(pk, h) for h in maps])
+                for h, walk in zip(maps, walks):
+                    lanes = pl._fibre_profile(ext, pk, pl._name(pk, h)).tolist()
+                    assert lanes == sorted(lanes)
+                    assert {divmod(v, p) for v in lanes} == walk, (pk, h)
+                    checked += 1
+    assert checked == 1030
 
 
 def _tower_document(f_l, g):
@@ -548,8 +585,8 @@ def test_random_towers_match_oracles():
                 continue  # a norm F_p -> F_p is the identity
             pL = pl.project_point(ext, pK)
             proj, oracle = pl._projector(pK, pL, ext.emb), _oracle_norm(pK, pL, ext.emb)
-            for x in proj.fld_k.elements():
-                assert proj.norm(x) == oracle(x), (ext, pK, x)
+            want = [oracle(x).index for x in sp.residue_field(pK).elements()]
+            assert proj.norm(range(pK.order)).tolist() == want, (ext, pK)
             shapes.add((pK.residue_degree, pL.residue_degree))
 
     random_tower()
