@@ -27,9 +27,10 @@ is split and each point takes ``spectrum.compatible_root_count``.  Prime
 sets are tested by membership.  The expression tree combines those arrays,
 and ``searchsorted`` plus ``bincount`` tally them by checkpoint.  The
 Frobenius histogram counts the lane factor-degree patterns the same way.
-The psi-product and pi-eq-psi checkers scan two expressions each, and the
-kernel also lists the primes of the points where the two disagree; the
-pi-intersection and pullback checkers walk ``spectrum.points_over``.
+The psi-product and pi-eq-psi checkers scan two expressions each; for
+psi-product the kernel also lists the primes of the points where the two
+disagree.  The pi-intersection and pullback checkers walk
+``spectrum.points_over``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ import numpy as np
 from . import plane
 from . import spectrum as sp
 from .errors import ExprSyntaxError, UnknownFieldError
-from .finitefield import MAX_CHARACTERISTIC, is_prime
 from .intpoly import Composer
 from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
 from .modpoly import lane_factor_degrees, lane_root_count
-from .sieve import prime_range, ranges
+from .sieve import MAX_CHARACTERISTIC, is_prime, prime_range, ranges
 
 CHECKPOINT_START = 100
 SCAN_BATCH = 4  # ranges queued in the pool at a time, per worker
@@ -365,8 +365,8 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     per range: over Q the points are the primes of the range and the
     counts come from the prime-lane root count; over a larger base each
     prime is split and each point takes ``spectrum.compatible_root_count``.
-    Keys ``("at", p)`` count the first ``witnesses`` points of the range
-    (all of them when None) where the expressions disagree, by prime.
+    With ``witnesses`` set, keys ``("at", p)`` count the points of the
+    range where the expressions disagree, by prime.
     """
     exprs, checkpoints, rule, witnesses = payload
     base = exprs[0].base
@@ -409,14 +409,14 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     table = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
     table[:, 0] = table[:, 3:].sum(axis=1)
     out = Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(table) if v})
-    if witnesses != 0:
+    if witnesses:
         disagree = (masks != 0) & (masks != (1 << len(exprs)) - 1)
-        out.update(("at", p) for p in ps[ok][disagree][:witnesses].tolist())
+        out.update(("at", p) for p in ps[ok][disagree].tolist())
     return out
 
 
 def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int,
-                    checkpoints: tuple[int, ...] | None = None, witnesses: int | None = 0):
+                    checkpoints: tuple[int, ...] | None = None, witnesses: bool = False):
     """(checkpoints, counts) of one scan evaluating every expression at once."""
     checkpoints = checkpoints or _checkpoints(n)
     for expr in exprs[1:]:
@@ -571,14 +571,14 @@ def frobenius_histogram(
 # structural checkers
 
 
-def _compare(a: Node, b: Node, base: NumberField, n: int, witnesses: int | None):
+def _compare(a: Node, b: Node, base: NumberField, n: int, witnesses: bool = False):
     """One scan of a and b over the evaluable base points of norm <= n: the
-    point count of each truth mask (a giving bit 0, b bit 1), and the primes
-    of the first ``witnesses`` points where a and b disagree (all when None)."""
+    point count of each truth mask (a giving bit 0, b bit 1), and, with
+    ``witnesses`` set, the primes of the points where a and b disagree."""
     exprs = (SetExpr(a, base, ""), SetExpr(b, base, ""))
     _, counts = _density_counts(exprs, n, 1, (n,), witnesses)
     differ = sorted(p for (tag, p), v in counts.items() if tag == "at" for _ in range(v))
-    return [counts[0, 3 + m] for m in range(4)], differ[:witnesses]
+    return [counts[0, 3 + m] for m in range(4)], differ
 
 
 @dataclass(frozen=True)
@@ -619,7 +619,8 @@ def check_psi_product(
     # the square must actually be declared
     cfg.embedding(k1, composite)
     cfg.embedding(k2, composite)
-    masks, violations = _compare(And(PsiAtom(e1), PsiAtom(e2)), PsiAtom(ec), ec.base, n, None)
+    masks, violations = _compare(And(PsiAtom(e1), PsiAtom(e2)), PsiAtom(ec), ec.base, n,
+                                   witnesses=True)
     return PsiProductReport(k1, k2, composite, base, n, sum(masks), masks[2] + masks[3],
                             tuple(violations))
 
@@ -631,7 +632,6 @@ class PiEqPsiReport:
     galois: bool
     total: int
     mismatches: int
-    sample: tuple[int, ...]
 
     @property
     def density(self) -> float:
@@ -646,12 +646,12 @@ class PiEqPsiReport:
 
 
 def check_pi_eq_psi(cfg: LatticeConfig, spec: str, n: int) -> PiEqPsiReport:
-    """Count base points where Pi and Psi disagree, sampling the first 32."""
+    """Count base points where Pi and Psi disagree."""
     ext = cfg.extension(spec)
     galois = bool(cfg.autos(ext.field.name)) and len(
         cfg.automorphisms_fixing(ext.field.name, ext.base.name)) == ext.rel_degree
-    masks, sample = _compare(PiAtom(ext), PsiAtom(ext), ext.base, n, 32)
-    return PiEqPsiReport(ext.name, n, galois, sum(masks), masks[1] + masks[2], tuple(sample))
+    masks, _ = _compare(PiAtom(ext), PsiAtom(ext), ext.base, n)
+    return PiEqPsiReport(ext.name, n, galois, sum(masks), masks[1] + masks[2])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,16 @@
-"""Explicit finite fields F_p[t]/(g) with deterministic factorization.
+"""Explicit finite fields F_p[t]/(g): the element-by-element reference oracles.
+
+No program path imports this module.  The program computes every
+finite-field question on the prime-field kernels of ``modpoly``, and the
+tests hold each of those fast paths against an independent route kept here:
+
+- ``FqField``, ``FqElement``: the element lanes of ``plane``;
+- ``residue_field``, ``residue_name`` (γ(α) -> its class mod (p, g)):
+  ``plane._name`` and ``spectrum.lies_over``;
+- ``fq_norm``: ``plane._Projector.norm``;
+- ``fq_minpoly``: ``spectrum.relative_degree``;
+- ``fq_roots``: ``spectrum.compatible_root_count``;
+- ``fq_factor``: ``modpoly.factor``.
 
 A field is a prime p plus a monic irreducible modulus g over F_p; elements
 are coefficient tuples of length deg g (constant first).  The prime field
@@ -11,12 +23,6 @@ order.  Randomized equal-degree splitting draws from a private generator
 seeded by a stable fold of (p, modulus, input coefficients), so factor
 lists are reproducible across runs and processes.
 
-``fq_factor``, ``fq_roots``, ``fq_norm`` and ``fq_minpoly`` are reference
-oracles: the program splits primes, counts fibrewise roots, takes fibre
-norms and relative degrees with the prime-field kernels of ``modpoly``
-(``factor``, ``ddf``, one composition or power per question), and the tests
-compare those against the independent element-by-element route kept here.
-
 Field arithmetic runs on the residue-ring kernels of ``modpoly``: a product
 is its reduction-row product ``_mul_red`` and a power its one ladder
 ``powmod``; the prime field F_p keeps plain integer arithmetic.
@@ -26,100 +32,17 @@ compares them with the input on every call.
 
 from __future__ import annotations
 
-import math
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import modpoly as mp
 from .errors import InvalidPrimeError, InvalidSubfieldError, ReducibleModulusError
-from .intpoly import _format_poly
+from .intpoly import IntPoly, RatPoly, _format_poly, reduce_mod_p
+from .sieve import MAX_CHARACTERISTIC, is_prime
 
-MAX_CHARACTERISTIC = 2**64
 MAX_EXTENSION_DEGREE = 16
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the smallest strong pseudoprime to all of _MR_BASES (Sorenson-Webster 2017)
-_MR_EXACT_BELOW = 318665857834031151167461
-
-
-def is_prime(n: int) -> bool:
-    """Miller-Rabin to ``_MR_BASES``, exact below 3.18e23 (covers 64 bits);
-    above that a strong Lucas test follows, which makes it the Baillie-PSW
-    test, passed by no known composite."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < _MR_EXACT_BELOW or _strong_lucas(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _strong_lucas(n: int) -> bool:
-    """Strong Lucas probable-prime test of an odd n > 37 (Baillie-Wagstaff 1980).
-
-    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with Jacobi
-    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, n
-    passes when U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.
-    """
-    if math.isqrt(n) ** 2 == n:
-        return False  # no such D exists for a square
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False  # gcd(|D|, n) is a proper factor, as |D| < n
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-
-    # (U_k, V_k, Q^k) from k = 1 along the bits of d: U_2k = U_k V_k,
-    # V_2k = V_k^2 - 2 Q^k, U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2
-    half = (n + 1) // 2
-    u, v, qk = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":
-            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-        if v == 0:
-            return True
-    return False
 
 
 def _mix_seed(*values: int) -> int:
@@ -290,6 +213,28 @@ class FqElement:
 
     def __repr__(self) -> str:
         return f"{self} in {self.field!r}"
+
+
+@functools.lru_cache(maxsize=512)
+def _residue_fq(p: int, modulus: tuple[int, ...]) -> FqField:
+    return FqField(p, modulus)
+
+
+def residue_field(pK) -> FqField:
+    """The residue field F_p[t]/(local factor) at the ``spectrum.SplitPrime``
+    pK, cached per point."""
+    return _residue_fq(pK.p, pK.local_factor)
+
+
+def residue_name(pK, gamma: IntPoly | RatPoly | int) -> FqElement:
+    """Class of γ(α) mod (p, local_factor) at the point pK.
+
+    Rational coefficients are allowed as long as their denominators are
+    invertible mod p (embedding images need this).
+    """
+    if isinstance(gamma, int):
+        gamma = IntPoly.of(gamma)
+    return residue_field(pK).element(reduce_mod_p(gamma, pK.p))
 
 
 def fq_norm(x: FqElement, sub_deg: int) -> FqElement:

@@ -2,11 +2,13 @@
 
 Polynomials are immutable coefficient tuples, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple and has degree -1.
-:class:`IntPoly` holds Python ints, :class:`RatPoly` holds
-:class:`fractions.Fraction` values in lowest terms.
+:class:`IntPoly` holds Python ints and has no arithmetic beyond the
+derivative: the field polynomials of the lattice are reduced mod p,
+composed on :class:`Composer` and fed to the resultant.
+:class:`RatPoly` holds :class:`fractions.Fraction` values in lowest terms.
 
-:class:`IntPoly` arithmetic and the resultant are exact, but every product
-and accumulated sum is checked against a 128-bit magnitude bound: the
+The derivative and the resultant are exact, but every product and
+accumulated sum is checked against a 128-bit magnitude bound: the
 structures downstream are specified for desk-scale inputs, and a silent
 blow-up inside a resultant is worse than a loud error.  Exceeding the bound
 raises :class:`~arithplane.errors.ArithmeticOverflowError`.
@@ -85,47 +87,8 @@ class IntPoly:
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = _checked(out[i] + c)
-        return IntPoly(_trim(out))
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = _checked(out[i + j] + _checked(ca * cb))
-        return IntPoly(_trim(out))
-
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly(_trim([_checked(c * k) for c in self.coeffs]))
-
     def derivative(self) -> "IntPoly":
         return IntPoly(_trim([_checked(i * c) for i, c in enumerate(self.coeffs)][1:]))
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = _checked(_checked(acc * x) + c)
-        return acc
-
-    def to_rat(self) -> "RatPoly":
-        return RatPoly(tuple(Fraction(c) for c in self.coeffs))
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
@@ -389,8 +352,8 @@ class Composer:
         self._rows: dict[tuple, tuple[int, list[list[int]]]] = {}  # by inner.over_z
 
     def compose_mod(self, outer: RatPoly, inner: RatPoly) -> RatPoly:
-        """outer(inner(x)) mod the modulus, equal to
-        ``outer.compose_mod(inner, modulus.to_rat())``."""
+        """outer(inner(x)) mod the modulus, equal to ``outer.compose_mod(inner,
+        RatPoly.from_coeffs(modulus.coeffs))``."""
         num, den = outer.over_z
         acc, scale = self._combine(num, inner)
         total = den * scale

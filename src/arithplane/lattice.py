@@ -59,9 +59,8 @@ from .errors import (
     LatticeSyntaxError,
     UnknownFieldError,
 )
-from .finitefield import is_prime
 from .intpoly import Composer, IntPoly, RatPoly, discriminant, reduce_mod_p, validate_embedding
-from .sieve import stream_primes
+from .sieve import is_prime, stream_primes
 
 CERTIFICATE_PRIME_BOUND = 200
 

@@ -56,8 +56,9 @@ from .spectrum import (
 BRUTEFORCE_PRIME_BOUND = 1000
 
 SECTION_LANES = 1 << 14
-"""Lanes per step of the section-independence check: whole trials of every
-gamma in the box, so its memory does not grow with the number of trials."""
+"""Lanes per step of the section-independence check (whole trials of every
+gamma in the box) and cells per block of the quadratic norm census (whole
+rows of its p x p table, or one row): memory grows with neither trials nor p²."""
 
 
 class _Fibre:
@@ -298,17 +299,20 @@ def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
     The fibre law makes it [1, k, ..., k] with k = (|pK|-1)/(|pL|-1).
     Raises ``NotLyingOverError`` unless pK lies over pL.  Quadratic-over-
     prime fibres go through a vectorized evaluation of the closed form
-    N(a+bt) = a² - c₁ab + c₀b²; everything else takes the norm of every
+    N(a+bt) = a² - c₁ab + c₀b², over blocks of rows a of at most
+    ``SECTION_LANES`` cells; everything else takes the norm of every
     element in one lane array (bounded at |pK| <= 10^5).
     """
     proj = _projector(pK, pL, emb)
     p = pK.p
     if pK.residue_degree == 2 and pL.residue_degree == 1:
         c0, c1, _ = pK.local_factor
-        a = np.arange(p, dtype=np.int64).reshape(-1, 1)
-        b = np.arange(p, dtype=np.int64).reshape(1, -1)
-        norms = (a * a - c1 * a * b + c0 * b * b) % p
-        counts = np.bincount(norms.ravel(), minlength=p).tolist()
+        b, rows = np.arange(p, dtype=np.int64), max(1, SECTION_LANES // p)
+        total = np.zeros(p, dtype=np.int64)
+        for lo in range(0, p, rows):
+            a = np.arange(lo, min(lo + rows, p), dtype=np.int64).reshape(-1, 1)
+            total += np.bincount(((a * a - c1 * a * b + c0 * b * b) % p).ravel(), minlength=p)
+        counts = total.tolist()
         # numpy evaluates the closed form; spot-check it against the
         # generic route on a few elements
         spots = [1, p // 2 + 1, p + 3, pK.order - 1]

@@ -13,6 +13,11 @@ its parent but a range's bounds.  A range comes back as one int64 array,
 the form the prime-lane kernels of :mod:`~arithplane.modpoly` take;
 :func:`stream_primes` yields Python ints one at a time for the per-prime
 walks.
+
+:func:`is_prime` is the one primality test, for a single n of any size: the
+Baillie-PSW test, exact below 3.18e23 and passed by no known composite.  It
+guards every prime the user names (bounded by ``MAX_CHARACTERISTIC``) and
+the factorizations of ``lattice``.
 """
 
 from __future__ import annotations
@@ -76,3 +81,90 @@ class PrimeStream:
 def stream_primes(n: int) -> PrimeStream:
     """Primes up to n, ascending."""
     return PrimeStream(n)
+
+
+# primes the commands take one at a time lie in [2, MAX_CHARACTERISTIC)
+MAX_CHARACTERISTIC = 2**64
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the smallest strong pseudoprime to all of _MR_BASES (Sorenson-Webster 2017)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to ``_MR_BASES``, exact below 3.18e23 (covers 64 bits);
+    above that a strong Lucas test follows, which makes it the Baillie-PSW
+    test, passed by no known composite."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 37 (Baillie-Wagstaff 1980).
+
+    Selfridge's method A: D is the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d 2^s, n
+    passes when U_d = 0 or V_(d 2^r) = 0 mod n for some 0 <= r < s.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(|D|, n) is a proper factor, as |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    # (U_k, V_k, Q^k) from k = 1 along the bits of d: U_2k = U_k V_k,
+    # V_2k = V_k^2 - 2 Q^k, U_k+1 = (U_k + V_k)/2, V_k+1 = (D U_k + V_k)/2
+    half = (n + 1) // 2
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False

@@ -1,12 +1,10 @@
-"""Points over a rational prime: splitting, residue fields, Pi/Psi predicates.
+"""Points over a rational prime: splitting, Pi/Psi predicates.
 
 For a field K = Z[α] in the lattice, the points over a rational prime p are
 the irreducible factors of f_K mod p, found by ``modpoly.factor`` on plain
-coefficient lists over F_p.  ``residue_field`` returns the point's residue
-field F_p[t]/(g) as a cached ``FqField``, and ``residue_name`` is the
-naming map that sends a polynomial expression in α to its class mod
-(p, g).  Both are the element-by-element reference: ``plane`` carries fibre
-values as element indices on lanes, and the tests hold it against them.
+coefficient lists over F_p.  No residue field is built here: ``plane``
+carries fibre values as element indices on lanes, and the residue fields
+and naming maps of ``finitefield`` are the tests' reference for both.
 ``points_over`` walks the points of a field over the primes up to a bound
 that a set of extensions can evaluate, for the sequential checkers.
 
@@ -14,8 +12,8 @@ Two families of predicates live here.  Pointwise ones relate a point of K
 to a point of L along a declared embedding, each by one computation over
 F_p: ``lies_over`` (g_L(h) = 0 mod (p, g_K)) and ``relative_degree`` (a
 ratio of residue degrees); their oracles evaluate g_L at
-``residue_name(pK, h)`` and take ``finitefield.fq_minpoly`` of that name.
-``plane`` builds its projections on ``lies_over`` too.
+``finitefield.residue_name(pK, h)`` and take ``finitefield.fq_minpoly`` of
+that name.  ``plane`` builds its projections on ``lies_over`` too.
 Fibrewise ones quantify over all points of K above a fixed point of L:
 ``in_pi`` (some point has relative degree 1) and ``in_psi`` (all do).  The
 fibrewise predicates count the roots of f_K in the residue field of the
@@ -23,10 +21,7 @@ base point that restrict to it, by distinct-degree factorization and one
 gcd over F_p (``compatible_root_count``): no residue field or field
 element is built.
 ``in_pi_absolute``/``in_psi_absolute`` re-derive them from the full
-splitting and the residue-field naming maps as an independent cross-check.
-``pi_psi_flags`` and ``degree_pattern`` answer the Q-base scan questions
-one prime at a time; the scans run the prime-lane kernels of ``modpoly``
-instead, and the tests hold those against these two.
+splitting and ``relative_degree`` as an independent cross-check.
 
 Ramified primes (dividing a discriminant or an embedding denominator) are
 represented honestly as points with ``ramified_flag`` set, but every
@@ -36,16 +31,14 @@ does not determine the answer.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
-from .finitefield import MAX_CHARACTERISTIC, FqElement, FqField, is_prime
-from .intpoly import IntPoly, RatPoly, reduce_mod_p
+from .intpoly import reduce_mod_p
 from .lattice import ExclusionRule, Extension, NumberField
-from .sieve import stream_primes
+from .sieve import MAX_CHARACTERISTIC, is_prime, stream_primes
 
 
 @dataclass(frozen=True)
@@ -80,27 +73,6 @@ class SplitPrime:
         poly = " + ".join(terms) if terms else "0"
         tag = ", ramified" if self.ramified_flag else ""
         return f"({self.p}, {poly}) in {self.field}{tag}"
-
-
-@functools.lru_cache(maxsize=512)
-def _residue_fq(p: int, modulus: tuple[int, ...]) -> FqField:
-    return FqField(p, modulus)
-
-
-def residue_field(pK: SplitPrime) -> FqField:
-    """The residue field F_p[t]/(local factor) at pK, cached per point."""
-    return _residue_fq(pK.p, pK.local_factor)
-
-
-def residue_name(pK: SplitPrime, gamma: IntPoly | RatPoly | int) -> FqElement:
-    """Class of γ(α) mod (p, local_factor).
-
-    Rational coefficients are allowed as long as their denominators are
-    invertible mod p (embedding images need this).
-    """
-    if isinstance(gamma, int):
-        gamma = IntPoly.of(gamma)
-    return residue_field(pK).element(reduce_mod_p(gamma, pK.p))
 
 
 def split_prime(field: NumberField, p: int) -> list[SplitPrime]:
@@ -237,28 +209,3 @@ def fingerprint(pL: SplitPrime, family: Iterable[Extension]) -> tuple[bool, ...]
             ) from None
     return tuple(bits)
 
-
-# ---------------------------------------------------------------------------
-# scalar oracles of the prime-lane scan kernels
-# ---------------------------------------------------------------------------
-
-
-def pi_psi_flags(fbar: list[int], p: int) -> tuple[bool, bool]:
-    """(in_pi, in_psi) of K/Q at unramified p from the root count alone.
-
-    The one-prime form of what a Q-base density scan reads off
-    ``modpoly.lane_root_count``; the scan tests recount with it.
-    """
-    r = mp.root_count(fbar, p)
-    return r >= 1, r == mp.deg(fbar)
-
-
-def degree_pattern(field: NumberField, p: int) -> tuple[int, ...]:
-    """Multiset of residue degrees over an unramified p, ascending.
-
-    The one-prime form of what ``frobenius_histogram`` reads off
-    ``modpoly.lane_factor_degrees``; the scan tests recount with it.
-    """
-    if field.disc % p == 0:
-        raise RamifiedPrimeError(f"prime {p} ramifies in {field.name}")
-    return mp.degree_pattern(reduce_mod_p(field.poly, p), p)

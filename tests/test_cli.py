@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -179,7 +180,7 @@ def test_galois_direct_splits_once_and_builds_no_element(capsys, monkeypatch):
     # the direct transport is one gcd over F_p per point: the command splits
     # p once, to list the points, and builds no residue-field element
     from arithplane import plane, spectrum
-    from arithplane.finitefield import FqElement
+    from arithplane.finitefield import FqElement, residue_name
     from arithplane.lattice import load_lattice
 
     calls = {"split": 0, "elements": 0}
@@ -206,7 +207,7 @@ def test_galois_direct_splits_once_and_builds_no_element(capsys, monkeypatch):
                      "--auto", "1", "--prime", "13", "--mode", "bruteforce")
     assert code == 0 and calls["split"] > 2
     qi = load_lattice(pathlib.Path(LATTICE).read_text()).field("Qi")
-    spectrum.residue_name(spectrum.split_prime(qi, 13)[0], 1)
+    residue_name(spectrum.split_prime(qi, 13)[0], 1)
     assert calls["elements"] == 1
 
 
@@ -234,6 +235,52 @@ def test_fibre_commands_build_no_element(capsys, monkeypatch):
         code, _, _ = run(capsys, *command.split(), "--lattice", LATTICE)
         assert code == 0, command
     assert not built
+
+
+# one command of every kind; none of them may load the finite-field oracles
+EVERY_COMMAND_KIND = [
+    "validate",
+    "split --field Qi --prime 5",
+    "pi --ext Qc2/Q --prime 31",
+    "psi --ext Q8/Qi --prime 17",
+    "fingerprint --prime 17 --family Qi/Q,Qs2/Q,Qc2/Q",
+    "density --expr Psi(Qi/Q)&!Pi(Qc2/Q) --max 1000",
+    "density --expr Psi(Q8/Qi) --max 1000",
+    "frobenius --field S3c --max 1000",
+    "galois --field Q8 --auto 1 --prime 17",
+    "galois --field S3c --auto 1 --prime 457 --mode bruteforce",
+    "annihilator --field Qi --gamma 2,1 --max 100",
+    "check psi-product --fields Qi,Qs2,Q8 --max 1000",
+    "check pi-eq-psi --ext Qc2/Q --max 1000",
+    "check pullback --tower Q,Qi,Qs2,Q8 --max 100",
+    "check inclusion-exclusion --first Psi(Qi/Q) --second Psi(Qs2/Q) --max 1000",
+    "check pi-intersection --fields Qi,Qs2,Qc2 --max 1000",
+    "check norm-fiber --ext Q8/Qi --max 200",
+    "check section-independence --ext Qi/Q --max 20 --trials 2",
+]
+
+
+def test_program_never_loads_the_finite_field_oracles():
+    # a fresh interpreter runs every command kind, then reports whether
+    # arithplane.finitefield was imported along the way
+    script = (
+        "import contextlib, io, sys\n"
+        "from arithplane.cli import main\n"
+        f"for command in {EVERY_COMMAND_KIND!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = main(command.split() + ['--lattice', {LATTICE!r}])\n"
+        "    assert code == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.startswith('arithplane')))\n"
+        "print('arithplane.finitefield' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    modules, loaded = proc.stdout.splitlines()
+    assert "arithplane.plane" in modules and "arithplane.density" in modules
+    assert loaded == "False", modules
 
 
 def test_galois_bruteforce_refusal(capsys):

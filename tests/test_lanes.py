@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
-from arithplane.finitefield import is_prime
+from arithplane.sieve import is_prime
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402

@@ -1,5 +1,6 @@
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,8 @@ from arithplane.errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from arithplane.finitefield import fq_norm
-from arithplane.intpoly import IntPoly, resultant, reduce_mod_p
+from arithplane.finitefield import fq_norm, residue_field, residue_name
+from arithplane.intpoly import IntPoly, RatPoly, resultant, reduce_mod_p
 from arithplane.lattice import load_lattice, prime_factors
 from arithplane.sieve import stream_primes
 
@@ -58,10 +59,11 @@ def test_act_is_multiplicative(demo):
     for p in (5, 7, 13):
         for pk in sp.split_prime(qi, p):
             for _ in range(20):
-                g1 = IntPoly.of(rng.randrange(-9, 10), rng.randrange(-9, 10))
-                g2 = IntPoly.of(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                g1 = RatPoly.of(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                g2 = RatPoly.of(rng.randrange(-9, 10), rng.randrange(-9, 10))
                 x = pl.fiber_point(pk, rng.randrange(pk.order))
-                assert pl.act(g1, pl.act(g2, x)) == pl.act(g1 * g2, x)
+                a, b, ab = (IntPoly.from_coeffs(g.coeffs) for g in (g1, g2, g1 * g2))
+                assert pl.act(a, pl.act(b, x)) == pl.act(ab, x)
 
 
 def test_act_zero_iff_in_kernel(demo):
@@ -74,7 +76,7 @@ def test_act_zero_iff_in_kernel(demo):
                 for b in range(-5, 6):
                     gamma = IntPoly.of(a, b)
                     killed = pl.act(gamma, x).is_zero
-                    assert killed == (sp.residue_name(pk, gamma).index == 0)
+                    assert killed == (residue_name(pk, gamma).index == 0)
 
 
 def test_fiber_point_validation(demo):
@@ -320,6 +322,22 @@ def test_census_vectorized_path(demo):
         assert census[0] == 1 and set(census[1:]) == {p + 1}
 
 
+def test_census_memory_is_bounded(demo):
+    # the closed form runs over blocks of rows, not on the p x p table
+    # (69 MiB of int64 at p = 2999); 2999 is inert in Qi, and its blocks
+    # of five rows leave a shorter last one
+    ext = demo.extension("Qi/Q")
+    (pk,) = sp.split_prime(demo.field("Qi"), 2999)
+    tracemalloc.start()
+    try:
+        census = pl.norm_fibre_census(pk, q_point(demo, 2999), ext.emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert census[0] == 1 and set(census[1:]) == {3000} and len(census) == 2999
+    assert peak < 4 * 2**20
+
+
 # ------------------------------------------------------------- galois move
 
 
@@ -374,7 +392,7 @@ def test_galois_composition_order(demo):
     # (sigma . tau)(q) = sigma(tau(q)); in S3 the order of composition is
     # visible, so this pins the convention
     s3 = demo.field("S3c")
-    fmod = s3.poly.to_rat()
+    fmod = RatPoly.from_coeffs(s3.poly.coeffs)
     autos = demo.autos("S3c")
     pts = sp.split_prime(s3, 31)
     assert len(pts) == 6
@@ -392,7 +410,7 @@ def test_galois_composition_order(demo):
 
 def test_galois_three_cycle(demo):
     # an order-3 automorphism must move split points in 3-cycles
-    fmod = demo.field("S3c").poly.to_rat()
+    fmod = RatPoly.from_coeffs(demo.field("S3c").poly.coeffs)
     three = None
     for a in demo.autos("S3c"):
         sq = a.h.compose_mod(a.h, fmod)
@@ -448,7 +466,7 @@ def test_galois_bruteforce_guards(demo):
 
 def _vanishes_at_name(g, pK, h):
     """Horner of g at the FqElement name of h in the residue field at pK."""
-    u = sp.residue_name(pK, h)
+    u = residue_name(pK, h)
     acc = u.field.zero
     for c in reversed(g):
         acc = acc * u + u.field.element(c)
@@ -458,8 +476,8 @@ def _vanishes_at_name(g, pK, h):
 def _oracle_norm(pK, pL, emb):
     """fq_norm, then a linear solve per element against the powers of the
     embedded generator: the route the projector replaced."""
-    fld_l = sp.residue_field(pL)
-    u = sp.residue_name(pK, emb.h)
+    fld_l = residue_field(pL)
+    u = residue_name(pK, emb.h)
     matrix = [list(row) for row in zip(*((u**j).rep for j in range(pL.residue_degree)))]
 
     def norm(x):
@@ -492,7 +510,7 @@ def test_projector_norm_matches_element_oracle(demo):
                     indices = range(pK.order)
                 else:
                     indices = [rng.randrange(pK.order) for _ in range(50)]
-                fld = sp.residue_field(pK)
+                fld = residue_field(pK)
                 want = [oracle(fld.from_index(idx)).index for idx in indices]
                 assert proj.norm(list(indices)).tolist() == want, (ext.name, pK)
                 shapes.add((pK.residue_degree, pL.residue_degree, pK.order <= 5000))
@@ -519,7 +537,7 @@ def _element_profiles(ext, pk, multipliers):
     each multiplier m, every (π(x), π(m·x)) index pair over nonzero x, with
     the oracle norm."""
     oracle = _oracle_norm(pk, pl.project_point(ext, pk), ext.emb)
-    fld = sp.residue_field(pk)
+    fld = residue_field(pk)
     norms = [oracle(x).index for x in fld.elements()]
     xs = [fld.from_index(i) for i in range(1, fld.order)]
     return [{(norms[x.index], norms[(x * m).index]) for x in xs} for m in multipliers]
@@ -537,7 +555,7 @@ def test_fibre_profile_matches_element_walk(demo):
             if ext.is_excluded(p) or not sp.in_psi(ext, q_point(demo, p)):
                 continue
             for pk in sp.split_prime(ext.field, p):
-                walks = _element_profiles(ext, pk, [sp.residue_name(pk, h) for h in maps])
+                walks = _element_profiles(ext, pk, [residue_name(pk, h) for h in maps])
                 for h, walk in zip(maps, walks):
                     lanes = pl._fibre_profile(ext, pk, pl._name(pk, h)).tolist()
                     assert lanes == sorted(lanes)
@@ -548,9 +566,7 @@ def test_fibre_profile_matches_element_walk(demo):
 
 def _tower_document(f_l, g):
     """L = Q[x]/(f_L) inside K = Q[x]/(f_L(g(x))) along alpha -> g(alpha)."""
-    f_k = IntPoly.of(0)
-    for c in reversed(f_l):
-        f_k = f_k * IntPoly.from_coeffs(g) + IntPoly.of(c)
+    f_k = IntPoly.from_coeffs(RatPoly.from_coeffs(f_l).compose(RatPoly.from_coeffs(g)).coeffs)
     poly_l, poly_k, map_g = (" ".join(map(str, c)) for c in (f_l, f_k.coeffs, g))
     return f"field L\n  poly {poly_l}\nfield K\n  poly {poly_k}\nembed L -> K\n  map {map_g}\n"
 
@@ -585,7 +601,7 @@ def test_random_towers_match_oracles():
                 continue  # a norm F_p -> F_p is the identity
             pL = pl.project_point(ext, pK)
             proj, oracle = pl._projector(pK, pL, ext.emb), _oracle_norm(pK, pL, ext.emb)
-            want = [oracle(x).index for x in sp.residue_field(pK).elements()]
+            want = [oracle(x).index for x in residue_field(pK).elements()]
             assert proj.norm(range(pK.order)).tolist() == want, (ext, pK)
             shapes.add((pK.residue_degree, pL.residue_degree))
 

@@ -1,11 +1,13 @@
-"""Sieve correctness against trial division, plus the memory ceiling."""
+"""Sieve and primality test correctness against trial division, plus the
+memory ceiling."""
 
+import math
 import random
 
 import pytest
 
 from arithplane import sieve
-from arithplane.sieve import prime_range, ranges, stream_primes
+from arithplane.sieve import _strong_lucas, is_prime, prime_range, ranges, stream_primes
 
 
 def trial_division_primes(n):
@@ -104,3 +106,34 @@ def test_bad_arguments():
         stream_primes(1)
     with pytest.raises(ValueError):
         ranges(1)
+
+
+# ------------------------------------------------------------- primality
+
+
+def _trial_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_small():
+    assert [n for n in range(2000) if is_prime(n)] == [n for n in range(2000) if _trial_prime(n)]
+
+
+def test_strong_lucas_against_trial_division():
+    # every prime passes; the composites that pass are exactly the strong
+    # Lucas pseudoprimes of Selfridge's method A (OEIS A217255)
+    odd = range(39, 20000, 2)
+    assert all(_strong_lucas(n) for n in odd if _trial_prime(n))
+    assert [n for n in odd if _strong_lucas(n) and not _trial_prime(n)] == [
+        5459, 5777, 10877, 16109, 18971,
+    ]
+
+
+def test_is_prime_above_miller_rabin_bound():
+    # the smallest strong pseudoprimes to the first 12 and 13 prime bases
+    # (Sorenson-Webster 2017): both pass every Miller-Rabin round
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961981)
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_prime((2**89 - 1) ** 2)  # a square has no Selfridge D
