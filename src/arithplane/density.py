@@ -5,10 +5,10 @@ Set expressions are boolean combinations of the membership predicates
 finite sets of rational primes.  ``estimate_density`` counts how often an
 expression holds over the primes of the base spectrum up to a bound, with a
 convergence trace at powers of ten.  ``chebotarev_predict`` computes the
-exact expected density by counting automorphisms of a declared Galois
-closure, when the lattice declares enough data.  The ``check_*`` functions
-are finite-truncation verifiers for the structural identities the rest of
-the package relies on; they report what they find and adjudicate nothing.
+exact expected density from the class table below, when the lattice
+declares enough data.  The ``check_*`` functions are finite-truncation
+verifiers for the structural identities the rest of the package relies on;
+they report what they find and adjudicate nothing.
 
 Every pooled scan goes through :func:`scan`: it walks the fixed-width
 ranges of :func:`~arithplane.sieve.ranges` lazily, each worker sieves its
@@ -21,12 +21,27 @@ A range is evaluated as arrays: every atom is one boolean array over the
 range's evaluable points.  Pi(K/L) and Psi(K/L) threshold one count per
 extension and point, the roots of f_K in the point's residue field that
 restrict to it (at least one, or all [K:L]), made once per range however
-many atoms name the extension: over Q a point is its prime and the count
-is the prime-lane root count of ``modpoly``; over a larger base each prime
-is split and each point takes ``spectrum.compatible_root_count``.  Prime
-sets are tested by membership.  The expression tree combines those arrays,
-and ``searchsorted`` plus ``bincount`` tally them by checkpoint.  The
-Frobenius histogram counts the lane factor-degree patterns the same way.
+many atoms name the extension.  Over Q a point is its prime and the count
+is the prime-lane root count of ``modpoly``.  Prime sets are tested by
+membership.  The expression tree combines those arrays, and
+``searchsorted`` plus ``bincount`` tally them by checkpoint.  The Frobenius
+histogram counts the lane factor-degree patterns the same way.
+
+Over a larger base L the counts come from a :class:`ClassTable`, built once
+per scan when the lattice declares a Galois field M that contains L and
+every atom field K.  The Frobenius class of an unramified p in Gal(M/Q)
+fixes the points of L over p, as orbits of a representative σ on
+Hom(L, M), and every count at them, so one row per class holds them all
+(Ax, "The elementary theory of finite fields", 1968).  A lane finds the
+class of its prime as the one representative σ with
+deg gcd(f_M, x^p - h_σ) > 0 (``modpoly.lane_frobenius_counts``).  The rest
+take the per-point path, ``spectrum.split_prime`` and then
+``spectrum.compatible_root_count`` at every point: primes the expression's
+``ExclusionRule`` skips, primes dividing disc f_M or a denominator on the
+M side, lanes where not exactly one class is found, and every prime of a
+lattice without such an M.  Both paths give the same points and counts, so
+the output does not depend on which one a prime takes.
+
 The psi-product and pi-eq-psi checkers scan two expressions each; for
 psi-product the kernel also lists the primes of the points where the two
 disagree.  The pi-intersection and pullback checkers walk
@@ -35,10 +50,11 @@ disagree.  The pi-intersection and pullback checkers walk
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Callable, Sequence, Union
@@ -48,9 +64,16 @@ import numpy as np
 from . import plane
 from . import spectrum as sp
 from .errors import ExprSyntaxError, UnknownFieldError
-from .intpoly import Composer
-from .lattice import BASE_NAME, ExclusionRule, Extension, LatticeConfig, NumberField
-from .modpoly import lane_factor_degrees, lane_root_count
+from .intpoly import Composer, RatPoly
+from .lattice import (
+    BASE_NAME,
+    ExclusionRule,
+    Extension,
+    LatticeConfig,
+    NumberField,
+    prime_factors,
+)
+from .modpoly import lane_factor_degrees, lane_frobenius_counts, lane_root_count
 from .sieve import MAX_CHARACTERISTIC, is_prime, prime_range, ranges
 
 CHECKPOINT_START = 100
@@ -102,6 +125,7 @@ class SetExpr:
     node: Node
     base: NumberField
     source: str
+    lattice: LatticeConfig = field(compare=False, repr=False)
 
     def atoms(self) -> tuple[Union[PiAtom, PsiAtom], ...]:
         out: list[Union[PiAtom, PsiAtom]] = []
@@ -117,6 +141,11 @@ def _walk_atoms(node: Node, out: list) -> None:
     elif isinstance(node, (And, Or)):
         _walk_atoms(node.left, out)
         _walk_atoms(node.right, out)
+
+
+def _atom_holds(atom: Union[PiAtom, PsiAtom], counts: np.ndarray) -> np.ndarray:
+    """Pi or Psi from the counts of compatible roots at the points."""
+    return counts >= 1 if isinstance(atom, PiAtom) else counts == atom.ext.rel_degree
 
 
 def _eval_node(node: Node, atom_fn: Callable):
@@ -267,7 +296,7 @@ def parse_set_expr(text: str, cfg: LatticeConfig) -> SetExpr:
     node = parser.expr()
     parser.take("end")
     base = cfg.field(parser.base if parser.base is not None else BASE_NAME)
-    return SetExpr(node, base, text)
+    return SetExpr(node, base, text, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -363,13 +392,12 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     spectrum.  Each extension's Pi and Psi read one array of counts of the
     roots of f_K at the evaluable points that restrict to each, made once
     per range: over Q the points are the primes of the range and the
-    counts come from the prime-lane root count; over a larger base each
-    prime is split and each point takes ``spectrum.compatible_root_count``.
-    With ``witnesses`` set, keys ``("at", p)`` count the points of the
-    range where the expressions disagree, by prime.
+    counts come from the prime-lane root count; over a larger base they
+    come from :func:`_relative_points`.  With ``witnesses`` set, keys
+    ``("at", p)`` count the points of the range where the expressions
+    disagree, by prime.
     """
-    exprs, checkpoints, rule, witnesses = payload
-    base = exprs[0].base
+    nodes, base, checkpoints, rule, witnesses, table = payload
     primes = prime_range(lo, hi)
     if base.degree == 1:
         ps = orders = primes
@@ -379,53 +407,94 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
         def root_counts(ext: Extension) -> np.ndarray:
             return lane_root_count(list(ext.field.poly.coeffs), evaluable)
     else:
-        points = [pL for p in primes.tolist() for pL in sp.split_prime(base, p)
-                  if pL.order <= checkpoints[-1]]
-        ps = np.array([pL.p for pL in points], dtype=np.int64)
-        orders = np.array([pL.order for pL in points], dtype=np.int64)
-        slots = rule.reasons(ps)
-        evaluable = [pL for pL, s in zip(points, slots.tolist()) if not s]
-
-        def root_counts(ext: Extension) -> np.ndarray:
-            return np.array([sp.compatible_root_count(ext, pL) for pL in evaluable],
-                            dtype=np.int64)
+        ps, orders, slots, root_counts = _relative_points(base, primes, checkpoints[-1],
+                                                          rule, table)
     ok = slots == 0
     counts: dict[str, np.ndarray] = {}
 
     def leaf(atom: Node) -> np.ndarray:
         if isinstance(atom, PrimeSet):
             return np.isin(ps[ok], [q for q in atom.primes if q <= hi])
-        ext = atom.ext
-        if ext.name not in counts:
-            counts[ext.name] = root_counts(ext)
-        c = counts[ext.name]
-        return c >= 1 if isinstance(atom, PiAtom) else c == ext.rel_degree
+        if atom.ext.name not in counts:
+            counts[atom.ext.name] = root_counts(atom.ext)
+        return _atom_holds(atom, counts[atom.ext.name])
 
-    masks = sum(_eval_node(expr.node, leaf).astype(np.int64) << j
-                for j, expr in enumerate(exprs))
+    masks = sum(_eval_node(node, leaf).astype(np.int64) << j for j, node in enumerate(nodes))
     slots[ok] = 3 + masks
-    width = 3 + (1 << len(exprs))
+    width = 3 + (1 << len(nodes))
     keys = np.searchsorted(checkpoints, orders) * width + slots
-    table = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
-    table[:, 0] = table[:, 3:].sum(axis=1)
-    out = Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(table) if v})
+    tally = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
+    tally[:, 0] = tally[:, 3:].sum(axis=1)
+    out = Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(tally) if v})
     if witnesses:
-        disagree = (masks != 0) & (masks != (1 << len(exprs)) - 1)
+        disagree = (masks != 0) & (masks != (1 << len(nodes)) - 1)
         out.update(("at", p) for p in ps[ok][disagree].tolist())
     return out
+
+
+def _relative_points(base: NumberField, primes: np.ndarray, n: int, rule: ExclusionRule,
+                     table: ClassTable | None):
+    """The points of norm <= n of a base other than Q over the primes of a
+    range: (their primes, their norms, their skip slots, and a function
+    giving each extension's counts at the evaluable ones).
+
+    A prime that both the rule and the class table take reads its points
+    and counts from the row of its Frobenius class; every other prime is
+    split and its points are counted one by one.
+    """
+    cls = np.full(len(primes), -1)
+    if table is not None:
+        took = np.flatnonzero((rule.reasons(primes) == 0) & (table.rule.reasons(primes) == 0))
+        cls[took] = table.classify(primes[took])
+    parts = []  # (primes, norms, counts by extension) of one point in a class row
+    for c, row in enumerate(table.rows if table is not None else ()):
+        pc = primes[cls == c]
+        for f, *point_counts in row:
+            keep = pc[pc <= _iroot(n, f)]
+            parts.append((keep, keep**f, dict(zip(table.exts, point_counts))))
+    points = [pL for p in primes[cls < 0].tolist() for pL in sp.split_prime(base, p)
+              if pL.order <= n]
+    point_ps = np.array([pL.p for pL in points], dtype=np.int64)
+    point_slots = rule.reasons(point_ps)
+    evaluable = [pL for pL, s in zip(points, point_slots.tolist()) if not s]
+    ps = np.concatenate([keep for keep, _, _ in parts] + [point_ps])
+    orders = np.concatenate([norms for _, norms, _ in parts]
+                            + [np.array([pL.order for pL in points], dtype=np.int64)])
+    slots = np.concatenate([np.zeros(len(ps) - len(points), dtype=np.int64), point_slots])
+
+    def root_counts(ext: Extension) -> np.ndarray:
+        return np.concatenate(
+            [np.full(len(keep), by_ext[ext.name], dtype=np.int64) for keep, _, by_ext in parts]
+            + [np.array([sp.compatible_root_count(ext, pL) for pL in evaluable],
+                        dtype=np.int64)])
+
+    return ps, orders, slots, root_counts
+
+
+def _iroot(n: int, f: int) -> int:
+    """The largest r with r^f <= n."""
+    r = round(n ** (1 / f))
+    while r**f > n:
+        r -= 1
+    while (r + 1) ** f <= n:
+        r += 1
+    return r
 
 
 def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int,
                     checkpoints: tuple[int, ...] | None = None, witnesses: bool = False):
     """(checkpoints, counts) of one scan evaluating every expression at once."""
     checkpoints = checkpoints or _checkpoints(n)
+    base = exprs[0].base
     for expr in exprs[1:]:
-        if expr.base.name != exprs[0].base.name:
+        if expr.base.name != base.name:
             raise ExprSyntaxError(
-                f"mixed base fields: {exprs[0].base.name!r} and {expr.base.name!r}"
+                f"mixed base fields: {base.name!r} and {expr.base.name!r}"
             )
-    rule = ExclusionRule.of(atom.ext for expr in exprs for atom in expr.atoms())
-    payload = (tuple(exprs), checkpoints, rule, witnesses)
+    exts = tuple(atom.ext for expr in exprs for atom in expr.atoms())
+    table = class_table(exprs[0].lattice, base, exts) if base.degree > 1 else None
+    payload = (tuple(expr.node for expr in exprs), base, checkpoints, ExclusionRule.of(exts),
+               witnesses, table)
     return checkpoints, scan(_density_kernel, payload, n, workers)
 
 
@@ -461,71 +530,167 @@ def estimate_density(expr: SetExpr, n: int, workers: int = 1) -> DensityEstimate
 
 
 # --------------------------------------------------------------------------
-# exact predictions from declared closure data
+# Frobenius classes of a declared Galois field
 
 
-def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
-    """Predicted density by counting automorphisms of a common Galois closure.
+@dataclass(frozen=True)
+class ClassTable:
+    """The points of a base L over an unramified prime p, and the count of
+    each extension K/L at them, as a function of the Frobenius class of p in
+    the group G of a declared Galois field M that contains L and every K.
 
-    Works when every atom's field has a declared closure and some declared
-    Galois field admits embeddings from the base and from every atom field;
-    returns None when the lattice does not declare enough.
+    ``classes`` holds the conjugacy classes of G as indices into M's
+    declared automorphisms, and ``maps`` the map h_σ of the first member σ
+    of each, as ``RatPoly.over_z``.  Row c has one entry per point of L over
+    a prime of class c: its residue degree f, then the
+    ``compatible_root_count`` of each extension of ``exts`` there.  The
+    points are the ⟨σ⟩-orbits on Hom(L, M), of length f, and the count of
+    K/L at the orbit of τ is #{ι ∈ Hom(K, M) : ι∘emb = τ, σ^f∘ι = ι}.
+    ``rule`` names the primes the table cannot take: those dividing disc f_M
+    or a denominator of an automorphism of M or an embedding into M.
     """
-    atoms = expr.atoms()
-    if not atoms:
-        truth = _eval_node(expr.node, lambda a: np.False_)
-        return Fraction(1 if truth else 0)
-    base = expr.base
-    fields = []
-    for atom in atoms:
-        k = atom.ext.field
-        if cfg.closure_of(k.name) is None:
-            return None
-        if all(k.name != f.name for f in fields):
-            fields.append(k)
 
+    modulus: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+    maps: tuple[tuple[tuple[int, ...], int], ...]
+    exts: tuple[str, ...]
+    rows: tuple[tuple[tuple[int, ...], ...], ...]
+    rule: ExclusionRule
+
+    def classify(self, primes: np.ndarray) -> np.ndarray:
+        """The class of each prime, from one x^p mod f_M per lane; -1 where
+        the representatives that are Frobenius elements at p are not
+        exactly one."""
+        hits = lane_frobenius_counts(list(self.modulus), self.maps, primes) > 0
+        return np.where(hits.sum(axis=0) == 1, hits.argmax(axis=0), -1)
+
+
+@functools.lru_cache(maxsize=8)
+def class_table(cfg: LatticeConfig, base: NumberField,
+                exts: tuple[Extension, ...]) -> ClassTable | None:
+    """The class table over the first declared Galois field M, by (degree,
+    name), into which the base and every extension's field embed; None when
+    the lattice declares no such field.  Cached, so that a command's scan
+    and its prediction share one build."""
+    exts = tuple({ext.name: ext for ext in exts}.values())
+    names = {base.name, *(ext.field.name for ext in exts)}
     for m in sorted(cfg.fields.values(), key=lambda f: (f.degree, f.name)):
         if not cfg.is_galois(m.name):
             continue
         try:
-            base_h = cfg.embedding(base.name, m.name).h
-            embs = {k.name: cfg.embedding(k.name, m.name).h for k in fields}
+            into = {name: cfg.embedding(name, m.name) for name in names}
         except UnknownFieldError:
             continue
-        group = cfg.automorphisms_fixing(m.name, base.name)
-        if len(group) * base.degree != m.degree:
-            continue
-        fmod = Composer(m.poly)
-        homs: dict[str, tuple] = {}
-        ok = True
-        for atom in atoms:
-            k = atom.ext.field
-            if k.name in homs:
-                continue
-            root0 = embs[k.name]
-            orbit = {fmod.compose_mod(root0, a.h) for a in cfg.autos(m.name)}
-            rel_h = atom.ext.emb.h
-            hom = tuple(r for r in sorted(orbit, key=lambda r: r.coeffs)
-                        if fmod.compose_mod(rel_h, r) == base_h)
-            if len(orbit) != k.degree or len(hom) != k.degree // base.degree:
-                ok = False
-                break
-            homs[k.name] = hom
-        if not ok:
-            continue
-
-        count = 0
-        for sigma in group:
-            def atom_truth(a, _s=sigma):
-                if isinstance(a, PrimeSet):
-                    return np.False_  # finite sets carry no density
-                fixed = [fmod.compose_mod(r, _s.h) == r for r in homs[a.ext.field.name]]
-                return np.bool_(any(fixed) if isinstance(a, PiAtom) else all(fixed))
-
-            if _eval_node(expr.node, atom_truth):
-                count += 1
-        return Fraction(count, len(group))
+        table = _class_table(cfg, m, base, exts, into)
+        if table is not None:
+            return table
     return None
+
+
+def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
+                 exts: tuple[Extension, ...], into: dict) -> ClassTable | None:
+    comp = Composer(m.poly)
+    hs = [a.h for a in cfg.autos(m.name)]
+    at = {h.coeffs: i for i, h in enumerate(hs)}
+    # σ_i∘σ_j sends θ to h_j(h_i(θ)); conjugates of σ_i are σ_t∘σ_i∘σ_t^-1
+    mul = [[at[comp.compose_mod(hj, hi).coeffs] for hj in hs] for hi in hs]
+    identity = at[RatPoly.of(0, 1).coeffs]
+    inv = [row.index(identity) for row in mul]
+    classes: list[tuple[int, ...]] = []
+    for i in range(len(hs)):
+        if all(i not in c for c in classes):
+            classes.append(tuple(sorted({mul[mul[t][i]][inv[t]] for t in range(len(hs))})))
+
+    def homs(fld: NumberField) -> list[RatPoly] | None:
+        """Hom(fld, M) as the images of fld's generator, the orbit of the
+        declared embedding under G; None unless there are deg fld."""
+        orbit = {r.coeffs: r for r in (comp.compose_mod(into[fld.name].h, h) for h in hs)}
+        return list(orbit.values()) if len(orbit) == fld.degree else None
+
+    def motion(images: list[RatPoly], sigma: RatPoly) -> list[int]:
+        """σ∘ι for each ι of images, as indices into images."""
+        where = {r.coeffs: j for j, r in enumerate(images)}
+        return [where[comp.compose_mod(r, sigma).coeffs] for r in images]
+
+    hom_l = homs(base)
+    if hom_l is None:
+        return None
+    where_l = {r.coeffs: j for j, r in enumerate(hom_l)}
+    above = []  # per extension: Hom(K, M) and the restriction of each ι to L
+    for ext in exts:
+        hom_k = homs(ext.field)
+        if hom_k is None:
+            return None
+        res = [where_l.get(comp.compose_mod(ext.emb.h, r).coeffs) for r in hom_k]
+        if any(res.count(t) != ext.rel_degree for t in range(len(hom_l))):
+            return None
+        above.append((hom_k, res))
+
+    rows = []
+    for members in classes:
+        sigma = hs[members[0]]
+        move_l = motion(hom_l, sigma)
+        moves = [motion(hom_k, sigma) for hom_k, _ in above]
+        row, seen = [], set()
+        for tau in range(len(hom_l)):
+            if tau in seen:
+                continue
+            orbit = [tau]
+            while (nxt := move_l[orbit[-1]]) != tau:
+                orbit.append(nxt)
+            seen.update(orbit)
+            f = len(orbit)
+            counts = []
+            for (hom_k, res), move in zip(above, moves):
+                counts.append(sum(res[j] == tau and _power(move, j, f) == j
+                                  for j in range(len(hom_k))))
+            row.append((f, *counts))
+        rows.append(tuple(row))
+
+    dens = {q for h in hs for d in h.denominators() for q in prime_factors(d)}
+    for emb in into.values():
+        dens |= emb.denominator_primes()
+    return ClassTable(m.poly.coeffs, tuple(classes),
+                      tuple(hs[c[0]].over_z for c in classes),
+                      tuple(ext.name for ext in exts), tuple(rows),
+                      ExclusionRule((m.disc,), frozenset(dens)))
+
+
+def _power(move: list[int], j: int, f: int) -> int:
+    """The image of j under f steps of the index map."""
+    for _ in range(f):
+        j = move[j]
+    return j
+
+
+def chebotarev_predict(expr: SetExpr, cfg: LatticeConfig) -> Fraction | None:
+    """Predicted density, read from the class table of the expression's base
+    and atoms: Σ_C |C|/|G| times the number of degree-1 points of row C
+    where the expression holds.  Finite prime sets carry no density.
+
+    Needs a declared closure for every atom's field and a class table;
+    returns None when the lattice does not declare enough.
+    """
+    atoms = expr.atoms()
+    if not atoms:
+        return Fraction(1 if _eval_node(expr.node, lambda a: np.False_) else 0)
+    if any(cfg.closure_of(atom.ext.field.name) is None for atom in atoms):
+        return None
+    table = class_table(cfg, expr.base, tuple(atom.ext for atom in atoms))
+    if table is None:
+        return None
+    hits = 0
+    for members, row in zip(table.classes, table.rows):
+        split = np.array([point[1:] for point in row if point[0] == 1],
+                         dtype=np.int64).reshape(-1, len(table.exts))
+
+        def leaf(atom: Node, split=split) -> np.ndarray:
+            if isinstance(atom, PrimeSet):
+                return np.zeros(len(split), dtype=bool)
+            return _atom_holds(atom, split[:, table.exts.index(atom.ext.name)])
+
+        hits += len(members) * int(np.count_nonzero(_eval_node(expr.node, leaf)))
+    return Fraction(hits, sum(map(len, table.classes)))
 
 
 # --------------------------------------------------------------------------
@@ -571,11 +736,12 @@ def frobenius_histogram(
 # structural checkers
 
 
-def _compare(a: Node, b: Node, base: NumberField, n: int, witnesses: bool = False):
+def _compare(cfg: LatticeConfig, a: Node, b: Node, base: NumberField, n: int,
+             witnesses: bool = False):
     """One scan of a and b over the evaluable base points of norm <= n: the
     point count of each truth mask (a giving bit 0, b bit 1), and, with
     ``witnesses`` set, the primes of the points where a and b disagree."""
-    exprs = (SetExpr(a, base, ""), SetExpr(b, base, ""))
+    exprs = (SetExpr(a, base, "", cfg), SetExpr(b, base, "", cfg))
     _, counts = _density_counts(exprs, n, 1, (n,), witnesses)
     differ = sorted(p for (tag, p), v in counts.items() if tag == "at" for _ in range(v))
     return [counts[0, 3 + m] for m in range(4)], differ
@@ -619,8 +785,8 @@ def check_psi_product(
     # the square must actually be declared
     cfg.embedding(k1, composite)
     cfg.embedding(k2, composite)
-    masks, violations = _compare(And(PsiAtom(e1), PsiAtom(e2)), PsiAtom(ec), ec.base, n,
-                                   witnesses=True)
+    masks, violations = _compare(cfg, And(PsiAtom(e1), PsiAtom(e2)), PsiAtom(ec), ec.base,
+                                 n, witnesses=True)
     return PsiProductReport(k1, k2, composite, base, n, sum(masks), masks[2] + masks[3],
                             tuple(violations))
 
@@ -650,7 +816,7 @@ def check_pi_eq_psi(cfg: LatticeConfig, spec: str, n: int) -> PiEqPsiReport:
     ext = cfg.extension(spec)
     galois = bool(cfg.autos(ext.field.name)) and len(
         cfg.automorphisms_fixing(ext.field.name, ext.base.name)) == ext.rel_degree
-    masks, _ = _compare(PiAtom(ext), PsiAtom(ext), ext.base, n)
+    masks, _ = _compare(cfg, PiAtom(ext), PsiAtom(ext), ext.base, n)
     return PiEqPsiReport(ext.name, n, galois, sum(masks), masks[1] + masks[2])
 
 

@@ -19,13 +19,16 @@ then seeded Cantor-Zassenhaus equal-degree splitting (Cantor-Zassenhaus
 
 The prime-lane kernels at the end answer one question about one monic
 integer f for a whole array of primes at once, one prime per numpy lane
-(the many-primes approach of Kedlaya-Sutherland, ANTS VIII 2008): x^p mod f
-(:func:`lane_xpow_mod`), the root count (:func:`lane_root_count`) and the
-factor degrees (:func:`lane_factor_degrees`).  They are what the Q-base
-density and Frobenius scans run; the scalar :func:`xpow_mod`,
-:func:`root_count` and :func:`degree_pattern` are their oracles.  Lanes are
-int64 while every p^2 + p < 2^63 and Python integers (dtype=object) beyond,
-with the same code.
+(the many-primes approach of Kedlaya-Sutherland, ANTS VIII 2008), on
+``_LaneRing``, the residues mod f with x^p mod f (``_LaneRing.xpow``) and
+deg gcd(x^q - t, f) (``_LaneRing.fixed_count``): the root count
+(:func:`lane_root_count`), the factor degrees (:func:`lane_factor_degrees`)
+and, for rational maps t, the number of roots r of f with r^p = t(r)
+(:func:`lane_frobenius_counts`).  The Q-base density and Frobenius scans
+run the first two, and the relative-base scans the third; the scalar
+:func:`xpow_mod`, :func:`root_count` and :func:`degree_pattern` are their
+oracles.  Lanes are int64 while every p^2 + p < 2^63 and Python integers
+(dtype=object) beyond, with the same code.
 """
 
 from __future__ import annotations
@@ -499,9 +502,22 @@ class _LaneRing:
             acc[0] = (acc[0] + row) % self.P
         return acc
 
-    def fixed_count(self, xq: np.ndarray) -> np.ndarray:
-        """deg gcd(xq - x, f) per lane.  For xq = x^(p^d) mod f and f
-        squarefree mod p, this is the number of roots of f in F_(p^d).
+    def rational(self, num: tuple[int, ...], den: int) -> np.ndarray:
+        """The residue of num/den, a polynomial of degree < n over Z divided
+        by an integer: ``lane_mod`` of each numerator coefficient times den^-1
+        mod p (Fermat), in every lane.  den must be a unit mod every p."""
+        P = self.P
+        inv = _lane_powmod(lane_mod(den, P), P - 2, P)
+        out = self.const(0)
+        for i, c in enumerate(num):
+            out[i] = lane_mod(c, P) * inv % P
+        return out
+
+    def fixed_count(self, xq: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
+        """deg gcd(xq - target, f) per lane, target x when not given.  For
+        xq = x^(p^d) mod f and f squarefree mod p, this is the number of
+        roots of f in F_(p^d); for xq = x^p and the residue of a map t, the
+        number of roots r of f with r^p = t(r).
 
         Inverse-free Euclid: one step replaces u, the operand of higher
         degree, with lc(v)*u - lc(u)*x^(deg u - deg v)*v, so the leading
@@ -510,7 +526,10 @@ class _LaneRing:
         """
         P, n = self.P, self.n
         v = np.vstack([xq, np.zeros_like(xq[:1])])
-        v[1] = (v[1] - 1) % P
+        if target is None:
+            v[1] = (v[1] - 1) % P
+        else:
+            v[:n] = (v[:n] - target) % P
         u = self.f
         du, dv = np.full(len(P), n), _lane_degrees(v)
         rows = np.arange(n + 1)[:, None]
@@ -538,12 +557,6 @@ def _by_block(kernel, f: list[int], primes: np.ndarray) -> np.ndarray:
     starts = range(0, max(len(primes), 1), LANE_BLOCK)
     return np.concatenate([kernel(f, lanes(primes[i:i + LANE_BLOCK])) for i in starts],
                           axis=-1)
-
-
-def lane_xpow_mod(f: list[int], primes: np.ndarray) -> np.ndarray:
-    """x^p mod f for every prime p of the array, as an (n, L) coefficient
-    array; the lane form of ``xpow_mod(p, f mod p, p)``."""
-    return _by_block(lambda f, P: _LaneRing(f, P).xpow(), f, primes)
 
 
 def lane_root_count(f: list[int], primes: np.ndarray) -> np.ndarray:
@@ -603,3 +616,22 @@ def _factor_degrees(f: list[int], P: np.ndarray) -> np.ndarray:
     out[rest[lanes_with_rest] - 1, lanes_with_rest] += 1
     return out.astype(np.min_scalar_type(n))
 
+
+def lane_frobenius_counts(f: list[int], maps, primes: np.ndarray) -> np.ndarray:
+    """deg gcd(x^p - t, f) for every map t and every prime p of the array,
+    as a (len(maps), L) array.  Each map is a pair (numerators, denominator)
+    of integers, the polynomial t = numerators/denominator of degree < deg f,
+    and the denominator must be a unit mod every p.
+
+    With f squarefree mod p this counts the roots r of f over F_p with
+    r^p = t(r).  When t is the image of the generator under an automorphism
+    σ of the field of f, it is positive exactly when σ is a Frobenius
+    element at p (Dokchitser-Dokchitser, "Identifying Frobenius elements in
+    Galois groups", 2013).  One x^p per lane serves every map.
+    """
+    def counts(f, P):
+        ring = _LaneRing(f, P)
+        xp = ring.xpow()
+        return np.array([ring.fixed_count(xp, ring.rational(*t)) for t in maps],
+                        dtype=np.int64).reshape(len(maps), len(P))
+    return _by_block(counts, f, primes)

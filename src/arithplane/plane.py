@@ -371,28 +371,40 @@ def _galois_bruteforce(cfg: LatticeConfig, sigma: Automorphism, q: SplitPrime) -
     if p > BRUTEFORCE_PRIME_BOUND:
         raise ValueError(f"bruteforce mode is bounded at p <= {BRUTEFORCE_PRIME_BOUND}")
     ext = cfg.extension((sigma.field, "Q"))
-    (pq,) = split_prime(cfg.field("Q"), p)
+    pq, candidates = _fully_split(ext, p)
+    profile_q = _fibre_profile(ext, q, pq, _name(q, IntPoly.of(0, 1)))
+    winners = [cand for cand in candidates
+               if _meets(profile_q, _fibre_profile(ext, cand, pq, _name(cand, sigma.h)))]
+    assert len(winners) == 1, f"existential formula satisfied by {len(winners)} points"
+    return winners[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _fully_split(ext: Extension, p: int) -> tuple[SplitPrime, tuple[SplitPrime, ...]]:
+    """The point of Q over p and the points of K over it, once K/Q is fully
+    split at p; the points of K over one p serve every bruteforce move."""
+    (pq,) = split_prime(ext.base, p)
     if not in_psi(ext, pq):
         raise HypothesisViolatedError(
             f"prime {p} is not fully split for {ext.name}; the fibre-pair "
             "formula only determines the image over fully split primes"
         )
-    profile_q = _fibre_profile(ext, q, _name(q, IntPoly.of(0, 1)))
-    winners = [cand for cand in split_prime(ext.field, p)
-               if _meets(profile_q, _fibre_profile(ext, cand, _name(cand, sigma.h)))]
-    assert len(winners) == 1, f"existential formula satisfied by {len(winners)} points"
-    return winners[0]
+    return pq, tuple(split_prime(ext.field, p))
 
 
-def _fibre_profile(ext: Extension, pk: SplitPrime, multiplier: int) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _fibre_profile(ext: Extension, pk: SplitPrime, pl: SplitPrime, multiplier: int) -> np.ndarray:
     """All (π(x), π(m·x)) pairs over nonzero x in the fibre at pk, sorted,
-    each encoded as π(x)·|pL| + π(m·x) (|pL| = p <= 1000 here)."""
-    pl = project_point(ext, pk)
+    each encoded as π(x)·|pL| + π(m·x) (|pL| = p <= 1000 here).  Built once
+    per point and multiplier: a move of each point over p meets the same
+    profiles."""
     proj = _projector(pk, pl, ext.emb)
     fk = proj.fibre_k
     x = fk.digits(np.arange(1, pk.order))
     pairs = proj.fibre_l.index(proj._norm(x)) * pl.order
-    return np.sort(pairs + proj.fibre_l.index(proj._norm(fk.mul(x, fk.digits(multiplier)))))
+    profile = np.sort(pairs + proj.fibre_l.index(proj._norm(fk.mul(x, fk.digits(multiplier)))))
+    profile.flags.writeable = False  # one array serves every caller
+    return profile
 
 
 def _meets(a: np.ndarray, b: np.ndarray) -> bool:

@@ -203,12 +203,42 @@ def test_galois_direct_splits_once_and_builds_no_element(capsys, monkeypatch):
     assert calls == {"split": 1, "elements": 0}
     # the counters do see both: the bruteforce mode splits more than once,
     # and a residue name is one element
+    plane._fully_split.cache_clear()
     code, _, _ = run(capsys, "galois", "--lattice", LATTICE, "--field", "Qi",
                      "--auto", "1", "--prime", "13", "--mode", "bruteforce")
     assert code == 0 and calls["split"] > 2
     qi = load_lattice(pathlib.Path(LATTICE).read_text()).field("Qi")
     residue_name(spectrum.split_prime(qi, 13)[0], 1)
     assert calls["elements"] == 1
+
+
+def test_galois_bruteforce_builds_each_profile_once(capsys, monkeypatch):
+    # six points of S3c over 457, each moved by one search over the six: Q
+    # and S3c are split once each beyond the command's own listing, and each
+    # of the twelve (point, multiplier) profiles is built once
+    from arithplane import modpoly, plane, spectrum
+
+    calls = {"S3c": 0, "Q": 0, "factor": 0}
+    split, factor = spectrum.split_prime, modpoly.factor
+
+    def counting_split(fld, p):
+        calls[fld.name] += 1
+        return split(fld, p)
+
+    def counting_factor(f, p):
+        calls["factor"] += 1
+        return factor(f, p)
+
+    monkeypatch.setattr(spectrum, "split_prime", counting_split)
+    monkeypatch.setattr(plane, "split_prime", counting_split)
+    monkeypatch.setattr(modpoly, "factor", counting_factor)
+    plane._fully_split.cache_clear()
+    plane._fibre_profile.cache_clear()
+    code, out, _ = run(capsys, "galois", "--lattice", LATTICE, "--field", "S3c",
+                       "--auto", "1", "--prime", "457", "--mode", "bruteforce")
+    assert code == 0 and len(out.splitlines()) == 6
+    assert calls == {"S3c": 2, "Q": 1, "factor": 3}
+    assert plane._fibre_profile.cache_info().misses == 12
 
 
 def test_fibre_commands_build_no_element(capsys, monkeypatch):

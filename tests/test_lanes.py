@@ -1,11 +1,11 @@
 """The prime-lane kernels of ``modpoly`` against the scalar kernels they batch.
 
-Every lane of ``lane_xpow_mod``, ``lane_root_count`` and
-``lane_factor_degrees`` must equal ``xpow_mod``, ``root_count`` and
-``degree_pattern`` at that lane's prime, on int64 lanes and on the
-dtype=object lanes that take over above ``LANE_INT64_MAX``.  The prime
-arrays mix bit lengths, so lanes with leading zero bits run beside full
-ones.
+Every lane of ``_LaneRing.xpow`` (on the ``lanes`` of a prime array),
+``lane_root_count`` and ``lane_factor_degrees`` must equal ``xpow_mod``,
+``root_count`` and ``degree_pattern`` at that lane's prime, on int64 lanes
+and on the dtype=object lanes that take over above ``LANE_INT64_MAX``.  The
+prime arrays mix bit lengths, so lanes with leading zero bits run beside
+full ones.
 """
 
 import numpy as np
@@ -42,9 +42,14 @@ def _pattern(col):
     return tuple(d for d, k in enumerate(col.tolist(), 1) for _ in range(k))
 
 
+def xpow(f, primes):
+    """x^p mod f in every lane of the prime array, as (n, L) coefficients."""
+    return mp._LaneRing(f, mp.lanes(primes)).xpow()
+
+
 def check_lanes(f, primes):
     P = np.array(primes, dtype=np.int64)
-    xs, roots = mp.lane_xpow_mod(f, P), mp.lane_root_count(f, P)
+    xs, roots = xpow(f, P), mp.lane_root_count(f, P)
     for j, p in enumerate(primes):
         fp = mp.trim([c % p for c in f])
         assert mp.trim([int(c) for c in xs[:, j]]) == mp.xpow_mod(p, fp, p), (f, p)
@@ -85,12 +90,12 @@ def test_x2_x_1_at_two():
     two = np.array([2], dtype=np.int64)
     assert mp.lane_root_count([1, 1, 1], two).tolist() == [0]
     assert _pattern(mp.lane_factor_degrees([1, 1, 1], two)[:, 0]) == (2,)
-    assert mp.lane_xpow_mod([1, 1, 1], two)[:, 0].tolist() == [1, 1]  # x^2 = x + 1
+    assert xpow([1, 1, 1], two)[:, 0].tolist() == [1, 1]  # x^2 = x + 1
 
 
 def test_empty_prime_array():
     empty = np.empty(0, dtype=np.int64)
-    assert mp.lane_xpow_mod([9, 9, 0, 3, 6, 3, 1], empty).shape == (6, 0)
+    assert xpow([9, 9, 0, 3, 6, 3, 1], empty).shape == (6, 0)
     assert mp.lane_root_count([1, 0, 1], empty).shape == (0,)
     assert mp.lane_factor_degrees([-2, 0, 0, 1], empty).shape == (3, 0)
 

@@ -557,7 +557,7 @@ def test_fibre_profile_matches_element_walk(demo):
             for pk in sp.split_prime(ext.field, p):
                 walks = _element_profiles(ext, pk, [residue_name(pk, h) for h in maps])
                 for h, walk in zip(maps, walks):
-                    lanes = pl._fibre_profile(ext, pk, pl._name(pk, h)).tolist()
+                    lanes = pl._fibre_profile(ext, pk, q_point(demo, p), pl._name(pk, h)).tolist()
                     assert lanes == sorted(lanes)
                     assert {divmod(v, p) for v in lanes} == walk, (pk, h)
                     checked += 1
