@@ -2,16 +2,16 @@
 
 Above each point pK of K sits a fibre — realized concretely as the residue
 field F_pK = F_p[t]/(g) — on which integer-polynomial expressions γ(α) act
-by multiplication through the naming map.  A :class:`Section` picks one
-nonzero base point per fibre; the projection to a subfield's fibre sends
-η·a_pK to Norm(η)·a_pL, and everything downstream checks that choices of
-section wash out exactly where the theory says they must.
+by multiplication through the naming map.  A section picks one nonzero
+element index per fibre as its base point; the projection to a subfield's
+fibre sends η·s_pK to Norm(η)·s_pL, and everything downstream checks that
+choices of section wash out exactly where the theory says they must.
 
 Fibre elements are carried by their indices (base-p digits, constant digit
 least significant) and computed on element lanes: an array of indices
 becomes an (m, L) digit array, one element per lane, multiplied and powered
 on the reduction-row product and ladder of ``modpoly._LaneRing`` with the
-same p in every lane.  A single element is a length-1 lane.
+same p in every lane.
 
 The norm is x -> x^((|pK|-1)/(|pL|-1)) (Lidl-Niederreiter, Thm 2.28): one
 lane power and one matrix per fibre.  The matrix is a fixed F_p-linear left
@@ -76,7 +76,8 @@ class _Fibre:
         self.ring = mp._LaneRing(list(pk.local_factor), np.array([self.p], dtype=self.dtype))
 
     def lane(self, idx) -> np.ndarray:
-        """Element indices as a 1-d index array; an int is a length-1 lane."""
+        """Element indices (a sequence, an array or one int) as a 1-d index
+        array of this fibre's index dtype."""
         return np.asarray(idx, dtype=self.index_dtype).reshape(-1)
 
     def digits(self, idx) -> np.ndarray:
@@ -120,58 +121,11 @@ def _fibre(pk: SplitPrime) -> _Fibre:
     return _Fibre(pk)
 
 
-def _name(pk: SplitPrime, gamma: IntPoly | RatPoly | int) -> int:
+def _name(pk: SplitPrime, gamma: IntPoly | RatPoly) -> int:
     """Index of the class of γ(α) mod (p, local factor): the naming map."""
-    if isinstance(gamma, int):
-        gamma = IntPoly.of(gamma)
     p = pk.p
     rep = mp.rem_p(reduce_mod_p(gamma, p), list(pk.local_factor), p)
     return sum(c * p**i for i, c in enumerate(rep))
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """A point of the fibre over `prime`, carried by its element index."""
-
-    prime: SplitPrime
-    value: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
-class Section:
-    """A choice of nonzero base point in each fibre; unit unless overridden.
-
-    Point values are element indices.
-    """
-
-    def __init__(self, choices: dict[SplitPrime, int] | None = None):
-        self._choices = dict(choices or {})
-        for pk, idx in self._choices.items():
-            if idx % pk.order == 0:
-                raise ValueError(f"section must pick a nonzero point at {pk}")
-
-    def at(self, pk: SplitPrime) -> int:
-        return self._choices.get(pk, 1) % pk.order
-
-    @classmethod
-    def random(cls, primes, rng) -> "Section":
-        return cls({pk: rng.randrange(1, pk.order) for pk in primes})
-
-
-def fiber_point(pk: SplitPrime, value: int) -> FiberPoint:
-    """The point of the fibre at pk with element index `value` in [0, |pk|)."""
-    if not 0 <= value < pk.order:
-        raise ValueError(f"element index {value} is outside [0, {pk.order}) at {pk}")
-    return FiberPoint(pk, value)
-
-
-def act(gamma: IntPoly | int, x: FiberPoint) -> FiberPoint:
-    """γ·x: multiply the fibre value by the name of γ at x's prime."""
-    (value,) = _fibre(x.prime).times(x.value, _name(x.prime, gamma))
-    return FiberPoint(x.prime, int(value))
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +175,6 @@ class _Projector:
             "subfield rewrite failed to reconstruct"
         return coords
 
-    def to_base(self, idx) -> np.ndarray:
-        """Rewrite subfield elements of F_pK as elements of F_pL."""
-        return self.fibre_l.index(self._rewrite(self.fibre_k.digits(idx)))
-
     def _norm(self, w: np.ndarray) -> np.ndarray:
         return self._rewrite(self.fibre_k.ring.pow(w, self._e))
 
@@ -256,41 +206,6 @@ def _spectral_projection(pK: SplitPrime, emb, base) -> SplitPrime:
 def project_point(ext: Extension, pK: SplitPrime) -> SplitPrime:
     """π^Sp along an extension: the unique point of the base below pK."""
     return _spectral_projection(pK, ext.emb, ext.base)
-
-
-def project(
-    x: FiberPoint,
-    ext: Extension,
-    sections: tuple[Section, Section] | None = None,
-) -> FiberPoint:
-    """π_{K,L}: send η·a_pK to Norm(η)·a_pL in the fibre below.
-
-    Zero goes to zero regardless of the sections.
-    """
-    pK = x.prime
-    if pK.ramified_flag or ext.is_excluded(pK.p):
-        raise RamifiedPrimeError(f"prime {pK.p} is excluded for {ext.name}")
-    pL = project_point(ext, pK)
-    sec_k, sec_l = sections if sections is not None else (Section(), Section())
-    (value,) = _projector(pK, pL, ext.emb).project(x.value, sec_k.at(pK), sec_l.at(pL))
-    return FiberPoint(pL, int(value))
-
-
-def induced_action(
-    gamma: IntPoly | int,
-    b: FiberPoint,
-    pK: SplitPrime,
-    emb,
-) -> FiberPoint:
-    """Action of γ ∈ O_K on the fibre below pK: scale by Norm(name of γ).
-
-    Extends the plain action of the base ring and does not depend on any
-    choice of sections.  Raises ``NotLyingOverError`` unless pK lies over
-    the point of b.
-    """
-    proj = _projector(pK, b.prime, emb)
-    (value,) = proj.fibre_l.times(b.value, proj.norm(_name(pK, gamma)))
-    return FiberPoint(b.prime, int(value))
 
 
 def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
@@ -534,7 +449,7 @@ def check_section_independence(
         scales = proj.norm(names)
         for start in range(0, trials, block):
             # each trial draws its two sections, then its point
-            draws = [(Section.random([pk], rng).at(pk), Section.random([below], rng).at(below),
+            draws = [(rng.randrange(1, pk.order), rng.randrange(1, below.order),
                       rng.randrange(pk.order)) for _ in range(min(block, trials - start))]
             sec_k, sec_l, x = (np.array(col) for col in zip(*draws))
             base_pts = proj.project(x, sec_k, sec_l)

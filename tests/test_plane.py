@@ -2,6 +2,7 @@ import pathlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
@@ -42,15 +43,23 @@ def q_point(demo, p):
 
 
 # ----------------------------------------------------------------- action
+#
+# The fibre laws run on element lanes: γ·x is _fibre(pk).times(x, name of γ),
+# π is proj.project(x, s_k, s_l) for base points s_k and s_l, and the induced
+# action of γ below pk scales by proj.norm(name of γ).
+
+
+def names(pk, gammas):
+    """The names of the gammas at pk, as one index lane."""
+    return pl._fibre(pk).lane([pl._name(pk, g) for g in gammas])
 
 
 def test_act_examples(demo):
     qi = demo.field("Qi")
     pk = [x for x in sp.split_prime(qi, 5) if x.local_factor == (3, 1)][0]
-    base = pl.fiber_point(pk, 1)
-    assert pl.act(ALPHA, base).value == 2
-    assert pl.act(5, base).is_zero
-    assert pl.act(1, base) == base
+    # alpha, 5 and 1 acting on the element 1
+    acted = pl._fibre(pk).times(1, names(pk, [ALPHA, IntPoly.of(5), IntPoly.of(1)]))
+    assert acted.tolist() == [2, 0, 1]
 
 
 def test_act_is_multiplicative(demo):
@@ -58,44 +67,26 @@ def test_act_is_multiplicative(demo):
     rng = random.Random(31)
     for p in (5, 7, 13):
         for pk in sp.split_prime(qi, p):
+            a, b, ab, x = [], [], [], []
             for _ in range(20):
                 g1 = RatPoly.of(rng.randrange(-9, 10), rng.randrange(-9, 10))
                 g2 = RatPoly.of(rng.randrange(-9, 10), rng.randrange(-9, 10))
-                x = pl.fiber_point(pk, rng.randrange(pk.order))
-                a, b, ab = (IntPoly.from_coeffs(g.coeffs) for g in (g1, g2, g1 * g2))
-                assert pl.act(a, pl.act(b, x)) == pl.act(ab, x)
+                x.append(rng.randrange(pk.order))
+                for out, g in zip((a, b, ab), (g1, g2, g1 * g2)):
+                    out.append(IntPoly.from_coeffs(g.coeffs))
+            fk = pl._fibre(pk)
+            lhs = fk.times(fk.times(x, names(pk, b)), names(pk, a))
+            assert (lhs == fk.times(x, names(pk, ab))).all(), pk
 
 
 def test_act_zero_iff_in_kernel(demo):
     # the annihilator of the fibre is exactly the point's ideal
     qi = demo.field("Qi")
+    gammas = [IntPoly.of(a, b) for a in range(-5, 6) for b in range(-5, 6)]
     for p in (5, 7):
         for pk in sp.split_prime(qi, p):
-            x = pl.fiber_point(pk, 1)
-            for a in range(-5, 6):
-                for b in range(-5, 6):
-                    gamma = IntPoly.of(a, b)
-                    killed = pl.act(gamma, x).is_zero
-                    assert killed == (residue_name(pk, gamma).index == 0)
-
-
-def test_fiber_point_validation(demo):
-    # a fibre point is an element index of its own residue field
-    qi = demo.field("Qi")
-    p5a, _ = sp.split_prime(qi, 5)
-    assert pl.fiber_point(p5a, 4).value == 4
-    for idx in (-1, 5):
-        with pytest.raises(ValueError):
-            pl.fiber_point(p5a, idx)
-
-
-def test_section_validation(demo):
-    qi = demo.field("Qi")
-    (p3,) = sp.split_prime(qi, 3)
-    with pytest.raises(ValueError):
-        pl.Section({p3: 0})
-    sec = pl.Section({p3: 5})
-    assert sec.at(p3) == 5
+            killed = pl._fibre(pk).times(1, names(pk, gammas)) == 0
+            assert killed.tolist() == [residue_name(pk, g).index == 0 for g in gammas]
 
 
 # -------------------------------------------------------------- projection
@@ -105,13 +96,10 @@ def test_project_examples(demo):
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
     (p3,) = sp.split_prime(qi, 3)
-    out = pl.project(pl.fiber_point(p3, 1), ext)
-    assert out.prime == q_point(demo, 3) and out.value == 1
-    t_plus_1 = pl.fiber_point(p3, 4)  # rep (1, 1)
-    assert pl.project(t_plus_1, ext).value == 2
-    assert pl.project(pl.fiber_point(p3, 0), ext).is_zero
-    with pytest.raises(RamifiedPrimeError):
-        pl.project(pl.fiber_point(sp.split_prime(qi, 2)[0], 1), ext)
+    assert pl.project_point(ext, p3) == q_point(demo, 3)
+    proj = pl._projector(p3, q_point(demo, 3), ext.emb)
+    # 1, t + 1 (index 4) and 0 under the unit base points
+    assert proj.project([1, 4, 0], 1, 1).tolist() == [1, 2, 0]
 
 
 def test_project_point_is_total_and_unique(demo):
@@ -125,15 +113,25 @@ def test_project_point_is_total_and_unique(demo):
 
 
 def test_project_respects_default_section_base_point(demo):
-    # the section's base point upstairs always lands on the base point below
+    # the section's base point upstairs always lands on the base point below:
+    # the default 1, and every other nonzero base point s_k, one per lane
     for spec in ("Qi/Q", "Q8/Qi", "S3c/Qc2"):
         ext = demo.extension(spec)
         for p in stream_primes(60):
             if ext.is_excluded(p):
                 continue
             for pk in sp.split_prime(ext.field, p):
-                out = pl.project(pl.fiber_point(pk, 1), ext)
-                assert out.value == 1
+                proj = pl._projector(pk, pl.project_point(ext, pk), ext.emb)
+                s_k = np.arange(1, pk.order)
+                assert (proj.project(s_k, s_k, 1) == 1).all(), (spec, pk)
+
+
+def assert_equivariant(proj, x, gamma_names, s_k, s_l):
+    """π(γ·x) = γ·π(x) on every lane, for the base points s_k and s_l."""
+    fk, fl = proj.fibre_k, proj.fibre_l
+    lhs = proj.project(fk.times(x, gamma_names), s_k, s_l)
+    rhs = fl.times(proj.project(x, s_k, s_l), proj.norm(gamma_names))
+    assert (lhs == rhs).all()
 
 
 def test_morphism_equivariance(demo):
@@ -141,21 +139,15 @@ def test_morphism_equivariance(demo):
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
     rng = random.Random(47)
+    gammas = [IntPoly.of(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     for p in (5, 7, 13, 29):
         for pk in sp.split_prime(qi, p):
             below = pl.project_point(ext, pk)
-            secs = (
-                pl.Section.random([pk], rng),
-                pl.Section.random([below], rng),
-            )
-            for a in range(-3, 4):
-                for b in range(-3, 4):
-                    gamma = IntPoly.of(a, b)
-                    for idx in range(pk.order):
-                        x = pl.fiber_point(pk, idx)
-                        lhs = pl.project(pl.act(gamma, x), ext, secs)
-                        rhs = pl.induced_action(gamma, pl.project(x, ext, secs), pk, ext.emb)
-                        assert lhs == rhs
+            s_k, s_l = rng.randrange(1, pk.order), rng.randrange(1, below.order)
+            proj = pl._projector(pk, below, ext.emb)
+            # lane i * |pK| + x holds gamma i and element x
+            x = np.tile(np.arange(pk.order), len(gammas))
+            assert_equivariant(proj, x, np.repeat(names(pk, gammas), pk.order), s_k, s_l)
 
 
 def test_morphism_equivariance_relative(demo):
@@ -164,25 +156,26 @@ def test_morphism_equivariance_relative(demo):
     for p in (17, 41):
         for pk in sp.split_prime(demo.field("Q8"), p):
             below = pl.project_point(ext, pk)
-            secs = (pl.Section.random([pk], rng), pl.Section.random([below], rng))
+            s_k, s_l = rng.randrange(1, pk.order), rng.randrange(1, below.order)
+            gammas, x = [], []
             for _ in range(25):
-                gamma = IntPoly.from_coeffs([rng.randrange(-4, 5) for _ in range(4)])
-                x = pl.fiber_point(pk, rng.randrange(pk.order))
-                lhs = pl.project(pl.act(gamma, x), ext, secs)
-                rhs = pl.induced_action(gamma, pl.project(x, ext, secs), pk, ext.emb)
-                assert lhs == rhs
+                gammas.append(IntPoly.from_coeffs([rng.randrange(-4, 5) for _ in range(4)]))
+                x.append(rng.randrange(pk.order))
+            proj = pl._projector(pk, below, ext.emb)
+            assert_equivariant(proj, x, names(pk, gammas), s_k, s_l)
 
 
 def test_induced_action_examples(demo):
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
     (p3,) = sp.split_prime(qi, 3)
-    b = pl.fiber_point(q_point(demo, 3), 1)
-    assert pl.induced_action(ALPHA, b, p3, ext.emb) == b
-    assert pl.induced_action(IntPoly.of(1, 1), b, p3, ext.emb).value == 2
-    assert pl.induced_action(3, b, p3, ext.emb).is_zero
+    proj = pl._projector(p3, q_point(demo, 3), ext.emb)
+    # alpha, 1 + alpha and 3 acting below p3 on the element 1
+    scales = proj.norm(names(p3, [ALPHA, IntPoly.of(1, 1), IntPoly.of(3)]))
+    assert proj.fibre_l.times(1, scales).tolist() == [1, 2, 0]
+    # p3 does not lie over the point of Q at 5
     with pytest.raises(NotLyingOverError):
-        pl.induced_action(3, pl.fiber_point(q_point(demo, 5), 1), p3, ext.emb)
+        pl._projector(p3, q_point(demo, 5), ext.emb)
 
 
 def test_induced_action_section_free(demo):
@@ -191,29 +184,32 @@ def test_induced_action_section_free(demo):
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
     rng = random.Random(61)
+    gammas = [IntPoly.of(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     for p in (5, 7, 13, 97):
         for pk in sp.split_prime(qi, p):
             below = pl.project_point(ext, pk)
-            for a in range(-2, 3):
-                for b in range(-2, 3):
-                    gamma = IntPoly.of(a, b)
-                    bpt = pl.fiber_point(below, rng.randrange(below.order))
-                    want = pl.induced_action(gamma, bpt, pk, ext.emb)
-                    for _ in range(10):
-                        secs = (
-                            pl.Section.random([pk], rng),
-                            pl.Section.random([below], rng),
-                        )
-                        # solve for the x that projects onto bpt, then push
-                        # gamma.x down; the answer must be the section-free one
-                        x = pl.fiber_point(pk, 0)
-                        # any preimage works; find one by scanning
-                        for idx in range(pk.order):
-                            x = pl.fiber_point(pk, idx)
-                            if pl.project(x, ext, secs) == bpt:
-                                break
-                        got = pl.project(pl.act(gamma, x), ext, secs)
-                        assert got == want
+            proj = pl._projector(pk, below, ext.emb)
+            fk, fl = proj.fibre_k, proj.fibre_l
+            # per gamma: a point below, then 10 section pairs; trial t is
+            # gamma t // 10
+            bpt, s_k, s_l = [], [], []
+            for _ in gammas:
+                bpt.append(rng.randrange(below.order))
+                for _ in range(10):
+                    s_k.append(rng.randrange(1, pk.order))
+                    s_l.append(rng.randrange(1, below.order))
+            bpt = np.repeat(bpt, 10)
+            gamma_names = np.repeat(names(pk, gammas), 10)
+            want = fl.times(bpt, proj.norm(gamma_names))
+            # the first x of the fibre that each trial's sections project onto bpt
+            order, trials = pk.order, len(s_k)
+            pushed = proj.project(np.tile(np.arange(order), trials),
+                                  np.repeat(s_k, order), np.repeat(s_l, order))
+            hits = pushed.reshape(trials, order) == bpt[:, None]
+            assert hits.any(axis=1).all()
+            x = hits.argmax(axis=1)
+            got = proj.project(fk.times(x, gamma_names), s_k, s_l)
+            assert (got == want).all(), pk
 
 
 def test_integer_action_is_norm_power(demo):
@@ -221,14 +217,18 @@ def test_integer_action_is_norm_power(demo):
     # is the relative residue degree; for split points that is plain action
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
+    cs = range(-6, 7)
     for p in (5, 7, 13):
         pq = q_point(demo, p)
         for pk in sp.split_prime(qi, p):
             e = pk.residue_degree
-            for c in range(-6, 7):
-                for idx in range(p):
-                    b = pl.fiber_point(pq, idx)
-                    assert pl.induced_action(c, b, pk, ext.emb) == pl.act(c**e, b)
+            proj = pl._projector(pk, pq, ext.emb)
+            # lane i * p + b holds c = cs[i] and the element b below
+            b = np.tile(np.arange(p), len(cs))
+            scales = proj.norm(names(pk, [IntPoly.of(c) for c in cs]))
+            induced = proj.fibre_l.times(b, np.repeat(scales, p))
+            plain = pl._fibre(pq).times(b, np.repeat(names(pq, [IntPoly.of(c**e) for c in cs]), p))
+            assert (induced == plain).all(), pk
 
 
 def test_orbit_transitivity(demo):
@@ -238,41 +238,38 @@ def test_orbit_transitivity(demo):
     rng = random.Random(71)
     for p in (7, 11):
         (pk,) = sp.split_prime(qi, p)
-        for _ in range(15):
-            i = rng.randrange(1, pk.order)
-            j = rng.randrange(1, pk.order)
-            x = pl.fiber_point(pk, i)
-            target = pl.fiber_point(pk, j)
-            witness = None
-            for a in range(p):
-                for b in range(p):
-                    if pl.act(IntPoly.of(a, b), x) == target:
-                        witness = (a, b)
-                        break
-                if witness:
-                    break
-            assert witness is not None, (p, i, j)
+        box = names(pk, [IntPoly.of(a, b) for a in range(p) for b in range(p)])
+        pairs = [(rng.randrange(1, pk.order), rng.randrange(1, pk.order)) for _ in range(15)]
+        i, j = (np.array(col) for col in zip(*pairs))
+        # row t holds the box acting on the point i[t]
+        acted = pl._fibre(pk).times(np.repeat(i, box.size), np.tile(box, len(pairs)))
+        witnessed = (acted.reshape(len(pairs), box.size) == j[:, None]).any(axis=1)
+        assert witnessed.all(), (p, [pair for pair, ok in zip(pairs, witnessed) if not ok])
 
 
 def test_action_separation(demo):
     # lifting the local factor of one point kills exactly that fibre
+
+    def induced_on_one(pk, below, emb, gamma):
+        proj = pl._projector(pk, below, emb)
+        (value,) = proj.fibre_l.times(1, proj.norm(names(pk, [gamma])))
+        return value
+
     qi = demo.field("Qi")
     ext = demo.extension("Qi/Q")
     pa, pb = sp.split_prime(qi, 5)
     for down, other in ((pa, pb), (pb, pa)):
         gamma = IntPoly.from_coeffs(down.local_factor)
-        b = pl.fiber_point(q_point(demo, 5), 1)
-        assert pl.induced_action(gamma, b, down, ext.emb).is_zero
-        assert not pl.induced_action(gamma, b, other, ext.emb).is_zero
+        assert induced_on_one(down, q_point(demo, 5), ext.emb, gamma) == 0
+        assert induced_on_one(other, q_point(demo, 5), ext.emb, gamma) != 0
     # relative version at a fully split prime of Q8 over Qi
     ext8 = demo.extension("Q8/Qi")
     for pl_qi in sp.split_prime(qi, 17):
         ups = [pk for pk in sp.split_prime(demo.field("Q8"), 17) if sp.lies_over(pk, pl_qi, ext8.emb)]
         assert len(ups) == 2
         gamma = IntPoly.from_coeffs(ups[0].local_factor)
-        b = pl.fiber_point(pl_qi, 1)
-        assert pl.induced_action(gamma, b, ups[0], ext8.emb).is_zero
-        assert not pl.induced_action(gamma, b, ups[1], ext8.emb).is_zero
+        assert induced_on_one(ups[0], pl_qi, ext8.emb, gamma) == 0
+        assert induced_on_one(ups[1], pl_qi, ext8.emb, gamma) != 0
 
 
 # ---------------------------------------------------------- fibre counting
@@ -524,12 +521,12 @@ def test_projector_refuses_non_subfield_input(demo):
     ext = demo.extension("Qi/Q")
     (p3,) = sp.split_prime(demo.field("Qi"), 3)
     proj = pl._projector(p3, q_point(demo, 3), ext.emb)
-    assert proj.to_base([2, 0, 1]).tolist() == [2, 0, 1]
+    assert proj._rewrite(proj.fibre_k.digits([2, 0, 1])).tolist() == [[2, 0, 1]]
     # t has index 3; one lane outside the subfield fails the whole array
     with pytest.raises(AssertionError):
-        proj.to_base([3])
+        proj._rewrite(proj.fibre_k.digits([3]))
     with pytest.raises(AssertionError):
-        proj.to_base([2, 0, 1, 3])
+        proj._rewrite(proj.fibre_k.digits([2, 0, 1, 3]))
 
 
 def _element_profiles(ext, pk, multipliers):
