@@ -3,29 +3,30 @@
 Polynomials are immutable coefficient tuples, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple and has degree -1.
 :class:`IntPoly` holds Python ints and has no arithmetic beyond the
-derivative: the field polynomials of the lattice are reduced mod p,
-composed on :class:`Composer` and fed to the resultant.
+derivative: the field polynomials of the lattice are reduced mod p and
+composed on :class:`Composer`.
 :class:`RatPoly` holds :class:`fractions.Fraction` values in lowest terms.
-
-The derivative and the resultant are exact, but every product and
-accumulated sum is checked against a 128-bit magnitude bound: the
-structures downstream are specified for desk-scale inputs, and a silent
-blow-up inside a resultant is worse than a loud error.  Exceeding the bound
-raises :class:`~arithplane.errors.ArithmeticOverflowError`.
-
-The resultant uses the subresultant polynomial remainder sequence
-(pseudo-division with the Brown/Collins content corrections), which keeps
-every intermediate coefficient an integer while bounding growth.
 
 Map composition — ``outer(inner(x)) mod m`` for a monic m, which is what
 every embedding, transitivity and automorphism-group check of the lattice
 reduces to — runs on one kernel over Z, :class:`Composer`: each map is an
 integer numerator over one common denominator (``RatPoly.over_z``), the
 powers of an inner map mod m are tabulated once and shared by every outer
-map, and only results become ``Fraction`` coefficients again.
-``validate_embedding`` is a root test on the same kernel.  The ``Fraction``
-Horner route (``RatPoly.__mul__``, ``divmod``, ``mod``, ``compose``,
-``compose_mod``) is kept only as the reference oracle for the tests.
+map, and only results become ``Fraction`` coefficients again.  An
+embedding or automorphism is valid iff ``Composer.vanishes`` holds for it.
+The ``Fraction`` Horner route (``RatPoly.__mul__``, ``divmod``, ``mod``,
+``compose``, ``compose_mod``) is kept only as the reference oracle for the
+tests.
+
+The discriminant of a monic f of degree n is (-1)^(n(n-1)/2) N(f'(α)), the
+determinant of the multiplication-by-f'(α) matrix whose rows x^i·f' mod f
+are reduced on :class:`Composer` (Cohen, *A Course in Computational
+Algebraic Number Theory*, ch. 3).  Fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968) keeps every entry an integer minor of that matrix.
+The derivative and every stored minor are checked against a 128-bit
+magnitude bound: the structures downstream are specified for desk-scale
+inputs, and a silent blow-up is worse than a loud error.  Exceeding the
+bound raises :class:`~arithplane.errors.ArithmeticOverflowError`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ArithmeticOverflowError, DenominatorNotInvertibleError
@@ -82,10 +83,6 @@ class IntPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
 
     def derivative(self) -> "IntPoly":
         return IntPoly(_trim([_checked(i * c) for i, c in enumerate(self.coeffs)][1:]))
@@ -212,101 +209,6 @@ def _format_poly(coeffs: Sequence) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def _content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod  b, over Z.
-
-    Division-free: each of the (delta+1) elimination steps replaces rem by
-    lc(b)*rem - top*x^(k-db)*b, so the total scaling is exactly lc(b)^(delta+1)
-    with no integrality assumptions along the way.
-    """
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    rem = list(a)
-    for k in range(da, db - 1, -1):
-        top = rem[k]
-        rem = [_checked(c * lb) for c in rem]
-        if top:
-            for i in range(db + 1):
-                rem[k - db + i] = _checked(rem[k - db + i] - _checked(top * b[i]))
-    return list(_trim(rem[:db]))
-
-
-def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant of two integer polynomials via the subresultant PRS."""
-    if f.is_zero or g.is_zero:
-        return 0
-    if f.degree == 0:
-        return _checked(f.coeffs[0] ** g.degree)
-    if g.degree == 0:
-        return _checked(g.coeffs[0] ** f.degree)
-
-    a, b = list(f.coeffs), list(g.coeffs)
-    sign = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    ca, cb = _content(a), _content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    scale = _checked(_checked(ca ** (len(b) - 1)) * _checked(cb ** (len(a) - 1)))
-
-    gg, h = 1, 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        rem = _pseudo_rem(a, b)
-        if not rem:
-            return 0
-        divisor = _checked(gg * _checked(h**delta))
-        nxt = []
-        for c in rem:
-            q, r = divmod(c, divisor)
-            assert r == 0, "subresultant division not exact"
-            nxt.append(q)
-        a, b = b, nxt
-        gg = a[-1]
-        if delta > 0:
-            num = _checked(gg**delta)
-            q, r = divmod(num, _checked(h ** (delta - 1)))
-            assert r == 0
-            h = q
-        if len(b) - 1 <= 0:
-            break
-
-    # b is now a nonzero constant; finish with h <- lc(b)^deg(a) / h^(deg(a)-1)
-    da = len(a) - 1
-    num = _checked(b[0] ** da)
-    q, r = divmod(num, _checked(h ** (da - 1)))
-    assert r == 0
-    return _checked(sign * _checked(scale * q))
-
-
-def discriminant(f: IntPoly) -> int:
-    """Discriminant of f: (-1)^(n(n-1)/2) * res(f, f') / lc(f).
-
-    For degree 1 the product over root pairs is empty and the value is 1.
-    """
-    n = f.degree
-    if n < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    r = resultant(f, f.derivative())
-    q, rem = divmod(r, f.leading)
-    assert rem == 0, "resultant not divisible by leading coefficient"
-    return -q if (n * (n - 1) // 2) % 2 else q
-
-
 def reduce_mod_p(h: RatPoly | IntPoly, p: int) -> list[int]:
     """Coefficients of h mod p, constant first, trailing zeros trimmed.
 
@@ -340,8 +242,9 @@ class Composer:
     composer's lifetime: a loop composing many outer maps with one inner
     map multiplies polynomials only to extend that map's table.
 
-    The integers are not held to the 128-bit bound: as on the ``Fraction``
-    route, they grow with r and with the heights of the maps.
+    Compositions are not held to the 128-bit bound: as on the ``Fraction``
+    route, their integers grow with r and with the heights of the maps.
+    ``discriminant`` checks the rows it takes from ``_reduce``.
     """
 
     def __init__(self, modulus: IntPoly):
@@ -404,21 +307,31 @@ class Composer:
         return c[:r] + [0] * (r - len(c))
 
 
-def validate_embedding(
-    h: RatPoly, f_src: IntPoly, f_dst: IntPoly, composer: Composer | None = None
-) -> bool:
-    """True iff f_src(h(x)) ≡ 0 (mod f_dst) over Q.
+def discriminant(f: IntPoly) -> int:
+    """Discriminant of a monic f of degree n >= 1: (-1)^(n(n-1)/2) N(f'(α)).
 
-    That is exactly the condition for x ↦ h(x) to send the generator root of
-    f_dst's field to a root of f_src, i.e. for h to define a field embedding
-    of the source field into the destination field.  f_dst must be monic;
-    pass a ``composer`` for f_dst to share its table for h with later
-    compositions.
+    N(f'(α)) is the determinant of multiplication by f'(α) on Z[α], whose
+    rows x^i·f' mod f come from :class:`Composer`.  Bareiss elimination
+    keeps every entry an integer minor of that matrix, and each one is
+    checked after its exact division.
     """
-    if h.degree >= f_dst.degree:
-        raise ValueError("embedding polynomial must have degree < deg f_dst")
-    if composer is None:
-        composer = Composer(f_dst)
-    elif composer.modulus != f_dst:
-        raise ValueError(f"composer reduces mod {composer.modulus}, not {f_dst}")
-    return composer.vanishes(f_src, h)
+    n, comp = f.degree, Composer(f)
+    rows = [comp._reduce(list(f.derivative().coeffs))]
+    while len(rows) < n:
+        rows.append(comp._reduce([0] + rows[-1]))
+    rows = [[_checked(v) for v in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top, lead = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, n):
+                row[j] = _checked((row[j] * lead - c * top[j]) // prev)
+        prev = lead
+    return -sign * prev if (n * (n - 1) // 2) % 2 else sign * prev

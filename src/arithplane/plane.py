@@ -65,15 +65,15 @@ class _Fibre:
     """F_pK on element lanes.
 
     Index arrays are int64 while |pK| < 2^63 and dtype=object above; digit
-    lanes are int64 while p^2 + p < 2^63, as in ``modpoly``.
+    lanes take the dtype ``modpoly.lanes`` gives the prime.
     """
 
     def __init__(self, pk: SplitPrime):
         self.p, self.m, self.order = pk.p, pk.residue_degree, pk.order
-        self.dtype = np.int64 if self.p <= mp.LANE_INT64_MAX else object
+        P = mp.lanes(np.array([self.p]))  # one prime lane, broadcast over the element lanes
+        self.dtype = P.dtype
         self.index_dtype = np.int64 if self.order < 1 << 63 else object
-        # one prime lane, broadcast over the element lanes
-        self.ring = mp._LaneRing(list(pk.local_factor), np.array([self.p], dtype=self.dtype))
+        self.ring = mp._LaneRing(list(pk.local_factor), P)
 
     def lane(self, idx) -> np.ndarray:
         """Element indices (a sequence, an array or one int) as a 1-d index

@@ -393,6 +393,15 @@ def test_validate_output(capsys):
     assert "field S3c: degree 6" in out
 
 
+def test_validate_desk_scale_nonic(capsys, tmp_path):
+    # a nonic with one-digit coefficients and a 55-bit discriminant
+    cfg = tmp_path / "nonic.cfg"
+    cfg.write_text("field A\n  poly -1 0 5 1 6 6 -6 -9 0 1\n")
+    code, out, _ = run(capsys, "validate", "--lattice", str(cfg))
+    assert code == 0
+    assert "field A: degree 9, disc 23293515660770557, certificate irreducible mod 79\n" in out
+
+
 def test_validate_bad_config_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("field K\n  poly 1 1\nfield K\n  poly -2 0 1\n")

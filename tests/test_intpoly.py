@@ -1,8 +1,8 @@
-"""Exact polynomial layer: resultants, discriminants, reduction, embeddings.
+"""Exact polynomial layer: discriminants, reduction, map composition.
 
-The resultant implementation (subresultant PRS) is checked against an
-independent oracle: the determinant of the Sylvester matrix computed by
-fraction Gaussian elimination.
+The discriminant (a Bareiss determinant on Composer rows) is checked
+against an independent oracle: the determinant of the Sylvester matrix of
+f and f', computed by fraction Gaussian elimination.
 """
 
 import math
@@ -12,16 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from arithplane.errors import ArithmeticOverflowError, DenominatorNotInvertibleError
-from arithplane.intpoly import (
-    Composer,
-    IntPoly,
-    RatPoly,
-    discriminant,
-    reduce_mod_p,
-    resultant,
-    validate_embedding,
+from arithplane.errors import (
+    ArithmeticOverflowError,
+    AutomorphismGroupError,
+    DenominatorNotInvertibleError,
+    EmbeddingInvalidError,
 )
+from arithplane.intpoly import INT128_MAX, Composer, IntPoly, RatPoly, discriminant, reduce_mod_p
 from arithplane.lattice import load_lattice
 
 DEMO = (pathlib.Path(__file__).resolve().parent.parent / "configs" / "demo.cfg").read_text()
@@ -71,7 +68,7 @@ def disc_oracle(f: IntPoly) -> int:
         return 1
     r = sylvester_resultant(f, f.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    q, rem = divmod(sign * r, f.leading)
+    q, rem = divmod(sign * r, f.coeffs[-1])
     assert rem == 0
     return q
 
@@ -105,41 +102,12 @@ def test_str():
     assert str(IntPoly.of(0)) == "0"
 
 
-# ---------------------------------------------------------------- resultant
-
-
-def test_resultant_matches_sylvester_oracle():
-    rng = random.Random(20240817)
-    for _ in range(300):
-        f, g = rand_poly(rng), rand_poly(rng)
-        assert resultant(f, g) == sylvester_resultant(f, g), (f, g)
-
-
 def int_product(*factors):
     """The product of integer coefficient lists, on the RatPoly arithmetic."""
     out = RatPoly.of(1)
     for f in factors:
         out = out * RatPoly.from_coeffs(f)
     return IntPoly.from_coeffs(out.coeffs)
-
-
-def test_resultant_shared_root_is_zero():
-    f = int_product((-1, 1), (3, 1))  # (x-1)(x+3)
-    g = int_product((-1, 1), (5, 0, 1))
-    assert resultant(f, g) == 0
-
-
-def test_resultant_multiplicative():
-    rng = random.Random(7)
-    for _ in range(60):
-        f, g, h = rand_poly(rng, 4), rand_poly(rng, 4), rand_poly(rng, 4)
-        assert resultant(int_product(f.coeffs, g.coeffs), h) == resultant(f, h) * resultant(g, h)
-
-
-def test_resultant_constant_cases():
-    assert resultant(IntPoly.of(3), IntPoly.of(-1, 0, 1)) == 9
-    assert resultant(IntPoly.of(-1, 0, 1), IntPoly.of(3)) == 9
-    assert resultant(IntPoly.of(0), IntPoly.of(1, 1)) == 0
 
 
 # ---------------------------------------------------------------- discriminant
@@ -154,6 +122,10 @@ def test_resultant_constant_cases():
         ((1, 0, 0, 0, 1), 256),  # x^4 + 1
         ((1, 1, 1), -3),  # x^2 + x + 1
         ((0, 1), 1),  # x
+        # desk-scale fields: discriminants of 55, 58 and 72 bits
+        ((-1, 0, 5, 1, 6, 6, -6, -9, 0, 1), 23293515660770557),
+        ((9, 8, -6, 1, -8, 4, -7, 3, 1), 248859922717773529),
+        ((92, 2, -39, -71, 83, -48, 1), 2988244546438527970324),
     ],
 )
 def test_discriminant_known_values(coeffs, expected):
@@ -173,11 +145,62 @@ def test_discriminant_zero_iff_repeated_root():
     assert discriminant(f) == 0
 
 
+def answers_like_oracle(f: IntPoly) -> bool:
+    """Check discriminant(f) against the Sylvester oracle: equal, or refused
+    because the discriminant itself exceeds the 128-bit bound.  True iff it
+    answered."""
+    want = disc_oracle(f)
+    try:
+        got = discriminant(f)
+    except ArithmeticOverflowError:
+        assert abs(want) > INT128_MAX, f
+        return False
+    assert got == want, f
+    return True
+
+
+def test_discriminant_matches_oracle_desk_scale():
+    # two-digit coefficients, degree 6-9
+    rng = random.Random(18)
+    answered = 0
+    for _ in range(120):
+        deg = rng.randint(6, 9)
+        f = IntPoly.from_coeffs([rng.randint(-99, 99) for _ in range(deg)] + [1])
+        answered += answers_like_oracle(f)
+    assert answered == 118  # the other two have discriminants of over 127 bits
+
+
+def test_discriminant_matches_oracle_to_degree_16_and_on_families():
+    rng = random.Random(16)
+    for _ in range(100):
+        assert answers_like_oracle(rand_poly(rng, max_deg=16, span=3, monic=True))
+    answered = 0
+    for n in range(2, 41):
+        families = (
+            [1, 1] + [0] * (n - 2) + [1],  # x^n + x + 1
+            [-2] + [0] * (n - 1) + [1],  # x^n - 2
+            [1] * (n + 1),  # 1 + x + ... + x^n
+        )
+        answered += sum(answers_like_oracle(IntPoly.from_coeffs(c)) for c in families)
+    # each family is answered while its discriminant fits, up to n = 26, 23
+    # and 27 (x^n - 2 has |disc| = n^n 2^(n-1)), and refused from there on
+    assert answered == 25 + 22 + 26
+
+
+def test_discriminant_is_shift_invariant():
+    # disc f(x + c) = disc f: the roots move together, so their differences stay
+    rng = random.Random(8)
+    for _ in range(60):
+        f = rand_poly(rng, max_deg=8, span=5, monic=True)
+        c = rng.randint(-5, 5)
+        shifted = RatPoly.from_coeffs(f.coeffs).compose(RatPoly.of(c, 1))
+        assert discriminant(IntPoly.from_coeffs(shifted.coeffs)) == discriminant(f), (f, c)
+
+
 def test_overflow_guard_fires():
-    big = 2**100
-    f = IntPoly.of(big, big, 1)
+    big = 2**100  # disc = 2^200 - 2^102
     with pytest.raises(ArithmeticOverflowError):
-        resultant(f, f.derivative())
+        discriminant(IntPoly.of(big, big, 1))
 
 
 # ---------------------------------------------------------------- reduction
@@ -226,23 +249,31 @@ def test_validate_embedding_quartic_tower():
     qi = IntPoly.of(1, 0, 1)  # x^2 + 1
     qs2 = IntPoly.of(-2, 0, 1)  # x^2 - 2
     q8 = IntPoly.of(1, 0, 0, 0, 1)  # x^4 + 1
-    assert validate_embedding(RatPoly.of(0, 0, 1), qi, q8)  # i = z^2
-    assert validate_embedding(RatPoly.of(0, 1, 0, -1), qs2, q8)  # sqrt2 = z - z^3
-    assert not validate_embedding(RatPoly.of(0, 1), qi, qs2)
+    assert Composer(q8).vanishes(qi, RatPoly.of(0, 0, 1))  # i = z^2
+    assert Composer(q8).vanishes(qs2, RatPoly.of(0, 1, 0, -1))  # sqrt2 = z - z^3
+    assert not Composer(qs2).vanishes(qi, RatPoly.of(0, 1))
 
 
 def test_validate_embedding_degree_precondition():
+    # 1 + x + x^2 is x mod x^2 + 1, so it passes the root test, but a map of
+    # degree >= deg f_dst is refused before it, as an embed and as an auto
     qi = IntPoly.of(1, 0, 1)
-    with pytest.raises(ValueError):
-        validate_embedding(RatPoly.of(0, 0, 1), qi, qi)
+    assert Composer(qi).vanishes(qi, RatPoly.of(1, 1, 1))
+    embed = "field A\n  poly 1 0 1\nfield B\n  poly -2 0 1\nembed A -> B\n  map {}\n"
+    with pytest.raises(EmbeddingInvalidError, match="must have degree < deg f_dst"):
+        load_lattice(embed.format("1 1 1"))
+    with pytest.raises(EmbeddingInvalidError, match="does not send a root"):
+        load_lattice(embed.format("0 1"))
+    with pytest.raises(AutomorphismGroupError, match="1 \\+ x \\+ x\\^2 is not a root map"):
+        load_lattice("field A\n  poly 1 0 1\nauto A\n  map 0 1\nauto A\n  map 1 1 1\n")
 
 
 def test_validate_embedding_rational_coefficients():
     # half-integer map: x/2 sends a root of x^2 - 8 into the x^2 - 2 field
     f_src = IntPoly.of(-8, 0, 1)
     f_dst = IntPoly.of(-2, 0, 1)
-    assert validate_embedding(RatPoly.of(0, 2), f_src, f_dst)
-    assert validate_embedding(RatPoly.of(0, Fraction(1, 2)), f_dst, f_src)
+    assert Composer(f_dst).vanishes(f_src, RatPoly.of(0, 2))
+    assert Composer(f_src).vanishes(f_dst, RatPoly.of(0, Fraction(1, 2)))
 
 
 def test_validate_embedding_needs_monic_modulus():
@@ -250,11 +281,6 @@ def test_validate_embedding_needs_monic_modulus():
     assert not IntPoly.of(1, 0, 2).is_monic
     with pytest.raises(ValueError, match="not monic"):
         Composer(IntPoly.of(1, 0, 2))
-    with pytest.raises(ValueError, match="not monic"):
-        validate_embedding(RatPoly.of(0, 1), IntPoly.of(2, 0, 1), IntPoly.of(1, 0, 2))
-    with pytest.raises(ValueError, match="reduces mod"):
-        validate_embedding(RatPoly.of(0, 1), IntPoly.of(1, 0, 1), IntPoly.of(1, 0, 1),
-                           Composer(IntPoly.of(-2, 0, 1)))
 
 
 # ------------------------------------------ Composer against the Fraction oracle
@@ -301,7 +327,6 @@ def test_composer_matches_oracle_on_demo_maps(monkeypatch):
         else:
             want = oracle_compose(a, b, modulus).is_zero
             assert Composer(modulus).vanishes(a, b) == want
-            assert validate_embedding(b, a, modulus) == want
 
 
 def test_composer_reuses_inner_tables():
@@ -337,7 +362,7 @@ def test_composer_matches_oracle_on_random_maps():
         assert comp.compose_mod(outer, inner) == got  # now from the stored table
         if inner.degree < modulus.degree:
             want = oracle_compose(f_src, inner, modulus).is_zero
-            assert validate_embedding(inner, f_src, modulus) == want
+            assert comp.vanishes(f_src, inner) == want
 
     # planted embeddings: for monic f of degree n and monic u, the monic
     # integer polynomial g = d^n * f(u/d) has f(u/d) = g/d^n ≡ 0 (mod g)
@@ -355,10 +380,10 @@ def test_composer_matches_oracle_on_random_maps():
             u_pow = u_pow * u
         g = IntPoly.from_coeffs(g.coeffs)
         h = RatPoly.from_coeffs(c / d for c in u.coeffs)
-        assert validate_embedding(h, f_src, g)
+        assert Composer(g).vanishes(f_src, h)
         assert oracle_compose(f_src, h, g).is_zero
         off = IntPoly.from_coeffs([f_src.coeffs[0] + 1, *f_src.coeffs[1:]])
-        assert validate_embedding(h, off, g) == oracle_compose(off, h, g).is_zero
+        assert Composer(g).vanishes(off, h) == oracle_compose(off, h, g).is_zero
 
     random_maps()
     planted()
