@@ -74,7 +74,7 @@ from .lattice import (
     prime_factors,
 )
 from .modpoly import lane_factor_degrees, lane_frobenius_counts, lane_root_count
-from .sieve import MAX_CHARACTERISTIC, is_prime, prime_range, ranges
+from .sieve import MAX_CHARACTERISTIC, iroot, is_prime, prime_range, ranges
 
 CHECKPOINT_START = 100
 SCAN_BATCH = 4  # ranges queued in the pool at a time, per worker
@@ -389,34 +389,29 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     slot 1 + i skipped points by reason ``ExclusionRule.REASONS[i]``, and
     slot ``3 + mask`` the points whose expression truth values form ``mask``
     (expression j giving bit j).  Every count is per point of the base
-    spectrum.  Each extension's Pi and Psi read one array of counts of the
-    roots of f_K at the evaluable points that restrict to each, made once
-    per range: over Q the points are the primes of the range and the
-    counts come from the prime-lane root count; over a larger base they
-    come from :func:`_relative_points`.  With ``witnesses`` set, keys
-    ``("at", p)`` count the points of the range where the expressions
-    disagree, by prime.
+    spectrum.  Each extension of the payload, listed once, gets one array
+    per range that all its Pi and Psi atoms read: the counts of the roots of
+    f_K at the evaluable points that restrict to them.  Over Q these are the
+    prime-lane root counts at the primes of the range; over a larger base,
+    points and counts come from :func:`_relative_points`.  With
+    ``witnesses`` set, keys ``("at", p)`` count the points of the range
+    where the expressions disagree, by prime.
     """
-    nodes, base, checkpoints, rule, witnesses, table = payload
+    nodes, base, exts, checkpoints, rule, witnesses, table = payload
     primes = prime_range(lo, hi)
     if base.degree == 1:
         ps = orders = primes
         slots = rule.reasons(ps)
-        evaluable = ps[slots == 0]
-
-        def root_counts(ext: Extension) -> np.ndarray:
-            return lane_root_count(list(ext.field.poly.coeffs), evaluable)
+        counts = {ext.name: lane_root_count(list(ext.field.poly.coeffs), ps[slots == 0])
+                  for ext in exts}
     else:
-        ps, orders, slots, root_counts = _relative_points(base, primes, checkpoints[-1],
-                                                          rule, table)
+        ps, orders, slots, counts = _relative_points(base, exts, primes, checkpoints[-1],
+                                                     rule, table)
     ok = slots == 0
-    counts: dict[str, np.ndarray] = {}
 
     def leaf(atom: Node) -> np.ndarray:
         if isinstance(atom, PrimeSet):
             return np.isin(ps[ok], [q for q in atom.primes if q <= hi])
-        if atom.ext.name not in counts:
-            counts[atom.ext.name] = root_counts(atom.ext)
         return _atom_holds(atom, counts[atom.ext.name])
 
     masks = sum(_eval_node(node, leaf).astype(np.int64) << j for j, node in enumerate(nodes))
@@ -432,11 +427,11 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     return out
 
 
-def _relative_points(base: NumberField, primes: np.ndarray, n: int, rule: ExclusionRule,
-                     table: ClassTable | None):
+def _relative_points(base: NumberField, exts: Sequence[Extension], primes: np.ndarray,
+                     n: int, rule: ExclusionRule, table: ClassTable | None):
     """The points of norm <= n of a base other than Q over the primes of a
-    range: (their primes, their norms, their skip slots, and a function
-    giving each extension's counts at the evaluable ones).
+    range: (their primes, their norms, their skip slots, and the counts of
+    each extension at the evaluable ones, by name).
 
     A prime that both the rule and the class table take reads its points
     and counts from the row of its Frobenius class; every other prime is
@@ -450,7 +445,7 @@ def _relative_points(base: NumberField, primes: np.ndarray, n: int, rule: Exclus
     for c, row in enumerate(table.rows if table is not None else ()):
         pc = primes[cls == c]
         for f, *point_counts in row:
-            keep = pc[pc <= _iroot(n, f)]
+            keep = pc[pc <= iroot(n, f)]
             parts.append((keep, keep**f, dict(zip(table.exts, point_counts))))
     points = [pL for p in primes[cls < 0].tolist() for pL in sp.split_prime(base, p)
               if pL.order <= n]
@@ -461,24 +456,11 @@ def _relative_points(base: NumberField, primes: np.ndarray, n: int, rule: Exclus
     orders = np.concatenate([norms for _, norms, _ in parts]
                             + [np.array([pL.order for pL in points], dtype=np.int64)])
     slots = np.concatenate([np.zeros(len(ps) - len(points), dtype=np.int64), point_slots])
-
-    def root_counts(ext: Extension) -> np.ndarray:
-        return np.concatenate(
-            [np.full(len(keep), by_ext[ext.name], dtype=np.int64) for keep, _, by_ext in parts]
-            + [np.array([sp.compatible_root_count(ext, pL) for pL in evaluable],
-                        dtype=np.int64)])
-
-    return ps, orders, slots, root_counts
-
-
-def _iroot(n: int, f: int) -> int:
-    """The largest r with r^f <= n."""
-    r = round(n ** (1 / f))
-    while r**f > n:
-        r -= 1
-    while (r + 1) ** f <= n:
-        r += 1
-    return r
+    counts = {ext.name: np.concatenate(
+        [np.full(len(keep), by_ext[ext.name], dtype=np.int64) for keep, _, by_ext in parts]
+        + [np.array([sp.compatible_root_count(ext, pL) for pL in evaluable], dtype=np.int64)])
+        for ext in exts}
+    return ps, orders, slots, counts
 
 
 def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int,
@@ -493,8 +475,9 @@ def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int,
             )
     exts = tuple(atom.ext for expr in exprs for atom in expr.atoms())
     table = class_table(exprs[0].lattice, base, exts) if base.degree > 1 else None
-    payload = (tuple(expr.node for expr in exprs), base, checkpoints, ExclusionRule.of(exts),
-               witnesses, table)
+    payload = (tuple(expr.node for expr in exprs), base,
+               tuple({ext.name: ext for ext in exts}.values()), checkpoints,
+               ExclusionRule.of(exts), witnesses, table)
     return checkpoints, scan(_density_kernel, payload, n, workers)
 
 
@@ -821,20 +804,12 @@ def check_pi_eq_psi(cfg: LatticeConfig, spec: str, n: int) -> PiEqPsiReport:
 
 
 @dataclass(frozen=True)
-class PullbackRow:
-    p: int
-    local_factor: tuple[int, ...]
-    upstairs: bool
-    downstairs: bool
-
-
-@dataclass(frozen=True)
 class PullbackReport:
     tower: tuple[str, str, str, str]  # (L, K, M, KM)
     n: int
     points: int
-    pi_discrepancies: tuple[PullbackRow, ...]
-    psi_discrepancies: tuple[PullbackRow, ...]
+    pi_discrepancies: tuple[int, ...]  # the prime of each discrepant point
+    psi_discrepancies: tuple[int, ...]
 
     def __str__(self) -> str:
         l, k, m, km = self.tower
@@ -844,10 +819,10 @@ class PullbackReport:
         )
         pi = f" Pi: {len(self.pi_discrepancies)} discrepancies"
         if self.pi_discrepancies:
-            pi += " at p in " + str(sorted({r.p for r in self.pi_discrepancies}))
+            pi += " at p in " + str(sorted(set(self.pi_discrepancies)))
         psi = f"; Psi: {len(self.psi_discrepancies)} discrepancies"
         if self.psi_discrepancies:
-            psi += " at p in " + str(sorted({r.p for r in self.psi_discrepancies}))
+            psi += " at p in " + str(sorted(set(self.psi_discrepancies)))
         return head + pi + psi
 
 
@@ -857,29 +832,29 @@ def check_pullback(
     """Test whether membership upstairs matches membership of the projection.
 
     For each point pK of Sp_k, compares [pK in Pi(km/k)] with
-    [projection(pK) in Pi(m/l)], and likewise for Psi.  Discrepancies are
-    data, not errors: the report lists both variants and leaves the verdict
-    to the caller.
+    [projection(pK) in Pi(m/l)], and likewise for Psi; both read one
+    ``compatible_root_count`` per side, made once per point of k and once
+    per base point of l.  Discrepancies are data, not errors: the report
+    lists the prime of each discrepant point, for both variants, and leaves
+    the verdict to the caller.
     """
     ext_kl = cfg.extension((k, l))
     ext_ml = cfg.extension((m, l))
     ext_kmk = cfg.extension((km, k))
     ext_kmm = cfg.extension((km, m))  # the square's fourth side must exist
-    points = 0
-    pi_rows = []
-    psi_rows = []
+    # the points come in ascending p, and l has at most deg l points over each
+    count_below = functools.lru_cache(maxsize=ext_ml.base.degree)(
+        functools.partial(sp.compatible_root_count, ext_ml))
+    points, pi, psi = 0, [], []
     for pK in sp.points_over(ext_kl.field, n, (ext_kl, ext_ml, ext_kmk, ext_kmm)):
         points += 1
-        below = plane.project_point(ext_kl, pK)
-        up_pi = sp.in_pi(ext_kmk, pK)
-        down_pi = sp.in_pi(ext_ml, below)
-        if up_pi != down_pi:
-            pi_rows.append(PullbackRow(pK.p, pK.local_factor, up_pi, down_pi))
-        up_psi = sp.in_psi(ext_kmk, pK)
-        down_psi = sp.in_psi(ext_ml, below)
-        if up_psi != down_psi:
-            psi_rows.append(PullbackRow(pK.p, pK.local_factor, up_psi, down_psi))
-    return PullbackReport((l, k, m, km), n, points, tuple(pi_rows), tuple(psi_rows))
+        up = sp.compatible_root_count(ext_kmk, pK)
+        down = count_below(plane.project_point(ext_kl, pK))
+        if (up >= 1) != (down >= 1):
+            pi.append(pK.p)
+        if (up == ext_kmk.rel_degree) != (down == ext_ml.rel_degree):
+            psi.append(pK.p)
+    return PullbackReport((l, k, m, km), n, points, tuple(pi), tuple(psi))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from .errors import (
     UnknownFieldError,
 )
 from .intpoly import Composer, IntPoly, RatPoly, discriminant, reduce_mod_p
-from .sieve import is_prime, stream_primes
+from .sieve import iroot, is_prime, stream_primes
 
 CERTIFICATE_PRIME_BOUND = 200
 
@@ -220,12 +220,7 @@ def _perfect_root(n: int) -> int | None:
     n has no prime factor below _TRIAL_BOUND > 2^9, so k <= log2(n) / 9.
     """
     for k in range(2, n.bit_length() // 9 + 1):
-        r = 1 << -(-n.bit_length() // k)  # >= the k-th root; Newton from above
-        while True:
-            s = ((k - 1) * r + n // r ** (k - 1)) // k
-            if s >= r:
-                break
-            r = s
+        r = iroot(n, k)
         if r**k == n:
             return r
     return None
@@ -553,6 +548,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
         identity = RatPoly.of(0, 1).coeffs
         if identity not in seen:
             raise AutomorphismGroupError(f"auto {name}: identity map is not declared")
+        invertible = set()
         for s in sigmas:
             for t in sigmas:
                 comp = fmod.compose_mod(s.h, t.h)
@@ -560,14 +556,12 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
                     raise AutomorphismGroupError(
                         f"auto {name}: composition {s.h} o {t.h} = {comp} is not declared"
                     )
-        # invertibility: some power is the identity
+                if comp.coeffs == identity:
+                    invertible.add(s.h.coeffs)
+        # in a finite set closed under composition, s has finite order
+        # exactly when s o t is the identity for some t of the set
         for s in sigmas:
-            power = s.h
-            for _ in range(len(sigmas)):
-                if power.coeffs == identity:
-                    break
-                power = fmod.compose_mod(power, s.h)
-            else:
+            if s.h.coeffs not in invertible:
                 raise AutomorphismGroupError(f"auto {name}: {s.h} has no finite order")
 
     galois_marks = set()

@@ -12,10 +12,9 @@ folding degrees n..2n-2 back with the precomputed reduction row -f[:n].
 :func:`powmod` is the one ladder on them, and :func:`xpow_mod`,
 :func:`compose_mod` and ``finitefield.FqField`` all run on these kernels.
 The other algorithms are one distinct-degree factorization (:func:`ddf`,
-behind splitting-type patterns, the fibrewise Pi/Psi count and
-:func:`factor`), and complete factorization: squarefree decomposition, DDF,
-then seeded Cantor-Zassenhaus equal-degree splitting (Cantor-Zassenhaus
-1981; von zur Gathen-Shoup 1992).
+behind splitting-type patterns and :func:`factor`), and complete
+factorization: squarefree decomposition, DDF, then seeded Cantor-Zassenhaus
+equal-degree splitting (Cantor-Zassenhaus 1981; von zur Gathen-Shoup 1992).
 
 The prime-lane kernels at the end answer one question about one monic
 integer f for a whole array of primes at once, one prime per numpy lane

@@ -17,7 +17,8 @@ walks.
 :func:`is_prime` is the one primality test, for a single n of any size: the
 Baillie-PSW test, exact below 3.18e23 and passed by no known composite.  It
 guards every prime the user names (bounded by ``MAX_CHARACTERISTIC``) and
-the factorizations of ``lattice``.
+the factorizations of ``lattice``.  :func:`iroot` is the one integer k-th
+root, exact at any size, for perfect powers and the scans' norm bounds.
 """
 
 from __future__ import annotations
@@ -168,3 +169,15 @@ def _strong_lucas(n: int) -> bool:
         if v == 0:
             return True
     return False
+
+
+def iroot(n: int, k: int) -> int:
+    """The largest r with r^k <= n, for n >= 0 and k >= 1, by Newton's method
+    on integers from above: each step falls while r^k > n, and stops at the
+    first r it cannot lower."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # above the k-th root
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r

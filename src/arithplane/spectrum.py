@@ -15,11 +15,11 @@ ratio of residue degrees); their oracles evaluate g_L at
 ``finitefield.residue_name(pK, h)`` and take ``finitefield.fq_minpoly`` of
 that name.  ``plane`` builds its projections on ``lies_over`` too.
 Fibrewise ones quantify over all points of K above a fixed point of L:
-``in_pi`` (some point has relative degree 1) and ``in_psi`` (all do).  The
-fibrewise predicates count the roots of f_K in the residue field of the
-base point that restrict to it, by distinct-degree factorization and one
-gcd over F_p (``compatible_root_count``): no residue field or field
-element is built.
+``in_pi`` (some point has relative degree 1) and ``in_psi`` (all do).  Both
+threshold one count, the roots of f_K in the residue field F_(p^d) of the
+base point that restrict to it (``compatible_root_count``): one power
+x^(p^d) mod f_K and two gcds over F_p, whatever d is, and no residue field
+or field element is built.
 ``in_pi_absolute``/``in_psi_absolute`` re-derive them from the full
 splitting and ``relative_degree`` as an independent cross-check.
 
@@ -155,20 +155,18 @@ def compatible_root_count(ext: Extension, pL: SplitPrime) -> int:
     """Number of roots of f_K in F_pL whose restriction names pL.
 
     Each such root is a point of K over pL with relative degree 1, so this
-    count is what in_pi/in_psi threshold.  A compatible root x has
-    F_p(x) ⊇ F_p(h(x)) = F_pL, so it is a root of a degree-d factor of f_K
-    mod p, d = deg pL; such a factor φ holds exactly one compatible root
-    when φ divides g_L(h), and none otherwise.  With G_d the product of the
-    degree-d factors (from the DDF), the count is deg gcd(G_d, g_L(h)) / d.
-    G_1 is the DDF's first round alone, gcd(x^p - x, f_K).
+    count is what in_pi/in_psi threshold.  The roots of f_K mod p in
+    F_pL = F_(p^d), d = deg pL, are those of G = gcd(f_K, x^(p^d) - x), the
+    product of the irreducible factors whose degree divides d (Lidl and
+    Niederreiter, *Finite Fields*, Thm 3.20).  A factor φ holds a compatible
+    root exactly when φ divides g_L(h), and then it holds exactly one: its
+    roots x have F_p(x) ⊇ F_p(h(x)), which is F_pL as g_L is irreducible of
+    degree d, so deg φ = d.  The count is deg gcd(G, g_L(h)) / d.
     """
     _refuse_excluded(ext, pL)
     p, d = pL.p, pL.residue_degree
     fbar = reduce_mod_p(ext.field.poly, p)
-    if d == 1:
-        part = mp.gcd_p(mp.sub(mp.xpow_mod(p, fbar, p), [0, 1], p), fbar, p)
-    else:
-        part = next((g for g, e in mp.ddf(fbar, p) if e == d), [1])
+    part = mp.gcd_p(mp.sub(mp.xpow_mod(p**d, fbar, p), [0, 1], p), fbar, p)
     image = mp.compose_mod(list(pL.local_factor), reduce_mod_p(ext.emb.h, p), part, p)
     return mp.deg(mp.gcd_p(image, part, p)) // d
 

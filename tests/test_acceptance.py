@@ -162,7 +162,7 @@ def test_criterion_09_inclusion_exclusion_exact(cfg):
 
 def test_criterion_10_pullback_checker_reports_both_ways(cfg):
     report = dn.check_pullback(cfg, "Q", "Qi", "Qs2", "Q8", 1000)
-    discrepant = {row.p for row in report.pi_discrepancies}
+    discrepant = set(report.pi_discrepancies)
     assert {3, 11} <= discrepant, f"expected discrepancies missing: {discrepant}"
     assert discrepant.isdisjoint({5, 7, 17}), "agreement primes misreported"
     print(f"CRITERION 10 PASS: agreement at 5, 7, 17; discrepancies reported"

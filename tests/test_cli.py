@@ -489,6 +489,17 @@ README_CHECKS = [
     "pi-intersection --fields Qi,Qs2,Qc2 --max 1000",
     "norm-fiber --ext Qi/Q --max 1000",
 ]
+# Pullback squares on the points of the cubic Qc2 (the README's second
+# example) and, with its sides swapped, of Qw (Pi then has no discrepancy
+# and Psi has 86), the README's first square with its sides swapped, and two
+# squares over a base other than Q.
+PULLBACK_CHECKS = [
+    "pullback --tower Q,Qc2,Qw,S3c --max 1000",
+    "pullback --tower Q,Qw,Qc2,S3c --max 1000",
+    "pullback --tower Q,Qs2,Qi,Q8 --max 1000",
+    "pullback --tower Qw,S3c,S3c,S3c --max 300",
+    "pullback --tower Qc2,S3c,S3c,S3c --max 300",
+]
 CHECK_BOUNDS = (1, 2, 3, 12, 50, 97, 100, 1000, 10**4)
 QBASE_CHECKS = [
     "psi-product --fields Qi,Qs2,Q8",
@@ -508,7 +519,7 @@ RELATIVE_CHECKS = [
     "pi-eq-psi --ext Qi/Qi",
     "pi-eq-psi --ext Qi/Qw",
 ]
-CHECK_COMMANDS = README_CHECKS + [
+CHECK_COMMANDS = README_CHECKS + PULLBACK_CHECKS + [
     f"{args} --max {n}"
     for args, bounds in ((QBASE_CHECKS, CHECK_BOUNDS + (10**5,)),
                          (RELATIVE_CHECKS, CHECK_BOUNDS))

@@ -9,6 +9,7 @@ import pytest
 
 from arithplane import density as dn
 from arithplane import modpoly as mp
+from arithplane import plane
 from arithplane import sieve
 from arithplane import spectrum as sp
 from arithplane.errors import ArithPlaneError, ExprSyntaxError, UnknownFieldError
@@ -377,13 +378,39 @@ def test_pi_eq_psi_all_declared_galois(demo):
 def test_pullback_square(demo):
     report = dn.check_pullback(demo, "Q", "Qi", "Qs2", "Q8", 1000)
     want = {p for p in stream_primes(1000) if p % 8 == 3}
-    assert {row.p for row in report.pi_discrepancies} == want
-    assert {row.p for row in report.psi_discrepancies} == want
-    for row in report.pi_discrepancies:
-        assert row.upstairs and not row.downstairs
+    assert sorted(report.pi_discrepancies) == sorted(report.psi_discrepancies) == sorted(want)
+    # each discrepancy is Pi upstairs without Pi below, recounted point by point
+    qi, up, down = demo.extension("Qi/Q"), demo.extension("Q8/Qi"), demo.extension("Qs2/Q")
+    for p in report.pi_discrepancies:
+        (pK,) = sp.split_prime(qi.field, p)
+        assert sp.in_pi(up, pK) and not sp.in_pi(down, plane.project_point(qi, pK))
     agree = {p for p in stream_primes(1000)} - want - {2}
     assert {5, 7, 17} <= agree
     assert report.points > 200
+
+
+@pytest.mark.parametrize("tower, n", [(("Q", "Qi", "Qs2", "Q8"), 1000),
+                                      (("Q", "Qc2", "Qw", "S3c"), 1000),
+                                      (("Qw", "S3c", "S3c", "S3c"), 300)])
+def test_pullback_counts_each_side_once(demo, monkeypatch, tower, n):
+    # one count upstairs per point of K, one below per distinct base point
+    l, k, m, km = tower
+    kl = demo.extension((k, l))
+    exts = (kl, demo.extension((m, l)), demo.extension((km, k)), demo.extension((km, m)))
+    points = list(sp.points_over(kl.field, n, exts))
+    below = {(pK.p, plane.project_point(kl, pK).local_factor) for pK in points}
+    assert len(below) < len(points)
+    calls = []
+    count = sp.compatible_root_count
+
+    def record(ext, pL):
+        calls.append((ext.name, pL))
+        return count(ext, pL)
+
+    monkeypatch.setattr(sp, "compatible_root_count", record)
+    report = dn.check_pullback(demo, l, k, m, km, n)
+    assert report.points == len(points)
+    assert len(calls) <= len(points) + len(below)
 
 
 def test_inclusion_exclusion(demo):
@@ -545,6 +572,23 @@ def test_relative_density_matches_recount(demo, narrow_ranges, text):
     want = _recounted_estimate(rows, skipped, RECOUNT_N, bool)
     assert want.skipped and want.hits
     assert dn.estimate_density(e, RECOUNT_N) == want
+
+
+@pytest.mark.parametrize("with_table", [True, False])
+def test_relative_points_take_a_bound_of_any_size(demo, with_table):
+    # every point over p <= 1000 has norm <= 1000^2, so bounds of 10^6 and
+    # 10^400 keep the same points and counts, through the class table and
+    # point by point
+    ext = demo.extension("Q8/Qi")
+    table = dn.class_table(demo, ext.base, (ext,)) if with_table else None
+    primes = sieve.prime_range(2, 1000)
+    got = [dn._relative_points(ext.base, (ext,), primes, n, ExclusionRule.of((ext,)), table)
+           for n in (10**6, 10**400)]
+    (ps, orders, slots, counts), (ps2, orders2, slots2, counts2) = got
+    assert len(ps) > len(primes)
+    assert (ps == ps2).all() and (orders == orders2).all() and (slots == slots2).all()
+    assert counts.keys() == counts2.keys() == {ext.name}
+    assert (counts[ext.name] == counts2[ext.name]).all()
 
 
 def test_qbase_inclusion_exclusion_matches_recount(demo, narrow_ranges):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from arithplane import sieve
-from arithplane.sieve import _strong_lucas, is_prime, prime_range, ranges, stream_primes
+from arithplane.sieve import _strong_lucas, iroot, is_prime, prime_range, ranges, stream_primes
 
 
 def trial_division_primes(n):
@@ -137,3 +137,21 @@ def test_is_prime_above_miller_rabin_bound():
     assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
     assert not is_prime((2**61 - 1) * (2**89 - 1))
     assert not is_prime((2**89 - 1) ** 2)  # a square has no Selfridge D
+
+
+def test_iroot_small_exhaustive():
+    for k in range(1, 9):
+        r = 0
+        for n in range(5000):
+            while (r + 1) ** k <= n:
+                r += 1
+            assert iroot(n, k) == r, (n, k)
+
+
+def test_iroot_huge():
+    for n in (10**400 - 1, 10**400, 10**400 + 1, 3**839, 3**839 - 1, 7**473 + 5):
+        for k in range(1, 17):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+    assert iroot(10**400, 2) == 10**200 and iroot(10**400 - 1, 2) == 10**200 - 1
+    assert iroot(10**400, 16) == 10**25 and iroot(10**400 - 1, 16) == 10**25 - 1

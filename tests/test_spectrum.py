@@ -487,6 +487,11 @@ def test_compatible_root_count_by_exhaustion(demo):
     assert len(_check_by_oracle(demo, DEMO_EXTENSIONS, BRUTE_P)) > 2000
 
 
+# primes above 2^32 with p = 1 mod 3 at which 2 is not a cube, so x^3 - 2 is
+# irreducible and Qc2 has one point of residue degree 3 over each
+CUBIC_INERT_PRIMES = (4294967311, 4294967371)
+
+
 def test_compatible_root_count_mixed_degrees():
     # x^6 - 2 over Q(2^(1/3)) is not Galois: at p = 17 it factors as
     # (1, 1, 2, 2), so the degree-2 base point must ignore the linear
@@ -500,12 +505,17 @@ def test_compatible_root_count_mixed_degrees():
     assert mp.root_count(fbar, 17) == 2
     at17 = {pl.residue_degree: n for _, pl, n in counts if pl.p == 17}
     assert at17 == {1: 2, 2: 2}
+    # at the degree-3 points the count is 2 at one prime and 0 at the other
+    large = [(sp.compatible_root_count(ext, pl), _roots_count(ext, pl))
+             for ext, pl in _base_points(cfg, ("Q6/Qc2",), CUBIC_INERT_PRIMES)]
+    assert large == [(2, 2), (0, 0)]
 
 
 def test_compatible_root_count_large_primes(demo):
     seen = set()
-    for ext, pl in _base_points(demo, DEMO_EXTENSIONS, (998244353, 2**61 - 1)):
+    for ext, pl in _base_points(demo, DEMO_EXTENSIONS,
+                                (998244353, 2**61 - 1, *CUBIC_INERT_PRIMES)):
         count = sp.compatible_root_count(ext, pl)
         assert count == _roots_count(ext, pl), (ext.name, pl)
         seen.add((pl.residue_degree, count))
-    assert len(seen) >= 4  # several residue degrees and counts occur
+    assert (3, 2) in seen and len(seen) >= 5  # several residue degrees and counts occur
