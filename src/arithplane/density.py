@@ -524,8 +524,9 @@ class ClassTable:
 
     ``classes`` holds the conjugacy classes of G as indices into M's
     declared automorphisms, and ``maps`` the map h_σ of the first member σ
-    of each, as ``RatPoly.over_z``.  Row c has one entry per point of L over
-    a prime of class c: its residue degree f, then the
+    of each, as the integer pair (``h.num``, ``h.den``) that
+    ``modpoly.lane_frobenius_counts`` takes.  Row c has one entry per point
+    of L over a prime of class c: its residue degree f, then the
     ``compatible_root_count`` of each extension of ``exts`` there.  The
     points are the ⟨σ⟩-orbits on Hom(L, M), of length f, and the count of
     K/L at the orbit of τ is #{ι ∈ Hom(K, M) : ι∘emb = τ, σ^f∘ι = ι}.
@@ -574,10 +575,10 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
                  exts: tuple[Extension, ...], into: dict) -> ClassTable | None:
     comp = Composer(m.poly)
     hs = [a.h for a in cfg.autos(m.name)]
-    at = {h.coeffs: i for i, h in enumerate(hs)}
+    at = {h: i for i, h in enumerate(hs)}
     # σ_i∘σ_j sends θ to h_j(h_i(θ)); conjugates of σ_i are σ_t∘σ_i∘σ_t^-1
-    mul = [[at[comp.compose_mod(hj, hi).coeffs] for hj in hs] for hi in hs]
-    identity = at[RatPoly.of(0, 1).coeffs]
+    mul = [[at[comp.compose_mod(hj, hi)] for hj in hs] for hi in hs]
+    identity = at[RatPoly.of(0, 1)]
     inv = [row.index(identity) for row in mul]
     classes: list[tuple[int, ...]] = []
     for i in range(len(hs)):
@@ -587,24 +588,24 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
     def homs(fld: NumberField) -> list[RatPoly] | None:
         """Hom(fld, M) as the images of fld's generator, the orbit of the
         declared embedding under G; None unless there are deg fld."""
-        orbit = {r.coeffs: r for r in (comp.compose_mod(into[fld.name].h, h) for h in hs)}
-        return list(orbit.values()) if len(orbit) == fld.degree else None
+        orbit = list(dict.fromkeys(comp.compose_mod(into[fld.name].h, h) for h in hs))
+        return orbit if len(orbit) == fld.degree else None
 
     def motion(images: list[RatPoly], sigma: RatPoly) -> list[int]:
         """σ∘ι for each ι of images, as indices into images."""
-        where = {r.coeffs: j for j, r in enumerate(images)}
-        return [where[comp.compose_mod(r, sigma).coeffs] for r in images]
+        where = {r: j for j, r in enumerate(images)}
+        return [where[comp.compose_mod(r, sigma)] for r in images]
 
     hom_l = homs(base)
     if hom_l is None:
         return None
-    where_l = {r.coeffs: j for j, r in enumerate(hom_l)}
+    where_l = {r: j for j, r in enumerate(hom_l)}
     above = []  # per extension: Hom(K, M) and the restriction of each ι to L
     for ext in exts:
         hom_k = homs(ext.field)
         if hom_k is None:
             return None
-        res = [where_l.get(comp.compose_mod(ext.emb.h, r).coeffs) for r in hom_k]
+        res = [where_l.get(comp.compose_mod(ext.emb.h, r)) for r in hom_k]
         if any(res.count(t) != ext.rel_degree for t in range(len(hom_l))):
             return None
         above.append((hom_k, res))
@@ -630,11 +631,11 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
             row.append((f, *counts))
         rows.append(tuple(row))
 
-    dens = {q for h in hs for d in h.denominators() for q in prime_factors(d)}
+    dens = {q for h in hs for q in prime_factors(h.den)}
     for emb in into.values():
         dens |= emb.denominator_primes()
     return ClassTable(m.poly.coeffs, tuple(classes),
-                      tuple(hs[c[0]].over_z for c in classes),
+                      tuple((hs[c[0]].num, hs[c[0]].den) for c in classes),
                       tuple(ext.name for ext in exts), tuple(rows),
                       ExclusionRule((m.disc,), frozenset(dens)))
 

@@ -25,14 +25,6 @@ class InvalidPrimeError(ArithPlaneError):
     """A claimed prime characteristic is not prime (or out of range)."""
 
 
-class ReducibleModulusError(ArithPlaneError):
-    """A field modulus is not irreducible over its prime field."""
-
-
-class InvalidSubfieldError(ArithPlaneError):
-    """Requested subfield degree does not divide the field degree."""
-
-
 class LatticeSyntaxError(ArithPlaneError):
     """Malformed lattice configuration text.
 

@@ -38,11 +38,33 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import modpoly as mp
-from .errors import InvalidPrimeError, InvalidSubfieldError, ReducibleModulusError
+from .errors import ArithPlaneError, InvalidPrimeError
 from .intpoly import IntPoly, RatPoly, _format_poly, reduce_mod_p
 from .sieve import MAX_CHARACTERISTIC, is_prime
 
 MAX_EXTENSION_DEGREE = 16
+
+
+class ReducibleModulusError(ArithPlaneError):
+    """A field modulus is not irreducible over its prime field."""
+
+
+class InvalidSubfieldError(ArithPlaneError):
+    """Requested subfield degree does not divide the field degree."""
+
+
+def invert_mod(a: list[int], fmod: list[int], p: int) -> list[int]:
+    """Inverse of a modulo fmod (extended Euclid); a must be a unit."""
+    r0, r1 = list(fmod), mp.rem_p(a, fmod, p)
+    t0, t1 = [], [1]
+    while r1:
+        q, r = mp.divmod_p(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, mp.sub(t0, mp.mul(q, t1, p), p)
+    if mp.deg(r0) != 0:
+        raise ZeroDivisionError("element is not invertible")
+    k = pow(r0[0], -1, p)
+    return mp.trim([k * c % p for c in t0])
 
 
 def _mix_seed(*values: int) -> int:
@@ -146,7 +168,7 @@ class FqField:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return (pow(a[0], -1, self.p),)
-        inv = mp.invert_mod(mp.trim(list(a)), list(self.modulus), self.p)
+        inv = invert_mod(mp.trim(list(a)), list(self.modulus), self.p)
         return tuple(inv) + (0,) * (self.m - len(inv))
 
     def _pow(self, a, e: int):

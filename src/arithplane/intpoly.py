@@ -5,18 +5,18 @@ trailing zeros; the zero polynomial is the empty tuple and has degree -1.
 :class:`IntPoly` holds Python ints and has no arithmetic beyond the
 derivative: the field polynomials of the lattice are reduced mod p and
 composed on :class:`Composer`.
-:class:`RatPoly` holds :class:`fractions.Fraction` values in lowest terms.
+:class:`RatPoly` holds integer numerators over one common denominator, in
+lowest terms (Cohen, *A Course in Computational Algebraic Number Theory*, §4.2).
 
 Map composition — ``outer(inner(x)) mod m`` for a monic m, which is what
 every embedding, transitivity and automorphism-group check of the lattice
-reduces to — runs on one kernel over Z, :class:`Composer`: each map is an
-integer numerator over one common denominator (``RatPoly.over_z``), the
-powers of an inner map mod m are tabulated once and shared by every outer
-map, and only results become ``Fraction`` coefficients again.  An
+reduces to — runs on one kernel over Z, :class:`Composer`: the powers of an
+inner map's numerator mod m are tabulated once and shared by every outer
+map, and a result is an integer vector over one denominator again.  An
 embedding or automorphism is valid iff ``Composer.vanishes`` holds for it.
 The ``Fraction`` Horner route (``RatPoly.__mul__``, ``divmod``, ``mod``,
-``compose``, ``compose_mod``) is kept only as the reference oracle for the
-tests.
+``compose``, ``compose_mod``, on the derived ``RatPoly.coeffs``) is kept
+only as the reference oracle for the tests.
 
 The discriminant of a monic f of degree n is (-1)^(n(n-1)/2) N(f'(α)), the
 determinant of the multiplication-by-f'(α) matrix whose rows x^i·f' mod f
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ArithmeticOverflowError, DenominatorNotInvertibleError
@@ -93,30 +92,45 @@ class IntPoly:
 
 @dataclass(frozen=True)
 class RatPoly:
-    """Polynomial over Q; ``coeffs[i]`` multiplies x^i.
+    """Polynomial over Q: ``num[i] / den`` multiplies x^i.
 
-    The ``Fraction`` Horner methods (``__mul__``, ``divmod``, ``mod``,
-    ``compose``, ``compose_mod``) are the reference oracle for
-    :class:`Composer`, which computes from ``over_z``.
+    :meth:`over` makes the one normal form (den >= 1, gcd(den, *num) = 1,
+    no trailing zeros, the zero map ``((), 1)``), so maps compare and hash
+    as integers.  Printing and the ``Fraction`` Horner methods, the oracle
+    for :class:`Composer`, read the derived ``coeffs``.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def over(num: Iterable[int], den: int = 1) -> "RatPoly":
+        """num/den in normal form; den must be nonzero."""
+        num = _trim(list(num))
+        g = gcd(den, *num) * (-1 if den < 0 else 1)
+        return RatPoly(tuple(c // g for c in num), den // g)
 
     @staticmethod
     def of(*coeffs) -> "RatPoly":
-        return RatPoly(_trim([Fraction(c) for c in coeffs]))
+        return RatPoly.from_coeffs(coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable) -> "RatPoly":
-        return RatPoly(_trim([Fraction(c) for c in coeffs]))
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return RatPoly.over([c.numerator * (den // c.denominator) for c in fracs], den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.coeffs, other.coeffs
@@ -125,7 +139,7 @@ class RatPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return RatPoly(_trim(out))
+        return RatPoly.from_coeffs(out)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         a, b = self.coeffs, other.coeffs
@@ -137,7 +151,7 @@ class RatPoly:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return RatPoly(_trim(out))
+        return RatPoly.from_coeffs(out)
 
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         """Exact polynomial long division over Q."""
@@ -156,7 +170,7 @@ class RatPoly:
             rem = list(_trim(rem))
             if not rem:
                 break
-        return RatPoly(_trim(quo)), RatPoly(_trim(rem))
+        return RatPoly.from_coeffs(quo), RatPoly.from_coeffs(rem)
 
     def mod(self, other: "RatPoly") -> "RatPoly":
         return self.divmod(other)[1]
@@ -174,16 +188,6 @@ class RatPoly:
         for c in reversed(self.coeffs):
             acc = (acc * inner + RatPoly.of(c)).mod(modulus)
         return acc
-
-    def denominators(self) -> set[int]:
-        return {c.denominator for c in self.coeffs if c.denominator != 1}
-
-    @cached_property
-    def over_z(self) -> tuple[tuple[int, ...], int]:
-        """(N, D) with self = N/D: integer coefficients over their least
-        common denominator D >= 1."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coeffs), den
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
@@ -212,35 +216,30 @@ def _format_poly(coeffs: Sequence) -> str:
 def reduce_mod_p(h: RatPoly | IntPoly, p: int) -> list[int]:
     """Coefficients of h mod p, constant first, trailing zeros trimmed.
 
-    Raises DenominatorNotInvertibleError when a denominator shares a factor
-    with p (the caller decides whether that means skip or refuse).
+    Raises DenominatorNotInvertibleError when p divides the denominator of
+    h (the caller decides whether that means skip or refuse).
     """
-    if isinstance(h, IntPoly):
-        return list(_trim([c % p for c in h.coeffs]))
-    out = []
-    for c in h.coeffs:
-        den = c.denominator % p
-        if den == 0:
-            raise DenominatorNotInvertibleError(
-                f"denominator {c.denominator} not invertible mod {p}"
-            )
-        out.append((c.numerator % p) * pow(den, -1, p) % p)
-    return list(_trim(out))
+    num, den = (h.coeffs, 1) if isinstance(h, IntPoly) else (h.num, h.den)
+    if den % p == 0:
+        raise DenominatorNotInvertibleError(f"denominator {den} not invertible mod {p}")
+    inv = pow(den, -1, p)
+    return list(_trim([c * inv % p for c in num]))
 
 
 class Composer:
     """Exact composition ``outer(inner) mod modulus`` over Z, for one monic
     modulus m of degree r.
 
-    A map h = N/D is taken as ``h.over_z``.  For an outer map M/E of degree
-    n, E·D^n·outer(h) = Σ M_i·D^(n-i)·N^i, and because m is monic each N^i
-    reduces mod m without leaving Z.  So a composition is an integer linear
-    combination of the rows N^i mod m, and a single division by E·D^n
-    turns it back into a ``RatPoly``.  The rows are tabulated per inner
-    map on first use (the baby steps of Brent and Kung, "Fast algorithms
-    for manipulating formal power series", 1978) and kept for the
-    composer's lifetime: a loop composing many outer maps with one inner
-    map multiplies polynomials only to extend that map's table.
+    A map h = N/D is read as its ``num`` and ``den``.  For an outer map M/E
+    of degree n, E·D^n·outer(h) = Σ M_i·D^(n-i)·N^i, and because m is monic
+    each N^i reduces mod m without leaving Z.  So a composition is an
+    integer linear combination of the rows N^i mod m over the one
+    denominator E·D^n, which ``RatPoly.over`` brings to lowest terms.  The
+    rows are tabulated per inner map on first use (the baby steps of Brent
+    and Kung, "Fast algorithms for manipulating formal power series", 1978)
+    and kept for the composer's lifetime: a loop composing many outer maps
+    with one inner map multiplies polynomials only to extend that map's
+    table.
 
     Compositions are not held to the 128-bit bound: as on the ``Fraction``
     route, their integers grow with r and with the heights of the maps.
@@ -252,15 +251,13 @@ class Composer:
             raise ValueError(f"modulus {modulus} is not monic")
         self.modulus = modulus
         self._tail = modulus.coeffs[:-1]  # m = x^r + tail
-        self._rows: dict[tuple, tuple[int, list[list[int]]]] = {}  # by inner.over_z
+        self._rows: dict[RatPoly, list[list[int]]] = {}  # by inner map
 
     def compose_mod(self, outer: RatPoly, inner: RatPoly) -> RatPoly:
         """outer(inner(x)) mod the modulus, equal to ``outer.compose_mod(inner,
         RatPoly.from_coeffs(modulus.coeffs))``."""
-        num, den = outer.over_z
-        acc, scale = self._combine(num, inner)
-        total = den * scale
-        return RatPoly(_trim([Fraction(c, total) for c in acc]))
+        acc, scale = self._combine(outer.num, inner)
+        return RatPoly.over(acc, outer.den * scale)
 
     def vanishes(self, f: IntPoly, h: RatPoly) -> bool:
         """True iff f(h(x)) ≡ 0 mod the modulus."""
@@ -268,11 +265,9 @@ class Composer:
 
     def _combine(self, coeffs: Sequence[int], inner: RatPoly) -> tuple[list[int], int]:
         """(Σ c_i·D^(n-i)·(N^i mod m), D^n) for inner = N/D, n = len(coeffs) - 1."""
-        entry = self._rows.get(inner.over_z)
-        if entry is None:
-            num, den = inner.over_z
-            entry = self._rows[inner.over_z] = (den, [self._reduce([1]), self._reduce(list(num))])
-        den, rows = entry
+        rows = self._rows.get(inner)
+        if rows is None:
+            rows = self._rows[inner] = [self._reduce([1]), self._reduce(list(inner.num))]
         n = len(coeffs) - 1
         while len(rows) <= n:
             rows.append(self._mulmod(rows[-1], rows[1]))
@@ -285,7 +280,7 @@ class Composer:
                 for j, v in enumerate(rows[i]):
                     acc[j] += k * v
             if i:
-                scale *= den
+                scale *= inner.den
         return acc, scale
 
     def _mulmod(self, a: list[int], b: list[int]) -> list[int]:

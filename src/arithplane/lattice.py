@@ -87,10 +87,7 @@ class Embedding:
     h: RatPoly
 
     def denominator_primes(self) -> frozenset[int]:
-        out: set[int] = set()
-        for den in self.h.denominators():
-            out.update(prime_factors(den))
-        return frozenset(out)
+        return frozenset(prime_factors(self.h.den))
 
 
 @dataclass(frozen=True)
@@ -542,26 +539,26 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
 
     for name, sigmas in automorphisms.items():
         fmod = composer[name]
-        seen = {s.h.coeffs for s in sigmas}
+        seen = {s.h for s in sigmas}
         if len(seen) != len(sigmas):
             raise AutomorphismGroupError(f"auto {name}: duplicate map declared")
-        identity = RatPoly.of(0, 1).coeffs
+        identity = RatPoly.of(0, 1)
         if identity not in seen:
             raise AutomorphismGroupError(f"auto {name}: identity map is not declared")
         invertible = set()
         for s in sigmas:
             for t in sigmas:
                 comp = fmod.compose_mod(s.h, t.h)
-                if comp.coeffs not in seen:
+                if comp not in seen:
                     raise AutomorphismGroupError(
                         f"auto {name}: composition {s.h} o {t.h} = {comp} is not declared"
                     )
-                if comp.coeffs == identity:
-                    invertible.add(s.h.coeffs)
+                if comp == identity:
+                    invertible.add(s.h)
         # in a finite set closed under composition, s has finite order
         # exactly when s o t is the identity for some t of the set
         for s in sigmas:
-            if s.h.coeffs not in invertible:
+            if s.h not in invertible:
                 raise AutomorphismGroupError(f"auto {name}: {s.h} has no finite order")
 
     galois_marks = set()

@@ -65,11 +65,6 @@ def sub(a: list[int], b: list[int], p: int) -> list[int]:
     return trim(out)
 
 
-def scalar_mul(k: int, a: list[int], p: int) -> list[int]:
-    k %= p
-    return trim([(k * c) % p for c in a])
-
-
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
     if not a or not b:
         return []
@@ -346,19 +341,6 @@ def is_irreducible(f: list[int], p: int) -> bool:
     """
     n = deg(f)
     return n >= 1 and ddf(f, p) == [(monic(f, p), n)]
-
-
-def invert_mod(a: list[int], fmod: list[int], p: int) -> list[int]:
-    """Inverse of a modulo fmod (extended Euclid); a must be a unit."""
-    r0, r1 = list(fmod), rem_p(a, fmod, p)
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_p(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if deg(r0) != 0:
-        raise ZeroDivisionError("element is not invertible")
-    return scalar_mul(pow(r0[0], -1, p), t0, p)
 
 
 def linsolve(matrix: list[list[int]], rhs: list[int], p: int) -> list[int]:

@@ -2,11 +2,13 @@
 
 :func:`ranges` cuts [2, N] into consecutive ranges of ``RANGE_WIDTH``
 integers, the last one possibly shorter, and every prime walk goes through
-them in order.  :func:`prime_range` sieves one range in a single pass: it
-stores odd numbers only, as a numpy bool array where slot i stands for the
-i-th odd number of the range, and takes its base primes up to sqrt(hi) from
-one small dense sieve.  Memory is therefore ``RANGE_WIDTH / 2`` bytes plus
-O(sqrt(N)) for the bases, whatever N is.
+them in order.  N must be below 2^63, as the sieve's arrays, the prime
+lanes and the norms of the scans are int64: a larger bound is refused
+before any range is cut.  :func:`prime_range` sieves one range in a single
+pass: it stores odd numbers only, as a numpy bool array where slot i stands
+for the i-th odd number of the range, and takes its base primes up to
+sqrt(hi) from one small dense sieve.  Memory is therefore
+``RANGE_WIDTH / 2`` bytes plus O(sqrt(N)) for the bases, whatever N is.
 
 Ranges are also the unit of parallelism: a scan worker needs nothing from
 its parent but a range's bounds.  A range comes back as one int64 array,
@@ -42,12 +44,19 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+def _bound(n: int) -> int:
+    """n, if 2 <= n < 2^63; a ValueError otherwise."""
+    if n < 2:
+        raise ValueError("upper bound must be at least 2")
+    if n >= 2**63:
+        raise ValueError("upper bound must be below 2^63")
+    return n
+
+
 def ranges(n: int):
     """The consecutive ranges (lo, hi) of ``RANGE_WIDTH`` integers covering
     [2, n], lazily and in order; the last one may be shorter."""
-    if n < 2:
-        raise ValueError("upper bound must be at least 2")
-    width = RANGE_WIDTH
+    n, width = _bound(n), RANGE_WIDTH
     return ((lo, min(lo + width - 1, n)) for lo in range(2, n + 1, width))
 
 
@@ -70,9 +79,7 @@ class PrimeStream:
     ``iter()`` walks them again from 2."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("upper bound must be at least 2")
-        self.n = n
+        self.n = _bound(n)
 
     def __iter__(self):
         for lo, hi in ranges(self.n):

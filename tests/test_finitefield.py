@@ -10,10 +10,12 @@ import random
 import pytest
 
 from arithplane import modpoly as mp
-from arithplane.errors import InvalidPrimeError, InvalidSubfieldError, ReducibleModulusError
+from arithplane.errors import InvalidPrimeError
 from arithplane.finitefield import (
     FqElement,
     FqField,
+    InvalidSubfieldError,
+    ReducibleModulusError,
     fq_factor,
     fq_minpoly,
     fq_norm,

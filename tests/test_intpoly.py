@@ -221,7 +221,62 @@ def test_reduce_mod_p_bad_denominator():
         reduce_mod_p(h, 2)
 
 
+def test_reduce_mod_p_matches_fraction_route():
+    # the per-coefficient Fraction route: each numerator times the inverse
+    # of its own denominator, refused when p divides any denominator
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    dens = st.lists(st.integers(1, 30), min_size=1, max_size=3).map(math.prod)
+    maps = st.lists(st.builds(Fraction, st.integers(-10**6, 10**6), dens),
+                    max_size=8).map(RatPoly.from_coeffs)
+    primes = st.sampled_from([2, 3, 5, 7, 11, 13, 29, 31, 2**31 - 1, 2**61 - 1])
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hyp.given(h=maps, p=primes)
+    def check(h, p):
+        if any(c.denominator % p == 0 for c in h.coeffs):
+            with pytest.raises(DenominatorNotInvertibleError):
+                reduce_mod_p(h, p)
+            return
+        want = [c.numerator * pow(c.denominator, -1, p) % p for c in h.coeffs]
+        while want and not want[-1]:
+            want.pop()
+        assert reduce_mod_p(h, p) == want
+
+    check()
+
+
 # ---------------------------------------------------------------- RatPoly
+
+
+def in_normal_form(h: RatPoly) -> bool:
+    """The one form of a map: den >= 1, gcd(den, *num) = 1, no trailing zero."""
+    return h.den >= 1 and math.gcd(h.den, *h.num) == 1 and h.num[-1:] != (0,)
+
+
+def test_ratpoly_has_one_form():
+    # every spelling of a map, scaled, negated or zero-padded, is one value
+    # with one hash, and ``coeffs`` gives back its Fraction coefficients
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fracs = st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 60)), max_size=7)
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hyp.given(cs=fracs, k=st.integers(-40, 40).filter(bool), pad=st.integers(0, 2))
+    def check(cs, k, pad):
+        h = RatPoly.from_coeffs(cs)
+        assert in_normal_form(h)
+        want = list(cs)
+        while want and not want[-1]:
+            want.pop()
+        assert h.coeffs == tuple(want)
+        other = RatPoly.over([k * c for c in h.num] + [0] * pad, k * h.den)
+        assert in_normal_form(other)
+        assert other == h and hash(other) == hash(h)
+        assert RatPoly.from_coeffs(h.coeffs + (0,) * pad) == h
+
+    check()
+    assert RatPoly(()) == RatPoly.of() == RatPoly.of(0, 0) == RatPoly.over((), 7)
 
 
 def test_ratpoly_divmod_reconstructs():
@@ -323,7 +378,7 @@ def test_composer_matches_oracle_on_demo_maps(monkeypatch):
         if kind == "compose":
             got = Composer(modulus).compose_mod(a, b)
             want = oracle_compose(a, b, modulus)
-            assert got == want and str(got) == str(want)
+            assert got == want and str(got) == str(want) and in_normal_form(got)
         else:
             want = oracle_compose(a, b, modulus).is_zero
             assert Composer(modulus).vanishes(a, b) == want
@@ -358,7 +413,7 @@ def test_composer_matches_oracle_on_random_maps():
     def random_maps(outer, inner, modulus, f_src):
         comp = Composer(modulus)
         got = comp.compose_mod(outer, inner)
-        assert got == oracle_compose(outer, inner, modulus)
+        assert in_normal_form(got) and got == oracle_compose(outer, inner, modulus)
         assert comp.compose_mod(outer, inner) == got  # now from the stored table
         if inner.degree < modulus.degree:
             want = oracle_compose(f_src, inner, modulus).is_zero

@@ -388,6 +388,12 @@ REFUSALS = [
         "auto A: duplicate map declared",
     ),
     (
+        "duplicate_automorphism_spelled_twice",  # 2/2 is 1: one map, two spellings
+        "field A\n  poly 1 0 1\nauto A\n  map 0 1\nauto A\n  map 0 -1\nauto A\n  map 0 2/2\n",
+        AutomorphismGroupError,
+        "auto A: duplicate map declared",
+    ),
+    (
         # (x^2 - 2)(x^2 - 8) is reducible (hence trusted) with no integer
         # root: the map sending (√2, 2√2) to (√2, √2) in Q(√2) x Q(√2) is a
         # root map closed under composition with the identity, since it is
@@ -504,3 +510,27 @@ def test_embedding_chain_through_compositum(demo):
         for r in roots8:
             img = horner(hbar, r, p)
             assert (img * img + 1) % p == 0
+
+
+def test_demo_maps_print_as_declared(demo):
+    # the printed form of every declared map, as the refusal messages and
+    # the validation report show maps
+    autos = [str(a) for name in sorted(demo.fields) for a in demo.autos(name)]
+    assert autos == [
+        "Q8: x -> x", "Q8: x -> x^3", "Q8: x -> -x", "Q8: x -> -x^3",
+        "Qi: x -> x", "Qi: x -> -x", "Qs2: x -> x", "Qs2: x -> -x",
+        "Qw: x -> x", "Qw: x -> -1 - x",
+        "S3c: x -> x",
+        "S3c: x -> -1 + 4/3*x^2 - 1/9*x^5",
+        "S3c: x -> -5 - x + 2/3*x^2 - 2*x^3 - x^4 - 5/9*x^5",
+        "S3c: x -> 3 + x - 4/3*x^2 + 4/3*x^3 + 2/3*x^4 + 4/9*x^5",
+        "S3c: x -> 2 + 4/3*x^3 + 2/3*x^4 + 1/3*x^5",
+        "S3c: x -> -2 - x - 2/3*x^2 - 2/3*x^3 - 1/3*x^4 - 1/9*x^5",
+    ]
+    embeds = {pair: str(e.h) for pair, e in demo.embeddings.items()}
+    assert embeds == {
+        ("Qi", "Q8"): "x^2",
+        ("Qs2", "Q8"): "x - x^3",
+        ("Qc2", "S3c"): "2 + x - 2/3*x^2 + 2/3*x^3 + 1/3*x^4 + 2/9*x^5",
+        ("Qw", "S3c"): "-2 + 2/3*x^2 - 2/3*x^3 - 1/3*x^4 - 2/9*x^5",
+    }

@@ -108,6 +108,17 @@ def test_bad_arguments():
         ranges(1)
 
 
+def test_bounds_stop_below_2_to_the_63():
+    # the sieve's arrays, the prime lanes and the scans' norms are int64;
+    # no range is sieved here, as the base primes of one near 2^63 run to 3e9
+    assert next(ranges(2**63 - 1)) == (2, sieve.RANGE_WIDTH + 1)
+    for make in (ranges, stream_primes):
+        with pytest.raises(ValueError, match=r"below 2\^63"):
+            make(2**63)
+        with pytest.raises(ValueError, match=r"below 2\^63"):
+            make(10**400)
+
+
 # ------------------------------------------------------------- primality
 
 
