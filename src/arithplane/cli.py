@@ -20,7 +20,7 @@ from .errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from .intpoly import IntPoly
+from .intpoly import RatPoly
 from .lattice import LatticeConfig, load_lattice, validate_lattice
 
 REFUSAL_ERRORS = (RamifiedPrimeError, HypothesisViolatedError, NotLyingOverError)
@@ -252,7 +252,7 @@ def _run(args, out) -> int:
             print(f"{q} -> {image}", file=out)
         return 0
     # annihilator, the last command
-    gamma = IntPoly.from_coeffs(_csv_ints(args.gamma))
+    gamma = RatPoly.over(_csv_ints(args.gamma))
     points = plane.annihilator_set(gamma, cfg.field(args.field), args.max)
     if points:
         for pk in points:

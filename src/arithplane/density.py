@@ -185,9 +185,9 @@ def _tokenize(text: str) -> list[_Tok]:
         elif c in _PUNCT:
             toks.append(_Tok(c, c, i))
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("int", text[i:j], i))
             i = j
@@ -402,7 +402,7 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     if base.degree == 1:
         ps = orders = primes
         slots = rule.reasons(ps)
-        counts = {ext.name: lane_root_count(list(ext.field.poly.coeffs), ps[slots == 0])
+        counts = {ext.name: lane_root_count(list(ext.field.poly.num), ps[slots == 0])
                   for ext in exts}
     else:
         ps, orders, slots, counts = _relative_points(base, exts, primes, checkpoints[-1],
@@ -634,7 +634,7 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
     dens = {q for h in hs for q in prime_factors(h.den)}
     for emb in into.values():
         dens |= emb.denominator_primes()
-    return ClassTable(m.poly.coeffs, tuple(classes),
+    return ClassTable(m.poly.num, tuple(classes),
                       tuple((hs[c[0]].num, hs[c[0]].den) for c in classes),
                       tuple(ext.name for ext in exts), tuple(rows),
                       ExclusionRule((m.disc,), frozenset(dens)))
@@ -701,7 +701,7 @@ def _frobenius_kernel(fld: NumberField, lo: int, hi: int) -> Counter:
     from the prime-lane factor degrees."""
     primes = prime_range(lo, hi)
     primes = primes[ExclusionRule((fld.disc,), frozenset()).reasons(primes) == 0]
-    degrees = lane_factor_degrees(list(fld.poly.coeffs), primes)
+    degrees = lane_factor_degrees(list(fld.poly.num), primes)
     cols, counts = np.unique(degrees, axis=1, return_counts=True)
     return Counter({tuple(d for d, k in enumerate(col, 1) for _ in range(k)): int(c)
                     for col, c in zip(cols.T.tolist(), counts.tolist())})

@@ -1,8 +1,10 @@
-"""Explicit finite fields F_p[t]/(g): the element-by-element reference oracles.
+"""Explicit finite fields F_p[t]/(g), and polynomials over Q by ``Fraction``
+Horner steps: the reference oracles.
 
 No program path imports this module.  The program computes every
-finite-field question on the prime-field kernels of ``modpoly``, and the
-tests hold each of those fast paths against an independent route kept here:
+finite-field question on the prime-field kernels of ``modpoly``, and every
+map composition over Q on ``intpoly.Composer``; the tests hold each of
+those fast paths against an independent route kept here:
 
 - ``FqField``, ``FqElement``: the element lanes of ``plane``;
 - ``residue_field``, ``residue_name`` (γ(α) -> its class mod (p, g)):
@@ -10,7 +12,12 @@ tests hold each of those fast paths against an independent route kept here:
 - ``fq_norm``: ``plane._Projector.norm``;
 - ``fq_minpoly``: ``spectrum.relative_degree``;
 - ``fq_roots``: ``spectrum.compatible_root_count``;
-- ``fq_factor``: ``modpoly.factor``.
+- ``fq_factor``: ``modpoly.factor``;
+- ``degree_pattern`` (factor degrees by distinct-degree factorization):
+  ``modpoly.lane_factor_degrees``;
+- ``rat_compose_mod`` and its kin (``rat_add``, ``rat_mul``, ``rat_divmod``,
+  ``rat_mod``, ``rat_compose``), on the derived ``RatPoly.coeffs``:
+  ``intpoly.Composer``.
 
 A field is a prime p plus a monic irreducible modulus g over F_p; elements
 are coefficient tuples of length deg g (constant first).  The prime field
@@ -35,11 +42,12 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import modpoly as mp
 from .errors import ArithPlaneError, InvalidPrimeError
-from .intpoly import IntPoly, RatPoly, _format_poly, reduce_mod_p
+from .intpoly import RatPoly, _format_poly, reduce_mod_p
 from .sieve import MAX_CHARACTERISTIC, is_prime
 
 MAX_EXTENSION_DEGREE = 16
@@ -248,14 +256,14 @@ def residue_field(pK) -> FqField:
     return _residue_fq(pK.p, pK.local_factor)
 
 
-def residue_name(pK, gamma: IntPoly | RatPoly | int) -> FqElement:
+def residue_name(pK, gamma: RatPoly | int) -> FqElement:
     """Class of γ(α) mod (p, local_factor) at the point pK.
 
     Rational coefficients are allowed as long as their denominators are
     invertible mod p (embedding images need this).
     """
     if isinstance(gamma, int):
-        gamma = IntPoly.of(gamma)
+        gamma = RatPoly.over((gamma,))
     return residue_field(pK).element(reduce_mod_p(gamma, pK.p))
 
 
@@ -303,6 +311,12 @@ def fq_minpoly(x: FqElement) -> list[int]:
         assert not any(c.rep[1:]), "minimal polynomial coefficient outside F_p"
         out.append(c.rep[0])
     return mp.trim(out)
+
+
+def degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
+    """Multiset of irreducible-factor degrees of squarefree f mod p, read off
+    ``modpoly.ddf`` without splitting any factor."""
+    return tuple(d for g, d in mp.ddf(f, p) for _ in range(mp.deg(g) // d))
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +572,69 @@ def _padd(f, g):
     for i, b in enumerate(g):
         out[i] = out[i] + b
     return _ptrim(out)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q by Fraction Horner steps, on RatPoly.coeffs
+# ---------------------------------------------------------------------------
+
+
+def rat_add(a: RatPoly, b: RatPoly) -> RatPoly:
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    return RatPoly.from_coeffs(out)
+
+
+def rat_mul(a: RatPoly, b: RatPoly) -> RatPoly:
+    x, y = a.coeffs, b.coeffs
+    if not x or not y:
+        return RatPoly(())
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, cx in enumerate(x):
+        if not cx:
+            continue
+        for j, cy in enumerate(y):
+            out[i + j] += cx * cy
+    return RatPoly.from_coeffs(out)
+
+
+def rat_divmod(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Exact polynomial long division over Q."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dd = b.degree
+    lead = b.coeffs[-1]
+    quo = [Fraction(0)] * max(len(rem) - dd, 0)
+    while len(rem) - 1 >= dd:
+        k = len(rem) - 1 - dd
+        q = rem[-1] / lead
+        quo[k] = q
+        for i, c in enumerate(b.coeffs):
+            rem[k + i] -= q * c
+        mp.trim(rem)
+    return RatPoly.from_coeffs(quo), RatPoly.from_coeffs(rem)
+
+
+def rat_mod(a: RatPoly, b: RatPoly) -> RatPoly:
+    return rat_divmod(a, b)[1]
+
+
+def rat_compose(outer: RatPoly, inner: RatPoly) -> RatPoly:
+    """outer(inner(x)) by Horner over Q."""
+    acc = RatPoly(())
+    for c in reversed(outer.coeffs):
+        acc = rat_add(rat_mul(acc, inner), RatPoly.of(c))
+    return acc
+
+
+def rat_compose_mod(outer: RatPoly, inner: RatPoly, modulus: RatPoly) -> RatPoly:
+    """outer(inner(x)) reduced mod modulus at every Horner step."""
+    acc = RatPoly(())
+    for c in reversed(outer.coeffs):
+        acc = rat_mod(rat_add(rat_mul(acc, inner), RatPoly.of(c)), modulus)
+    return acc

@@ -1,12 +1,11 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Q, on integers.
 
 Polynomials are immutable coefficient tuples, constant term first, with no
 trailing zeros; the zero polynomial is the empty tuple and has degree -1.
-:class:`IntPoly` holds Python ints and has no arithmetic beyond the
-derivative: the field polynomials of the lattice are reduced mod p and
-composed on :class:`Composer`.
 :class:`RatPoly` holds integer numerators over one common denominator, in
 lowest terms (Cohen, *A Course in Computational Algebraic Number Theory*, §4.2).
+A field polynomial, monic over Z, is the case den = 1: ``RatPoly.over``
+leaves its integer vector as given.
 
 Map composition — ``outer(inner(x)) mod m`` for a monic m, which is what
 every embedding, transitivity and automorphism-group check of the lattice
@@ -14,9 +13,8 @@ reduces to — runs on one kernel over Z, :class:`Composer`: the powers of an
 inner map's numerator mod m are tabulated once and shared by every outer
 map, and a result is an integer vector over one denominator again.  An
 embedding or automorphism is valid iff ``Composer.vanishes`` holds for it.
-The ``Fraction`` Horner route (``RatPoly.__mul__``, ``divmod``, ``mod``,
-``compose``, ``compose_mod``, on the derived ``RatPoly.coeffs``) is kept
-only as the reference oracle for the tests.
+The ``Fraction`` Horner route on the derived ``RatPoly.coeffs``
+(``finitefield.rat_compose_mod`` and its kin) is the tests' reference oracle.
 
 The discriminant of a monic f of degree n is (-1)^(n(n-1)/2) N(f'(α)), the
 determinant of the multiplication-by-f'(α) matrix whose rows x^i·f' mod f
@@ -58,46 +56,13 @@ def _trim(coeffs: Sequence) -> tuple:
 
 
 @dataclass(frozen=True)
-class IntPoly:
-    """Polynomial over Z; ``coeffs[i]`` multiplies x^i."""
-
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def of(*coeffs: int) -> "IntPoly":
-        return IntPoly(_trim([int(c) for c in coeffs]))
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[int]) -> "IntPoly":
-        return IntPoly(_trim([int(c) for c in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly(_trim([_checked(i * c) for i, c in enumerate(self.coeffs)][1:]))
-
-    def __str__(self) -> str:
-        return _format_poly(self.coeffs)
-
-
-@dataclass(frozen=True)
 class RatPoly:
     """Polynomial over Q: ``num[i] / den`` multiplies x^i.
 
     :meth:`over` makes the one normal form (den >= 1, gcd(den, *num) = 1,
     no trailing zeros, the zero map ``((), 1)``), so maps compare and hash
-    as integers.  Printing and the ``Fraction`` Horner methods, the oracle
-    for :class:`Composer`, read the derived ``coeffs``.
+    as integers.  Printing and the ``Fraction`` Horner oracle for
+    :class:`Composer` read the derived ``coeffs``.
     """
 
     num: tuple[int, ...]
@@ -132,62 +97,10 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly.from_coeffs(out)
-
-    def __mul__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly.from_coeffs(out)
-
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        """Exact polynomial long division over Q."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead = other.coeffs[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd:
-            k = len(rem) - 1 - dd
-            q = rem[-1] / lead
-            quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            rem = list(_trim(rem))
-            if not rem:
-                break
-        return RatPoly.from_coeffs(quo), RatPoly.from_coeffs(rem)
-
-    def mod(self, other: "RatPoly") -> "RatPoly":
-        return self.divmod(other)[1]
-
-    def compose(self, inner: "RatPoly") -> "RatPoly":
-        """Return self(inner(x)) by Horner over Q."""
-        acc = RatPoly(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RatPoly.of(c)
-        return acc
-
-    def compose_mod(self, inner: "RatPoly", modulus: "RatPoly") -> "RatPoly":
-        """Return self(inner(x)) reduced mod modulus at every Horner step."""
-        acc = RatPoly(())
-        for c in reversed(self.coeffs):
-            acc = (acc * inner + RatPoly.of(c)).mod(modulus)
-        return acc
+    @property
+    def is_monic(self) -> bool:
+        """Monic over Z: den 1 and leading numerator 1."""
+        return self.den == 1 and self.num[-1:] == (1,)
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
@@ -213,17 +126,16 @@ def _format_poly(coeffs: Sequence) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-def reduce_mod_p(h: RatPoly | IntPoly, p: int) -> list[int]:
+def reduce_mod_p(h: RatPoly, p: int) -> list[int]:
     """Coefficients of h mod p, constant first, trailing zeros trimmed.
 
     Raises DenominatorNotInvertibleError when p divides the denominator of
     h (the caller decides whether that means skip or refuse).
     """
-    num, den = (h.coeffs, 1) if isinstance(h, IntPoly) else (h.num, h.den)
-    if den % p == 0:
-        raise DenominatorNotInvertibleError(f"denominator {den} not invertible mod {p}")
-    inv = pow(den, -1, p)
-    return list(_trim([c * inv % p for c in num]))
+    if h.den % p == 0:
+        raise DenominatorNotInvertibleError(f"denominator {h.den} not invertible mod {p}")
+    inv = pow(h.den, -1, p)
+    return list(_trim([c * inv % p for c in h.num]))
 
 
 class Composer:
@@ -246,22 +158,22 @@ class Composer:
     ``discriminant`` checks the rows it takes from ``_reduce``.
     """
 
-    def __init__(self, modulus: IntPoly):
+    def __init__(self, modulus: RatPoly):
         if not modulus.is_monic:
             raise ValueError(f"modulus {modulus} is not monic")
         self.modulus = modulus
-        self._tail = modulus.coeffs[:-1]  # m = x^r + tail
+        self._tail = modulus.num[:-1]  # m = x^r + tail
         self._rows: dict[RatPoly, list[list[int]]] = {}  # by inner map
 
     def compose_mod(self, outer: RatPoly, inner: RatPoly) -> RatPoly:
-        """outer(inner(x)) mod the modulus, equal to ``outer.compose_mod(inner,
-        RatPoly.from_coeffs(modulus.coeffs))``."""
+        """outer(inner(x)) mod the modulus, equal to
+        ``finitefield.rat_compose_mod(outer, inner, modulus)``."""
         acc, scale = self._combine(outer.num, inner)
         return RatPoly.over(acc, outer.den * scale)
 
-    def vanishes(self, f: IntPoly, h: RatPoly) -> bool:
+    def vanishes(self, f: RatPoly, h: RatPoly) -> bool:
         """True iff f(h(x)) ≡ 0 mod the modulus."""
-        return not any(self._combine(f.coeffs, h)[0])
+        return not any(self._combine(f.num, h)[0])
 
     def _combine(self, coeffs: Sequence[int], inner: RatPoly) -> tuple[list[int], int]:
         """(Σ c_i·D^(n-i)·(N^i mod m), D^n) for inner = N/D, n = len(coeffs) - 1."""
@@ -302,7 +214,7 @@ class Composer:
         return c[:r] + [0] * (r - len(c))
 
 
-def discriminant(f: IntPoly) -> int:
+def discriminant(f: RatPoly) -> int:
     """Discriminant of a monic f of degree n >= 1: (-1)^(n(n-1)/2) N(f'(α)).
 
     N(f'(α)) is the determinant of multiplication by f'(α) on Z[α], whose
@@ -311,7 +223,7 @@ def discriminant(f: IntPoly) -> int:
     checked after its exact division.
     """
     n, comp = f.degree, Composer(f)
-    rows = [comp._reduce(list(f.derivative().coeffs))]
+    rows = [comp._reduce([_checked(i * c) for i, c in enumerate(f.num)][1:])]
     while len(rows) < n:
         rows.append(comp._reduce([0] + rows[-1]))
     rows = [[_checked(v) for v in row] for row in rows]

@@ -59,7 +59,7 @@ from .errors import (
     LatticeSyntaxError,
     UnknownFieldError,
 )
-from .intpoly import Composer, IntPoly, RatPoly, discriminant, reduce_mod_p
+from .intpoly import Composer, RatPoly, discriminant, reduce_mod_p
 from .sieve import iroot, is_prime, stream_primes
 
 CERTIFICATE_PRIME_BOUND = 200
@@ -70,7 +70,7 @@ BASE_NAME = "Q"
 @dataclass(frozen=True)
 class NumberField:
     name: str
-    poly: IntPoly
+    poly: RatPoly
     disc: int
     trusted: bool = False
     certificate_prime: int | None = None
@@ -320,7 +320,8 @@ class LatticeConfig:
 
 
 def _base_field() -> NumberField:
-    return NumberField(BASE_NAME, IntPoly.of(0, 1), disc=1, trusted=True, certificate_prime=None)
+    return NumberField(BASE_NAME, RatPoly.over((0, 1)), disc=1, trusted=True,
+                       certificate_prime=None)
 
 
 def _parse_map_token(tok: str, lineno: int) -> Fraction:
@@ -419,10 +420,10 @@ def load_lattice(text: str) -> LatticeConfig:
     return _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_trusted)
 
 
-def _integer_root(poly: IntPoly) -> int | None:
+def _integer_root(poly: RatPoly) -> int | None:
     """An integer root of monic poly, or None: each has |r| < B = 1 + max|c_i|,
     so it is the lift to (-p/2, p/2) of a root mod a prime p > 2B."""
-    p = 2 * (1 + max(abs(c) for c in poly.coeffs)) + 1
+    p = 2 * (1 + max(abs(c) for c in poly.num)) + 1
     while not is_prime(p):
         p += 1
     fbar = reduce_mod_p(poly, p)
@@ -431,7 +432,7 @@ def _integer_root(poly: IntPoly) -> int | None:
     for g, _ in mp.factor(fbar, p):
         if mp.deg(g) == 1:
             r = (p // 2 - g[0]) % p - p // 2  # the root -g[0], lifted
-            if sum(c * r**i for i, c in enumerate(poly.coeffs)) == 0:
+            if sum(c * r**i for i, c in enumerate(poly.num)) == 0:
                 return r
     return None
 
@@ -445,12 +446,12 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
 
     fields: dict[str, NumberField] = {BASE_NAME: _base_field()}
     for name, (ints, _decl_line, poly_line) in raw_fields.items():
-        poly = IntPoly.from_coeffs(ints)
+        poly = RatPoly.over(ints)
         cert = None
         if name not in trusted_names:
             for p in stream_primes(CERTIFICATE_PRIME_BOUND):
                 fbar = reduce_mod_p(poly, p)
-                if len(fbar) == len(poly.coeffs) and mp.is_irreducible(fbar, p):
+                if len(fbar) == len(poly.num) and mp.is_irreducible(fbar, p):
                     cert = p
                     break
             if cert is None:

@@ -12,7 +12,7 @@ folding degrees n..2n-2 back with the precomputed reduction row -f[:n].
 :func:`powmod` is the one ladder on them, and :func:`xpow_mod`,
 :func:`compose_mod` and ``finitefield.FqField`` all run on these kernels.
 The other algorithms are one distinct-degree factorization (:func:`ddf`,
-behind splitting-type patterns and :func:`factor`), and complete
+behind :func:`is_irreducible` and :func:`factor`), and complete
 factorization: squarefree decomposition, DDF, then seeded Cantor-Zassenhaus
 equal-degree splitting (Cantor-Zassenhaus 1981; von zur Gathen-Shoup 1992).
 
@@ -25,9 +25,9 @@ deg gcd(x^q - t, f) (``_LaneRing.fixed_count``): the root count
 and, for rational maps t, the number of roots r of f with r^p = t(r)
 (:func:`lane_frobenius_counts`).  The Q-base density and Frobenius scans
 run the first two, and the relative-base scans the third; the scalar
-:func:`xpow_mod`, :func:`root_count` and :func:`degree_pattern` are their
-oracles.  Lanes are int64 while every p^2 + p < 2^63 and Python integers
-(dtype=object) beyond, with the same code.
+:func:`xpow_mod` and :func:`root_count`, and ``finitefield.degree_pattern``,
+are their oracles.  Lanes are int64 while every p^2 + p < 2^63 and Python
+integers (dtype=object) beyond, with the same code.
 """
 
 from __future__ import annotations
@@ -249,15 +249,6 @@ def ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if n > 0:
         out.append((v, n))
     return out
-
-
-def degree_pattern(f: list[int], p: int) -> tuple[int, ...]:
-    """Multiset of irreducible-factor degrees of squarefree f mod p.
-
-    Distinct-degree factorization only — the actual factors are never
-    materialized, which keeps the full-scan histogram cheap.
-    """
-    return tuple(d for g, d in ddf(f, p) for _ in range(deg(g) // d))
 
 
 def factor(f: list[int], p: int) -> list[tuple[list[int], int]]:

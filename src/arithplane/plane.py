@@ -42,7 +42,7 @@ from .errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from .intpoly import IntPoly, RatPoly, reduce_mod_p
+from .intpoly import RatPoly, reduce_mod_p
 from .lattice import Automorphism, Extension, LatticeConfig
 from .sieve import stream_primes
 from .spectrum import (
@@ -121,7 +121,7 @@ def _fibre(pk: SplitPrime) -> _Fibre:
     return _Fibre(pk)
 
 
-def _name(pk: SplitPrime, gamma: IntPoly | RatPoly) -> int:
+def _name(pk: SplitPrime, gamma: RatPoly) -> int:
     """Index of the class of γ(α) mod (p, local factor): the naming map."""
     p = pk.p
     rep = mp.rem_p(reduce_mod_p(gamma, p), list(pk.local_factor), p)
@@ -287,7 +287,7 @@ def _galois_bruteforce(cfg: LatticeConfig, sigma: Automorphism, q: SplitPrime) -
         raise ValueError(f"bruteforce mode is bounded at p <= {BRUTEFORCE_PRIME_BOUND}")
     ext = cfg.extension((sigma.field, "Q"))
     pq, candidates = _fully_split(ext, p)
-    profile_q = _fibre_profile(ext, q, pq, _name(q, IntPoly.of(0, 1)))
+    profile_q = _fibre_profile(ext, q, pq, _name(q, RatPoly.over((0, 1))))
     winners = [cand for cand in candidates
                if _meets(profile_q, _fibre_profile(ext, cand, pq, _name(cand, sigma.h)))]
     assert len(winners) == 1, f"existential formula satisfied by {len(winners)} points"
@@ -333,7 +333,7 @@ def _meets(a: np.ndarray, b: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def annihilator_set(gamma: IntPoly, field, bound: int) -> list[SplitPrime]:
+def annihilator_set(gamma: RatPoly, field, bound: int) -> list[SplitPrime]:
     """All points with p <= bound whose fibre is killed by γ.
 
     γ kills the fibre at pK exactly when its name there is zero, i.e. when
@@ -436,8 +436,8 @@ def check_section_independence(
     rng = random.Random(seed)
     deg = ext.field.degree
     box = range(-gamma_bound, gamma_bound + 1)
-    gammas = [IntPoly.of(a, b) for a in box for b in box] if deg >= 2 else [
-        IntPoly.of(a) for a in box
+    gammas = [RatPoly.over((a, b)) for a in box for b in box] if deg >= 2 else [
+        RatPoly.over((a,)) for a in box
     ]
     comparisons = failures = 0
     block = max(1, SECTION_LANES // len(gammas))

@@ -339,7 +339,6 @@ def test_program_never_loads_the_finite_field_oracles():
 UNCALLED_BY_DESIGN = {
     "spectrum.in_pi_absolute": "oracle for in_pi over a non-Q base",
     "spectrum.in_psi_absolute": "oracle for in_psi over a non-Q base",
-    "modpoly.degree_pattern": "oracle for the lane degree patterns",
     "cli._Parser.error": "argparse calls it",
 }
 
@@ -650,3 +649,8 @@ def test_expression_error_exits_2(capsys):
     code, _, err = run(capsys, "density", "--lattice", LATTICE,
                        "--expr", "Psi(Qi/Q", "--max", "1000")
     assert code == 2 and "position" in err
+    # '²' is a digit to str.isdigit but not to int()
+    code, out, err = run(capsys, "density", "--lattice", LATTICE,
+                         "--expr", "{²}", "--max", "1000")
+    assert (code, out) == (2, "")
+    assert err == "arithplane: position 1: unexpected character '²'\n"

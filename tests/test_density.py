@@ -13,6 +13,7 @@ from arithplane import plane
 from arithplane import sieve
 from arithplane import spectrum as sp
 from arithplane.errors import ArithPlaneError, ExprSyntaxError, UnknownFieldError
+from arithplane.finitefield import degree_pattern
 from arithplane.intpoly import reduce_mod_p
 from arithplane.lattice import ExclusionRule, load_lattice
 from arithplane.sieve import stream_primes
@@ -64,6 +65,7 @@ def test_parse_prime_set(demo):
     assert e.base.name == "Q"  # pure prime sets default to the rational base
     big = 2**61 - 1  # prime; the primality test must not be trial division
     assert expr(demo, f"{{{big}}}").node == dn.PrimeSet((big,))
+    assert expr(demo, "{٣}").node == dn.PrimeSet((3,))  # decimal digits of any script
 
 
 def test_parse_errors(demo):
@@ -80,6 +82,8 @@ def test_parse_errors(demo):
         expr(demo, "{3317044064679887385961981}")
     with pytest.raises(ExprSyntaxError, match="unexpected character"):
         expr(demo, "Psi(Qi/Q) + Pi(Qi/Q)")
+    with pytest.raises(ExprSyntaxError, match="position 2: unexpected character '²'"):
+        expr(demo, "{3²}")
     with pytest.raises(ExprSyntaxError):
         expr(demo, "Psi(Qi/Q) Pi(Qs2/Q)")  # trailing garbage
     with pytest.raises(ExprSyntaxError):
@@ -693,7 +697,7 @@ def test_random_tower_scans_ignore_range_boundaries(monkeypatch):
                     assert outputs(workers=2) == got, cfg
         # one-prime recount: K's root count is the number of its degree-1
         # factors, L's comes from the one-prime root count
-        patterns = {p: mp.degree_pattern(reduce_mod_p(fld.poly, p), p)
+        patterns = {p: degree_pattern(reduce_mod_p(fld.poly, p), p)
                     for p in stream_primes(TOWER_N) if fld.disc % p}
 
         def roots(f, p):
@@ -720,7 +724,7 @@ def test_random_tower_scans_ignore_range_boundaries(monkeypatch):
 @pytest.mark.parametrize("name", ["Qi", "Qw", "Qc2", "Q8", "S3c"])
 def test_frobenius_matches_recount(demo, narrow_ranges, name):
     fld = demo.field(name)
-    want = Counter(mp.degree_pattern(reduce_mod_p(fld.poly, p), p)
+    want = Counter(degree_pattern(reduce_mod_p(fld.poly, p), p)
                    for p in stream_primes(RECOUNT_N) if fld.disc % p)
     got = dn.frobenius_histogram(fld, RECOUNT_N)
     assert dict(got.counts) == want and got.total == sum(want.values())

@@ -9,7 +9,7 @@ small primes (where repeated factors reach the characteristic) and at a
 import pytest
 
 from arithplane import modpoly as mp
-from arithplane.finitefield import FqField, fq_factor, poly_over
+from arithplane.finitefield import FqField, degree_pattern, fq_factor, poly_over
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -54,7 +54,7 @@ def test_factor_matches_fq_factor(case):
     oracle = fq_factor(poly_over(FqField(p, [0, 1]), f))
     assert got == [([c.rep[0] for c in g], mult) for g, mult in oracle]
     if all(mult == 1 for _, mult in got):
-        assert mp.degree_pattern(f, p) == tuple(mp.deg(g) for g, _ in got)
+        assert degree_pattern(f, p) == tuple(mp.deg(g) for g, _ in got)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

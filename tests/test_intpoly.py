@@ -18,25 +18,26 @@ from arithplane.errors import (
     DenominatorNotInvertibleError,
     EmbeddingInvalidError,
 )
-from arithplane.intpoly import INT128_MAX, Composer, IntPoly, RatPoly, discriminant, reduce_mod_p
+from arithplane.finitefield import rat_add, rat_compose, rat_compose_mod, rat_divmod, rat_mod, rat_mul
+from arithplane.intpoly import INT128_MAX, Composer, RatPoly, discriminant, reduce_mod_p
 from arithplane.lattice import load_lattice
 
 DEMO = (pathlib.Path(__file__).resolve().parent.parent / "configs" / "demo.cfg").read_text()
 
 
-def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
+def sylvester_resultant(f: RatPoly, g: RatPoly) -> int:
     """Oracle: det of the Sylvester matrix, via Fraction elimination."""
     m, n = f.degree, g.degree
     if m < 0 or n < 0:
         return 0
     if m == 0:
-        return f.coeffs[0] ** n
+        return f.num[0] ** n
     if n == 0:
-        return g.coeffs[0] ** m
+        return g.num[0] ** m
     size = m + n
     mat = [[Fraction(0)] * size for _ in range(size)]
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
+    fc = list(reversed(f.num))
+    gc = list(reversed(g.num))
     for i in range(n):
         for j, c in enumerate(fc):
             mat[i][i + j] = Fraction(c)
@@ -62,13 +63,17 @@ def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
     return det.numerator
 
 
-def disc_oracle(f: IntPoly) -> int:
+def derivative(f: RatPoly) -> RatPoly:
+    return RatPoly.over([i * c for i, c in enumerate(f.num)][1:])
+
+
+def disc_oracle(f: RatPoly) -> int:
     n = f.degree
     if n == 1:
         return 1
-    r = sylvester_resultant(f, f.derivative())
+    r = sylvester_resultant(f, derivative(f))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    q, rem = divmod(sign * r, f.coeffs[-1])
+    q, rem = divmod(sign * r, f.num[-1])
     assert rem == 0
     return q
 
@@ -77,37 +82,53 @@ def rand_poly(rng, max_deg=6, span=9, monic=False):
     deg = rng.randint(1, max_deg)
     coeffs = [rng.randint(-span, span) for _ in range(deg)]
     coeffs.append(1 if monic else rng.choice([c for c in range(-span, span + 1) if c]))
-    return IntPoly.from_coeffs(coeffs)
+    return RatPoly.over(coeffs)
 
 
 # ---------------------------------------------------------------- basics
 
 
 def test_trim_and_degree():
-    assert IntPoly.of(0, 0, 0).coeffs == ()
-    assert IntPoly.of(0, 0, 0).degree == -1
-    assert IntPoly.of(1, 2, 0).coeffs == (1, 2)
-    assert IntPoly.of(5).degree == 0
-    assert IntPoly.of(0, 0, 1).is_monic
+    assert RatPoly.over((0, 0, 0)).num == ()
+    assert RatPoly.over((0, 0, 0)).degree == -1
+    assert RatPoly.over((1, 2, 0)).num == (1, 2)
+    assert RatPoly.over((5,)).degree == 0
+    assert RatPoly.over((0, 0, 1)).is_monic
 
 
 def test_derivative():
-    f = IntPoly.of(-2, 0, 0, 1)  # x^3 - 2
-    assert f.derivative().coeffs == (0, 0, 3)
+    f = RatPoly.over((-2, 0, 0, 1))  # x^3 - 2
+    assert derivative(f).num == (0, 0, 3)
 
 
 def test_str():
-    assert str(IntPoly.of(1, 0, 1)) == "1 + x^2"
-    assert str(IntPoly.of(-2, 0, 0, 1)) == "-2 + x^3"
-    assert str(IntPoly.of(0)) == "0"
+    assert str(RatPoly.over((1, 0, 1))) == "1 + x^2"
+    assert str(RatPoly.over((-2, 0, 0, 1))) == "-2 + x^3"
+    assert str(RatPoly.over((0,))) == "0"
+
+
+def test_integer_vectors_are_never_rescaled():
+    # a field polynomial is its integer vector over denominator 1, as given,
+    # whatever the gcd of its coefficients
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ints = st.integers(-10**20, 10**20)
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hyp.given(low=st.lists(ints, max_size=8), lead=ints.filter(bool))
+    def check(low, lead):
+        f = RatPoly.over(low + [lead])
+        assert f.den == 1 and f.num == (*low, lead)
+
+    check()
 
 
 def int_product(*factors):
-    """The product of integer coefficient lists, on the RatPoly arithmetic."""
+    """The product of integer coefficient lists, on the Fraction route."""
     out = RatPoly.of(1)
     for f in factors:
-        out = out * RatPoly.from_coeffs(f)
-    return IntPoly.from_coeffs(out.coeffs)
+        out = rat_mul(out, RatPoly.over(f))
+    return out
 
 
 # ---------------------------------------------------------------- discriminant
@@ -129,8 +150,8 @@ def int_product(*factors):
     ],
 )
 def test_discriminant_known_values(coeffs, expected):
-    assert discriminant(IntPoly.of(*coeffs)) == expected
-    assert disc_oracle(IntPoly.of(*coeffs)) == expected
+    assert discriminant(RatPoly.over(coeffs)) == expected
+    assert disc_oracle(RatPoly.over(coeffs)) == expected
 
 
 def test_discriminant_matches_oracle_randomized():
@@ -145,7 +166,7 @@ def test_discriminant_zero_iff_repeated_root():
     assert discriminant(f) == 0
 
 
-def answers_like_oracle(f: IntPoly) -> bool:
+def answers_like_oracle(f: RatPoly) -> bool:
     """Check discriminant(f) against the Sylvester oracle: equal, or refused
     because the discriminant itself exceeds the 128-bit bound.  True iff it
     answered."""
@@ -165,7 +186,7 @@ def test_discriminant_matches_oracle_desk_scale():
     answered = 0
     for _ in range(120):
         deg = rng.randint(6, 9)
-        f = IntPoly.from_coeffs([rng.randint(-99, 99) for _ in range(deg)] + [1])
+        f = RatPoly.over([rng.randint(-99, 99) for _ in range(deg)] + [1])
         answered += answers_like_oracle(f)
     assert answered == 118  # the other two have discriminants of over 127 bits
 
@@ -181,7 +202,7 @@ def test_discriminant_matches_oracle_to_degree_16_and_on_families():
             [-2] + [0] * (n - 1) + [1],  # x^n - 2
             [1] * (n + 1),  # 1 + x + ... + x^n
         )
-        answered += sum(answers_like_oracle(IntPoly.from_coeffs(c)) for c in families)
+        answered += sum(answers_like_oracle(RatPoly.over(c)) for c in families)
     # each family is answered while its discriminant fits, up to n = 26, 23
     # and 27 (x^n - 2 has |disc| = n^n 2^(n-1)), and refused from there on
     assert answered == 25 + 22 + 26
@@ -193,21 +214,30 @@ def test_discriminant_is_shift_invariant():
     for _ in range(60):
         f = rand_poly(rng, max_deg=8, span=5, monic=True)
         c = rng.randint(-5, 5)
-        shifted = RatPoly.from_coeffs(f.coeffs).compose(RatPoly.of(c, 1))
-        assert discriminant(IntPoly.from_coeffs(shifted.coeffs)) == discriminant(f), (f, c)
+        shifted = rat_compose(f, RatPoly.of(c, 1))
+        assert discriminant(shifted) == discriminant(f), (f, c)
 
 
 def test_overflow_guard_fires():
     big = 2**100  # disc = 2^200 - 2^102
     with pytest.raises(ArithmeticOverflowError):
-        discriminant(IntPoly.of(big, big, 1))
+        discriminant(RatPoly.over((big, big, 1)))
 
 
 # ---------------------------------------------------------------- reduction
 
 
 def test_reduce_mod_p_int():
-    assert reduce_mod_p(IntPoly.of(7, -1, 10), 5) == [2, 4]
+    assert reduce_mod_p(RatPoly.over((7, -1, 10)), 5) == [2, 4]
+    # over denominator 1, reduction is c % p per coefficient
+    rng = random.Random(21)
+    for p in (2, 3, 5, 7, 2**31 - 1, 2**61 - 1):
+        for _ in range(50):
+            cs = [rng.randint(-10**30, 10**30) for _ in range(rng.randint(1, 8))]
+            want = [c % p for c in cs]
+            while want and not want[-1]:
+                want.pop()
+            assert reduce_mod_p(RatPoly.over(cs), p) == want
 
 
 def test_reduce_mod_p_rational():
@@ -282,28 +312,28 @@ def test_ratpoly_has_one_form():
 def test_ratpoly_divmod_reconstructs():
     rng = random.Random(3)
     for _ in range(100):
-        f = RatPoly.from_coeffs(rand_poly(rng, 6).coeffs)
-        g = RatPoly.from_coeffs(rand_poly(rng, 3).coeffs)
-        q, r = f.divmod(g)
-        assert q * g + r == f
+        f = rand_poly(rng, 6)
+        g = rand_poly(rng, 3)
+        q, r = rat_divmod(f, g)
+        assert rat_add(rat_mul(q, g), r) == f
         assert r.degree < g.degree
 
 
 def test_ratpoly_compose_mod_agrees_with_compose():
     rng = random.Random(4)
     for _ in range(50):
-        f, h = (RatPoly.from_coeffs(rand_poly(rng, d).coeffs) for d in (4, 3))
-        m = RatPoly.from_coeffs(rand_poly(rng, 4, monic=True).coeffs)
-        assert f.compose_mod(h, m) == f.compose(h).mod(m)
+        f, h = (rand_poly(rng, d) for d in (4, 3))
+        m = rand_poly(rng, 4, monic=True)
+        assert rat_compose_mod(f, h, m) == rat_mod(rat_compose(f, h), m)
 
 
 # ---------------------------------------------------------------- embeddings
 
 
 def test_validate_embedding_quartic_tower():
-    qi = IntPoly.of(1, 0, 1)  # x^2 + 1
-    qs2 = IntPoly.of(-2, 0, 1)  # x^2 - 2
-    q8 = IntPoly.of(1, 0, 0, 0, 1)  # x^4 + 1
+    qi = RatPoly.over((1, 0, 1))  # x^2 + 1
+    qs2 = RatPoly.over((-2, 0, 1))  # x^2 - 2
+    q8 = RatPoly.over((1, 0, 0, 0, 1))  # x^4 + 1
     assert Composer(q8).vanishes(qi, RatPoly.of(0, 0, 1))  # i = z^2
     assert Composer(q8).vanishes(qs2, RatPoly.of(0, 1, 0, -1))  # sqrt2 = z - z^3
     assert not Composer(qs2).vanishes(qi, RatPoly.of(0, 1))
@@ -312,7 +342,7 @@ def test_validate_embedding_quartic_tower():
 def test_validate_embedding_degree_precondition():
     # 1 + x + x^2 is x mod x^2 + 1, so it passes the root test, but a map of
     # degree >= deg f_dst is refused before it, as an embed and as an auto
-    qi = IntPoly.of(1, 0, 1)
+    qi = RatPoly.over((1, 0, 1))
     assert Composer(qi).vanishes(qi, RatPoly.of(1, 1, 1))
     embed = "field A\n  poly 1 0 1\nfield B\n  poly -2 0 1\nembed A -> B\n  map {}\n"
     with pytest.raises(EmbeddingInvalidError, match="must have degree < deg f_dst"):
@@ -325,25 +355,25 @@ def test_validate_embedding_degree_precondition():
 
 def test_validate_embedding_rational_coefficients():
     # half-integer map: x/2 sends a root of x^2 - 8 into the x^2 - 2 field
-    f_src = IntPoly.of(-8, 0, 1)
-    f_dst = IntPoly.of(-2, 0, 1)
+    f_src = RatPoly.over((-8, 0, 1))
+    f_dst = RatPoly.over((-2, 0, 1))
     assert Composer(f_dst).vanishes(f_src, RatPoly.of(0, 2))
     assert Composer(f_src).vanishes(f_dst, RatPoly.of(0, Fraction(1, 2)))
 
 
 def test_validate_embedding_needs_monic_modulus():
     # 2x^2 + 1 is not monic: the integer kernel cannot reduce by it
-    assert not IntPoly.of(1, 0, 2).is_monic
+    assert not RatPoly.over((1, 0, 2)).is_monic
     with pytest.raises(ValueError, match="not monic"):
-        Composer(IntPoly.of(1, 0, 2))
+        Composer(RatPoly.over((1, 0, 2)))
+    # x^2 + 1/2 leads with 1 but is not monic over Z
+    half = RatPoly.of(Fraction(1, 2), 0, 1)
+    assert not half.is_monic
+    with pytest.raises(ValueError, match="not monic"):
+        Composer(half)
 
 
 # ------------------------------------------ Composer against the Fraction oracle
-
-
-def oracle_compose(outer: RatPoly | IntPoly, inner: RatPoly, modulus: IntPoly) -> RatPoly:
-    outer, modulus = (RatPoly.from_coeffs(f.coeffs) for f in (outer, modulus))
-    return outer.compose_mod(inner, modulus)
 
 
 def test_composer_matches_oracle_on_demo_maps(monkeypatch):
@@ -377,10 +407,10 @@ def test_composer_matches_oracle_on_demo_maps(monkeypatch):
     for kind, modulus, a, b in calls:
         if kind == "compose":
             got = Composer(modulus).compose_mod(a, b)
-            want = oracle_compose(a, b, modulus)
+            want = rat_compose_mod(a, b, modulus)
             assert got == want and str(got) == str(want) and in_normal_form(got)
         else:
-            want = oracle_compose(a, b, modulus).is_zero
+            want = rat_compose_mod(a, b, modulus).is_zero
             assert Composer(modulus).vanishes(a, b) == want
 
 
@@ -395,7 +425,7 @@ def test_composer_reuses_inner_tables():
     for deg in (5, 1, 3, 6, 0):
         outer = RatPoly.from_coeffs(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                                     for _ in range(deg + 1))
-        assert comp.compose_mod(outer, inner) == oracle_compose(outer, inner, m)
+        assert comp.compose_mod(outer, inner) == rat_compose_mod(outer, inner, m)
     assert comp.compose_mod(RatPoly.of(), inner) == RatPoly.of()
 
 
@@ -406,17 +436,17 @@ def test_composer_matches_oracle_on_random_maps():
     coeffs = st.builds(Fraction, st.integers(-30, 30), dens)
     maps = st.lists(coeffs, max_size=7).map(RatPoly.from_coeffs)
     ints = st.integers(-9, 9)
-    moduli = st.lists(ints, min_size=1, max_size=6).map(lambda c: IntPoly.from_coeffs(c + [1]))
+    moduli = st.lists(ints, min_size=1, max_size=6).map(lambda c: RatPoly.over(c + [1]))
 
     @hyp.settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @hyp.given(outer=maps, inner=maps, modulus=moduli, f_src=moduli)
     def random_maps(outer, inner, modulus, f_src):
         comp = Composer(modulus)
         got = comp.compose_mod(outer, inner)
-        assert in_normal_form(got) and got == oracle_compose(outer, inner, modulus)
+        assert in_normal_form(got) and got == rat_compose_mod(outer, inner, modulus)
         assert comp.compose_mod(outer, inner) == got  # now from the stored table
         if inner.degree < modulus.degree:
-            want = oracle_compose(f_src, inner, modulus).is_zero
+            want = rat_compose_mod(f_src, inner, modulus).is_zero
             assert comp.vanishes(f_src, inner) == want
 
     # planted embeddings: for monic f of degree n and monic u, the monic
@@ -426,19 +456,19 @@ def test_composer_matches_oracle_on_random_maps():
                u_low=st.lists(ints, min_size=1, max_size=2),
                d=st.integers(1, 729))
     def planted(f_low, u_low, d):
-        f_src = IntPoly.from_coeffs(f_low + [1])
-        u = RatPoly.from_coeffs(u_low + [1])
+        f_src = RatPoly.over(f_low + [1])
+        u = RatPoly.over(u_low + [1])
         n = f_src.degree
         g, u_pow = RatPoly(()), RatPoly.of(1)
-        for i, c in enumerate(f_src.coeffs):
-            g = g + u_pow * RatPoly.of(c * d ** (n - i))
-            u_pow = u_pow * u
-        g = IntPoly.from_coeffs(g.coeffs)
+        for i, c in enumerate(f_src.num):
+            g = rat_add(g, rat_mul(u_pow, RatPoly.of(c * d ** (n - i))))
+            u_pow = rat_mul(u_pow, u)
+        assert g.den == 1
         h = RatPoly.from_coeffs(c / d for c in u.coeffs)
         assert Composer(g).vanishes(f_src, h)
-        assert oracle_compose(f_src, h, g).is_zero
-        off = IntPoly.from_coeffs([f_src.coeffs[0] + 1, *f_src.coeffs[1:]])
-        assert Composer(g).vanishes(off, h) == oracle_compose(off, h, g).is_zero
+        assert rat_compose_mod(f_src, h, g).is_zero
+        off = RatPoly.over([f_src.num[0] + 1, *f_src.num[1:]])
+        assert Composer(g).vanishes(off, h) == rat_compose_mod(off, h, g).is_zero
 
     random_maps()
     planted()

@@ -2,7 +2,7 @@
 
 Every lane of ``_LaneRing.xpow`` (on the ``lanes`` of a prime array),
 ``lane_root_count`` and ``lane_factor_degrees`` must equal ``xpow_mod``,
-``root_count`` and ``degree_pattern`` at that lane's prime, on int64 lanes
+``root_count`` and ``finitefield.degree_pattern`` at that lane's prime, on int64 lanes
 and on the dtype=object lanes that take over above ``LANE_INT64_MAX``.  The
 prime arrays mix bit lengths, so lanes with leading zero bits run beside
 full ones.
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
+from arithplane.finitefield import degree_pattern
 from arithplane.sieve import is_prime
 
 pytest.importorskip("hypothesis")
@@ -57,7 +58,7 @@ def check_lanes(f, primes):
     ok = [p for p in primes if _squarefree(mp.trim([c % p for c in f]), p)]
     degrees = mp.lane_factor_degrees(f, np.array(ok, dtype=np.int64))
     for j, p in enumerate(ok):
-        want = mp.degree_pattern(mp.trim([c % p for c in f]), p)
+        want = degree_pattern(mp.trim([c % p for c in f]), p)
         assert _pattern(degrees[:, j]) == want, (f, p)
 
 

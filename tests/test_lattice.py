@@ -30,7 +30,7 @@ def test_demo_loads(demo):
     assert demo.field("Qi").degree == 2
     assert demo.field("Q8").degree == 4
     assert demo.field("S3c").degree == 6
-    assert demo.field("Q").poly.coeffs == (0, 1)
+    assert demo.field("Q").poly.num == (0, 1)
     assert demo.is_galois("Q8") and demo.is_galois("S3c")
     assert not demo.is_galois("Qc2")
     assert demo.closure_of("Qc2") == "S3c"
@@ -534,3 +534,12 @@ def test_demo_maps_print_as_declared(demo):
         ("Qc2", "S3c"): "2 + x - 2/3*x^2 + 2/3*x^3 + 1/3*x^4 + 2/9*x^5",
         ("Qw", "S3c"): "-2 + 2/3*x^2 - 2/3*x^3 - 1/3*x^4 - 2/9*x^5",
     }
+    # and every field polynomial, as the refusals print it: each is its
+    # declared integer vector over denominator 1
+    polys = {name: str(fld.poly) for name, fld in demo.fields.items()}
+    assert polys == {
+        "Q": "x", "Qi": "1 + x^2", "Qs2": "-2 + x^2", "Q8": "1 + x^4",
+        "Qc2": "-2 + x^3", "Qw": "1 + x + x^2",
+        "S3c": "9 + 9*x + 3*x^3 + 6*x^4 + 3*x^5 + x^6",
+    }
+    assert all(fld.poly.den == 1 and fld.poly.is_monic for fld in demo.fields.values())

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from arithplane import modpoly as mp
-from arithplane.finitefield import invert_mod
+from arithplane.finitefield import degree_pattern, invert_mod
 
 
 def squarefree(f, p):
@@ -200,7 +200,7 @@ def test_degree_pattern_from_planted_factors():
             if not squarefree(f, p):
                 continue
             want = tuple(sorted(mp.deg(g) for g in picks))
-            assert mp.degree_pattern(f, p) == want, (p, picks)
+            assert degree_pattern(f, p) == want, (p, picks)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +208,7 @@ def test_degree_pattern_from_planted_factors():
     [(3, (2, 2)), (5, (2, 2)), (7, (2, 2)), (17, (1, 1, 1, 1)), (41, (1, 1, 1, 1))],
 )
 def test_degree_pattern_eighth_cyclotomic(p, want):
-    assert mp.degree_pattern([1, 0, 0, 0, 1], p) == want
+    assert degree_pattern([1, 0, 0, 0, 1], p) == want
 
 
 def test_invert_mod():

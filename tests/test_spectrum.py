@@ -9,8 +9,15 @@ from arithplane.errors import (
     NotLyingOverError,
     RamifiedPrimeError,
 )
-from arithplane.finitefield import FqField, fq_minpoly, fq_roots, poly_over, residue_name
-from arithplane.intpoly import IntPoly, reduce_mod_p
+from arithplane.finitefield import (
+    FqField,
+    degree_pattern,
+    fq_minpoly,
+    fq_roots,
+    poly_over,
+    residue_name,
+)
+from arithplane.intpoly import RatPoly, reduce_mod_p
 from arithplane.lattice import load_lattice
 from arithplane.sieve import stream_primes
 
@@ -75,7 +82,7 @@ def test_partition_identity(demo):
 def test_residue_name_examples(demo):
     qi = demo.field("Qi")
     pk = [x for x in sp.split_prime(qi, 5) if x.local_factor == (3, 1)][0]
-    alpha = IntPoly.of(0, 1)
+    alpha = RatPoly.of(0, 1)
     assert residue_name(pk, alpha).index == 2
     assert residue_name(pk, 5).index == 0
     assert residue_name(pk, 1).index == 1
@@ -96,7 +103,7 @@ def test_naming_kernel_degree_one(demo):
             for a in range(-6, 7):
                 for b in range(-6, 7):
                     member = (a + b * r) % p == 0
-                    named = residue_name(pk, IntPoly.of(a, b))
+                    named = residue_name(pk, RatPoly.of(a, b))
                     assert (named.index == 0) == member, (p, a, b)
 
 
@@ -109,7 +116,7 @@ def test_naming_kernel_inert(demo):
         for a in range(-6, 7):
             for b in range(-6, 7):
                 member = a % p == 0 and b % p == 0
-                named = residue_name(pk, IntPoly.of(a, b))
+                named = residue_name(pk, RatPoly.of(a, b))
                 assert (named.index == 0) == member, (p, a, b)
 
 
@@ -125,7 +132,7 @@ def test_naming_kernel_cubic(demo):
             for b in range(-4, 5):
                 for c in range(-4, 5):
                     member = (a + b * r + c * r * r) % p == 0
-                    named = residue_name(pk, IntPoly.of(a, b, c))
+                    named = residue_name(pk, RatPoly.of(a, b, c))
                     assert (named.index == 0) == member
 
 
@@ -377,7 +384,7 @@ def test_fingerprint_determines_patterns_for_quadratic_family(demo):
         if p in excluded:
             continue
         bits = sp.fingerprint(q_point(demo, p), fam)
-        patterns = tuple(mp.degree_pattern(reduce_mod_p(f.poly, p), p) for f in fields)
+        patterns = tuple(degree_pattern(reduce_mod_p(f.poly, p), p) for f in fields)
         buckets.setdefault(bits, set()).add(patterns)
     assert len(buckets) >= 4
     for bits, seen in buckets.items():
@@ -405,7 +412,7 @@ def test_degree_pattern_matches_split(demo):
                 continue
             pts = sp.split_prime(fld, p)
             expect = tuple(sorted(x.residue_degree for x in pts))
-            assert mp.degree_pattern(reduce_mod_p(fld.poly, p), p) == expect, (name, p)
+            assert degree_pattern(reduce_mod_p(fld.poly, p), p) == expect, (name, p)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +508,7 @@ def test_compatible_root_count_mixed_degrees():
                        "embed Qc2 -> Q6\n  map 0 0 1\n")
     counts = _check_by_oracle(cfg, ("Q6/Qc2",), ROOTS_P)
     fbar = reduce_mod_p(cfg.field("Q6").poly, 17)
-    assert mp.degree_pattern(fbar, 17) == (1, 1, 2, 2)
+    assert degree_pattern(fbar, 17) == (1, 1, 2, 2)
     assert mp.root_count(fbar, 17) == 2
     at17 = {pl.residue_degree: n for _, pl, n in counts if pl.p == 17}
     assert at17 == {1: 2, 2: 2}
