@@ -223,20 +223,21 @@ def _run(args, out) -> int:
     if cmd == "density":
         expr = dn.parse_set_expr(args.expr, cfg)
         est = dn.estimate_density(expr, args.max, workers=args.workers)
-        print(est, file=out)
         predicted = dn.chebotarev_predict(expr, cfg)
-        shown = predicted if predicted is not None else "unavailable"
-        print(f"chebotarev prediction: {shown}", file=out)
+        # the CSV first, so that a path that cannot be written prints nothing
         if args.csv:
             pathlib.Path(args.csv).write_text(dn.trace_csv(est), encoding="utf-8")
+        print(est, file=out)
+        shown = predicted if predicted is not None else "unavailable"
+        print(f"chebotarev prediction: {shown}", file=out)
         return 0
     if cmd == "frobenius":
         stats = dn.frobenius_histogram(
             cfg.field(args.field), args.max, workers=args.workers
         )
-        print(stats, file=out)
         if args.csv:
             pathlib.Path(args.csv).write_text(_frobenius_csv(stats), encoding="utf-8")
+        print(stats, file=out)
         return 0
     if cmd == "galois":
         autos = cfg.autos(args.field)

@@ -239,7 +239,7 @@ class FqElement:
         return self.index < other.index
 
     def __str__(self) -> str:
-        return _format_poly(mp.trim(list(self.rep))).replace("x", "t")
+        return _format_poly(mp.trim(list(self.rep)), "t")
 
     def __repr__(self) -> str:
         return f"{self} in {self.field!r}"

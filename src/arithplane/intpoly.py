@@ -106,7 +106,7 @@ class RatPoly:
         return _format_poly(self.coeffs)
 
 
-def _format_poly(coeffs: Sequence) -> str:
+def _format_poly(coeffs: Sequence, var: str = "x") -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -116,7 +116,7 @@ def _format_poly(coeffs: Sequence) -> str:
         if i == 0:
             parts.append(str(c))
         else:
-            x = "x" if i == 1 else f"x^{i}"
+            x = var if i == 1 else f"{var}^{i}"
             if c == 1:
                 parts.append(x)
             elif c == -1:

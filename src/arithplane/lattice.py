@@ -21,8 +21,11 @@ map, each automorphism set is closed, has the identity and finite orders)
 is an exact composition mod a field polynomial, done by
 ``intpoly.Composer`` over Z.  ``_assemble`` keeps one composer per field
 for the whole load, so the power table of a map built to validate it also
-serves the transitivity, closure and order loops.  The checks run in a
-fixed order and the first failure is the error raised.
+serves the transitivity, closure and order loops.  Before those, the
+embeddings between distinct fields must form no cycle:
+``graphlib.TopologicalSorter`` finds one, and the refusal prints it in
+embedding order.  The checks run in a fixed order and the first failure is
+the error raised.
 
 Configuration format (line-oriented, ``#`` comments)::
 
@@ -43,6 +46,7 @@ first use; resolution happens once the whole document is read.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -500,24 +504,13 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
         embeddings[(src, dst)] = Embedding(src, dst, h)
 
     # acyclicity over distinct names
-    graph: dict[str, list[str]] = {}
+    preds: dict[str, list[str]] = {}
     for src, dst in embeddings:
-        graph.setdefault(src, []).append(dst)
-    state: dict[str, int] = {}
-
-    def visit(node):
-        state[node] = 1
-        for nxt in graph.get(node, ()):
-            st = state.get(nxt)
-            if st == 1:
-                raise EmbeddingInvalidError(f"embedding cycle through {nxt!r}")
-            if st is None:
-                visit(nxt)
-        state[node] = 2
-
-    for node in graph:
-        if node not in state:
-            visit(node)
+        preds.setdefault(dst, []).append(src)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        raise EmbeddingInvalidError(f"embedding cycle {' -> '.join(exc.args[1])}") from None
 
     # declared two-step compositions must match declared one-step maps
     for (a, b), e_ab in embeddings.items():

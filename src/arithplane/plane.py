@@ -25,7 +25,9 @@ projector refuses any pair for which ``spectrum.lies_over`` fails.
 The direct mode takes σ(q) as the one factor of f_K mod p on which g_q(σ)
 vanishes, by one gcd over F_p; the bruteforce mode re-derives the image
 from an existential search over fibre pairs whose projections agree —
-base-Q, restricted to fully split primes, and an independent oracle.
+base-Q, restricted to fully split primes, and an independent oracle.  A
+profile, the projected pairs of one fibre, is a frozenset, and a candidate
+is met with the point by ``isdisjoint``.
 """
 
 from __future__ import annotations
@@ -196,16 +198,12 @@ def _projector(pK: SplitPrime, pL: SplitPrime, emb) -> _Projector:
 
 
 @functools.lru_cache(maxsize=2048)
-def _spectral_projection(pK: SplitPrime, emb, base) -> SplitPrime:
-    hits = [pl for pl in split_prime(base, pK.p) if lies_over(pK, pl, emb)]
-    if len(hits) != 1:
-        raise NotLyingOverError(f"{pK} restricts to {len(hits)} points of {emb.src}")
-    return hits[0]
-
-
 def project_point(ext: Extension, pK: SplitPrime) -> SplitPrime:
     """π^Sp along an extension: the unique point of the base below pK."""
-    return _spectral_projection(pK, ext.emb, ext.base)
+    hits = [pl for pl in split_prime(ext.base, pK.p) if lies_over(pK, pl, ext.emb)]
+    if len(hits) != 1:
+        raise NotLyingOverError(f"{pK} restricts to {len(hits)} points of {ext.base.name}")
+    return hits[0]
 
 
 def norm_fibre_census(pK: SplitPrime, pL: SplitPrime, emb) -> list[int]:
@@ -289,7 +287,7 @@ def _galois_bruteforce(cfg: LatticeConfig, sigma: Automorphism, q: SplitPrime) -
     pq, candidates = _fully_split(ext, p)
     profile_q = _fibre_profile(ext, q, pq, _name(q, RatPoly.over((0, 1))))
     winners = [cand for cand in candidates
-               if _meets(profile_q, _fibre_profile(ext, cand, pq, _name(cand, sigma.h)))]
+               if not profile_q.isdisjoint(_fibre_profile(ext, cand, pq, _name(cand, sigma.h)))]
     assert len(winners) == 1, f"existential formula satisfied by {len(winners)} points"
     return winners[0]
 
@@ -308,8 +306,9 @@ def _fully_split(ext: Extension, p: int) -> tuple[SplitPrime, tuple[SplitPrime, 
 
 
 @functools.lru_cache(maxsize=256)
-def _fibre_profile(ext: Extension, pk: SplitPrime, pl: SplitPrime, multiplier: int) -> np.ndarray:
-    """All (π(x), π(m·x)) pairs over nonzero x in the fibre at pk, sorted,
+def _fibre_profile(ext: Extension, pk: SplitPrime, pl: SplitPrime,
+                   multiplier: int) -> frozenset[int]:
+    """The set of (π(x), π(m·x)) pairs over nonzero x in the fibre at pk,
     each encoded as π(x)·|pL| + π(m·x) (|pL| = p <= 1000 here).  Built once
     per point and multiplier: a move of each point over p meets the same
     profiles."""
@@ -317,15 +316,8 @@ def _fibre_profile(ext: Extension, pk: SplitPrime, pl: SplitPrime, multiplier: i
     fk = proj.fibre_k
     x = fk.digits(np.arange(1, pk.order))
     pairs = proj.fibre_l.index(proj._norm(x)) * pl.order
-    profile = np.sort(pairs + proj.fibre_l.index(proj._norm(fk.mul(x, fk.digits(multiplier)))))
-    profile.flags.writeable = False  # one array serves every caller
-    return profile
-
-
-def _meets(a: np.ndarray, b: np.ndarray) -> bool:
-    """Does the sorted array a share a value with b?"""
-    at = np.minimum(np.searchsorted(a, b), a.size - 1)
-    return bool((a[at] == b).any())
+    pairs += proj.fibre_l.index(proj._norm(fk.mul(x, fk.digits(multiplier))))
+    return frozenset(pairs.tolist())
 
 
 # ---------------------------------------------------------------------------

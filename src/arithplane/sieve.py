@@ -13,8 +13,8 @@ sqrt(hi) from one small dense sieve.  Memory is therefore
 Ranges are also the unit of parallelism: a scan worker needs nothing from
 its parent but a range's bounds.  A range comes back as one int64 array,
 the form the prime-lane kernels of :mod:`~arithplane.modpoly` take;
-:func:`stream_primes` yields Python ints one at a time for the per-prime
-walks.
+:func:`stream_primes` is a single-pass generator of Python ints for the
+per-prime walks; a second walk needs a second stream.
 
 :func:`is_prime` is the one primality test, for a single n of any size: the
 Baillie-PSW test, exact below 3.18e23 and passed by no known composite.  It
@@ -26,6 +26,7 @@ root, exact at any size, for perfect powers and the scans' norm bounds.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -74,21 +75,9 @@ def prime_range(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(([2], primes)) if lo == 2 <= hi else primes
 
 
-class PrimeStream:
-    """The primes up to n, ascending, sieved range by range; every
-    ``iter()`` walks them again from 2."""
-
-    def __init__(self, n: int):
-        self.n = _bound(n)
-
-    def __iter__(self):
-        for lo, hi in ranges(self.n):
-            yield from prime_range(lo, hi).tolist()
-
-
-def stream_primes(n: int) -> PrimeStream:
-    """Primes up to n, ascending."""
-    return PrimeStream(n)
+def stream_primes(n: int) -> Iterator[int]:
+    """Primes up to n, ascending, in one pass; n is checked at the call."""
+    return (p for lo, hi in ranges(n) for p in prime_range(lo, hi).tolist())
 
 
 # primes the commands take one at a time lie in [2, MAX_CHARACTERISTIC)

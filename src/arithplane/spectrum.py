@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 
 from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
-from .intpoly import reduce_mod_p
+from .intpoly import _format_poly, reduce_mod_p
 from .lattice import ExclusionRule, Extension, NumberField
 from .sieve import MAX_CHARACTERISTIC, is_prime, stream_primes
 
@@ -61,18 +61,8 @@ class SplitPrime:
         return self.p ** self.residue_degree
 
     def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.local_factor):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        poly = " + ".join(terms) if terms else "0"
         tag = ", ramified" if self.ramified_flag else ""
-        return f"({self.p}, {poly}) in {self.field}{tag}"
+        return f"({self.p}, {_format_poly(self.local_factor, 't')}) in {self.field}{tag}"
 
 
 def split_prime(field: NumberField, p: int) -> list[SplitPrime]:

@@ -257,6 +257,48 @@ def test_unclassified_lanes_take_the_per_point_path(demo, monkeypatch, text):
     assert counts(e, 10000, workers=2) == want
 
 
+# Q(ζ8) once more, generated by 3ζ8: disc 2^8·3^12, and it sorts before Q8,
+# so the class table is built over A8 and refuses p = 3, which the
+# expressions over Q8/Qi can evaluate
+A8 = """
+field A8
+  poly 81 0 0 0 1
+trusted A8
+auto A8
+  map 0 1
+auto A8
+  map 0 0 0 1/9
+auto A8
+  map 0 -1
+auto A8
+  map 0 0 0 -1/9
+galois A8
+embed Qi -> A8
+  map 0 0 1/9
+embed Q8 -> A8
+  map 0 1/3
+"""
+
+
+@pytest.mark.parametrize("text", ["Psi(Q8/Qi)", "Pi(Q8/Qi) & !Psi(Q8/Qi) | {3}"])
+def test_primes_the_table_refuses_take_the_per_point_path(demo, monkeypatch, text):
+    wide = load_lattice(pathlib.Path(LATTICE).read_text() + A8)
+    e, e_wide = dn.parse_set_expr(text, demo), dn.parse_set_expr(text, wide)
+    table = dn.class_table(wide, e_wide.base, tuple(a.ext for a in e_wide.atoms()))
+    assert table.modulus == wide.field("A8").poly.coeffs
+    want = dn.trace_csv(dn.estimate_density(e, 20000))
+    split, points = sp.split_prime, set()
+
+    def spying_split(fld, p):
+        points.add(p)
+        return split(fld, p)
+
+    monkeypatch.setattr(sp, "split_prime", spying_split)
+    assert dn.trace_csv(dn.estimate_density(e_wide, 20000)) == want
+    assert points == {2, 3}  # 2 is skipped as ramified, 3 is evaluated
+    assert dn.chebotarev_predict(e_wide, wide) == dn.chebotarev_predict(e, demo)
+
+
 # ------------------------------------------------ the Frobenius class oracle
 
 

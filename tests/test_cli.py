@@ -187,6 +187,19 @@ def test_frobenius_csv(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["density", "--expr", "Psi(Qi/Q)"],
+    ["frobenius", "--field", "Qi"],
+], ids=["density", "frobenius"])
+def test_unwritable_csv_prints_nothing(capsys, tmp_path, command):
+    # the CSV is written before any result line, so its failure leaves stdout empty
+    csv = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *command, "--lattice", LATTICE, "--max", "100",
+                         "--csv", str(csv))
+    assert (code, out) == (2, "")
+    assert err.startswith("arithplane: [Errno 2]") and not csv.parent.exists()
+
+
 def test_galois_output_and_mode_parity(capsys):
     code, direct, _ = run(capsys, "galois", "--lattice", LATTICE,
                           "--field", "Qi", "--auto", "1", "--prime", "5")

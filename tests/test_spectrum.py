@@ -49,6 +49,44 @@ def test_split_prime_examples(demo):
     assert str(two) == "(2, 1 + t) in Qi, ramified"
 
 
+def _point_text(pk):
+    """A point as its own printing loop wrote it, before it went through
+    ``intpoly``'s printer."""
+    terms = []
+    for i, c in enumerate(pk.local_factor):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            var = "t" if i == 1 else f"t^{i}"
+            terms.append(var if c == 1 else f"{c}*{var}")
+    poly = " + ".join(terms) if terms else "0"
+    tag = ", ramified" if pk.ramified_flag else ""
+    return f"({pk.p}, {poly}) in {pk.field}{tag}"
+
+
+def test_point_printing_keeps_its_bytes():
+    # monic local factors with coefficients in [0, p), zeros included, at
+    # any p the commands take
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def points(draw):
+        p = draw(st.integers(2, 2**64 - 1))
+        coeff = st.one_of(st.just(0), st.just(1), st.integers(0, p - 1))
+        low = draw(st.lists(coeff, max_size=6))
+        return sp.SplitPrime("K", p, (*low, 1), 1, draw(st.booleans()))
+
+    @hyp.settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @hyp.given(pk=points())
+    def check(pk):
+        assert str(pk) == _point_text(pk)
+
+    check()
+
+
 def test_split_prime_canonical_order(demo):
     q8 = demo.field("Q8")
     factors3 = [x.local_factor for x in sp.split_prime(q8, 3)]
@@ -478,7 +516,7 @@ def _check_by_oracle(cfg, specs, bound):
     elements) are counted by fq_roots below ROOTS_P instead.
     """
     counts = []
-    for ext, pl in _base_points(cfg, specs, stream_primes(bound)):
+    for ext, pl in _base_points(cfg, specs, list(stream_primes(bound))):
         if pl.order <= BRUTE_ORDER:
             want = _brute_count(ext, pl)
         elif pl.p <= ROOTS_P:
