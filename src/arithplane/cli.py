@@ -191,7 +191,7 @@ def _run(args, out) -> int:
         print(_check_report(args, cfg), file=out)
         return 0
     if cmd == "validate":
-        print(validate_lattice(cfg).render(), file=out)
+        print(validate_lattice(cfg), file=out)
         return 0
     if cmd == "split":
         for pk in sp.split_prime(cfg.field(args.field), args.prime):

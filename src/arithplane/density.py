@@ -124,7 +124,6 @@ Node = Union[PiAtom, PsiAtom, PrimeSet, Not, And, Or]
 class SetExpr:
     node: Node
     base: NumberField
-    source: str
     lattice: LatticeConfig = field(compare=False, repr=False)
 
     def atoms(self) -> tuple[Union[PiAtom, PsiAtom], ...]:
@@ -296,7 +295,7 @@ def parse_set_expr(text: str, cfg: LatticeConfig) -> SetExpr:
     node = parser.expr()
     parser.take("end")
     base = cfg.field(parser.base if parser.base is not None else BASE_NAME)
-    return SetExpr(node, base, text, cfg)
+    return SetExpr(node, base, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -725,7 +724,7 @@ def _compare(cfg: LatticeConfig, a: Node, b: Node, base: NumberField, n: int,
     """One scan of a and b over the evaluable base points of norm <= n: the
     point count of each truth mask (a giving bit 0, b bit 1), and, with
     ``witnesses`` set, the primes of the points where a and b disagree."""
-    exprs = (SetExpr(a, base, "", cfg), SetExpr(b, base, "", cfg))
+    exprs = (SetExpr(a, base, cfg), SetExpr(b, base, cfg))
     _, counts = _density_counts(exprs, n, 1, (n,), witnesses)
     differ = sorted(p for (tag, p), v in counts.items() if tag == "at" for _ in range(v))
     return [counts[0, 3 + m] for m in range(4)], differ

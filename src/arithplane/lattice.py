@@ -13,7 +13,8 @@ composita are *declared* and the loader verifies each declaration
 (root-map identities, group closure, degree bookkeeping) rather than
 deriving it.  Predicates downstream only ever evaluate at primes away from
 each pair's excluded set — primes dividing a discriminant or an embedding
-denominator — and those sets are surfaced in the validation report.
+denominator.  ``validate_lattice`` returns the report text, built straight
+from the loaded config: each field, then each pair with its excluded set.
 
 Every map identity the loader checks (each embedding and automorphism is a
 root map, declared two-step embeddings compose to the declared one-step
@@ -340,49 +341,30 @@ def _parse_map_token(tok: str, lineno: int) -> Fraction:
 
 def load_lattice(text: str) -> LatticeConfig:
     """Parse and fully validate a lattice configuration document."""
-    raw_fields: dict[str, tuple[list[int], int, int]] = {}  # name -> (coeffs, declared_at, poly_line)
+    raw_fields: dict[str, tuple[list[int], int]] = {}  # name -> (coeffs, poly_line)
     raw_embeds: list[tuple[str, str, RatPoly, int]] = []
     raw_autos: list[tuple[str, RatPoly, int]] = []
     raw_closures: list[tuple[str, str, int]] = []
     raw_galois: list[tuple[str, int]] = []
     raw_trusted: list[tuple[str, int]] = []
 
-    pending: tuple | None = None  # ("poly", name) or ("map", kind, payload)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        head = toks[0]
-        if pending is not None:
-            want = "poly" if pending[0] == "poly" else "map"
-            if head != want:
-                raise LatticeSyntaxError(
-                    f"expected '{want}' line for preceding '{pending[2]}'", lineno
-                )
-            coeffs = [_parse_map_token(t, lineno) for t in toks[1:]]
-            if not coeffs:
-                raise LatticeSyntaxError("empty coefficient list", lineno)
-            if pending[0] == "poly":
-                name = pending[1]
-                if any(c.denominator != 1 for c in coeffs):
-                    raise LatticeSyntaxError("poly coefficients must be integers", lineno)
-                ints = [int(c) for c in coeffs]
-                if len(ints) < 2 or ints[-1] != 1:
-                    raise LatticeSyntaxError(
-                        "poly must be monic of degree >= 1 (constant first, last = 1)", lineno
-                    )
-                raw_fields[name] = (ints, pending[3], lineno)
-            else:
-                kind, payload = pending[1], pending[3]
-                h = RatPoly.from_coeffs(coeffs)
-                if kind == "embed":
-                    raw_embeds.append((payload[0], payload[1], h, lineno))
-                else:
-                    raw_autos.append((payload, h, lineno))
-            pending = None
-            continue
+    split = ((n, raw.split("#", 1)[0].split()) for n, raw in enumerate(text.splitlines(), 1))
+    lines = ((lineno, toks) for lineno, toks in split if toks)  # the non-blank lines
 
+    def body(want: str, label: str) -> tuple[int, list[Fraction]]:
+        """The next line, which the directive ``label`` needs: its number and coefficients."""
+        lineno, toks = next(lines, (None, None))
+        if lineno is None:
+            raise LatticeSyntaxError(f"document ends while '{label}' still needs a '{want}' line")
+        if toks[0] != want:
+            raise LatticeSyntaxError(f"expected '{want}' line for preceding '{label}'", lineno)
+        coeffs = [_parse_map_token(t, lineno) for t in toks[1:]]
+        if not coeffs:
+            raise LatticeSyntaxError("empty coefficient list", lineno)
+        return lineno, coeffs
+
+    for lineno, toks in lines:
+        head = toks[0]
         if head == "field":
             if len(toks) != 2:
                 raise LatticeSyntaxError("usage: field <name>", lineno)
@@ -391,15 +373,24 @@ def load_lattice(text: str) -> LatticeConfig:
                 raise LatticeSyntaxError(f"{BASE_NAME} is implicit and cannot be redeclared", lineno)
             if name in raw_fields:
                 raise LatticeSyntaxError(f"duplicate field {name!r}", lineno)
-            pending = ("poly", name, f"field {name}", lineno)
+            poly_line, coeffs = body("poly", f"field {name}")
+            if any(c.denominator != 1 for c in coeffs):
+                raise LatticeSyntaxError("poly coefficients must be integers", poly_line)
+            ints = [int(c) for c in coeffs]
+            if len(ints) < 2 or ints[-1] != 1:
+                raise LatticeSyntaxError(
+                    "poly must be monic of degree >= 1 (constant first, last = 1)", poly_line)
+            raw_fields[name] = (ints, poly_line)
         elif head == "embed":
             if len(toks) != 4 or toks[2] != "->":
                 raise LatticeSyntaxError("usage: embed <src> -> <dst>", lineno)
-            pending = ("map", "embed", f"embed {toks[1]} -> {toks[3]}", (toks[1], toks[3]))
+            map_line, coeffs = body("map", f"embed {toks[1]} -> {toks[3]}")
+            raw_embeds.append((toks[1], toks[3], RatPoly.from_coeffs(coeffs), map_line))
         elif head == "auto":
             if len(toks) != 2:
                 raise LatticeSyntaxError("usage: auto <field>", lineno)
-            pending = ("map", "auto", f"auto {toks[1]}", toks[1])
+            map_line, coeffs = body("map", f"auto {toks[1]}")
+            raw_autos.append((toks[1], RatPoly.from_coeffs(coeffs), map_line))
         elif head == "closure":
             if len(toks) != 4 or toks[2] != "->":
                 raise LatticeSyntaxError("usage: closure <field> -> <galois-field>", lineno)
@@ -416,10 +407,6 @@ def load_lattice(text: str) -> LatticeConfig:
             raise LatticeSyntaxError(f"'{head}' line without a preceding directive", lineno)
         else:
             raise LatticeSyntaxError(f"unknown directive {head!r}", lineno)
-
-    if pending is not None:
-        want = "poly" if pending[0] == "poly" else "map"
-        raise LatticeSyntaxError(f"document ends while '{pending[2]}' still needs a '{want}' line")
 
     return _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_trusted)
 
@@ -449,7 +436,7 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
         trusted_names[name] = lineno
 
     fields: dict[str, NumberField] = {BASE_NAME: _base_field()}
-    for name, (ints, _decl_line, poly_line) in raw_fields.items():
+    for name, (ints, poly_line) in raw_fields.items():
         poly = RatPoly.over(ints)
         cert = None
         if name not in trusted_names:
@@ -586,49 +573,12 @@ def _assemble(raw_fields, raw_embeds, raw_autos, raw_closures, raw_galois, raw_t
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldDiagnostic:
-    name: str
-    degree: int
-    disc: int
-    certificate: str
-    galois: bool
-    closure: str | None
-
-
-@dataclass(frozen=True)
-class PairDiagnostic:
-    extension: str
-    excluded: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LatticeReport:
-    fields: tuple[FieldDiagnostic, ...]
-    pairs: tuple[PairDiagnostic, ...]
-
-    def render(self) -> str:
-        lines = []
-        for f in self.fields:
-            flags = []
-            if f.galois:
-                flags.append("galois")
-            if f.closure:
-                flags.append(f"closure={f.closure}")
-            lines.append(
-                f"field {f.name}: degree {f.degree}, disc {f.disc}, "
-                f"certificate {f.certificate}"
-                + (", " + ", ".join(flags) if flags else "")
-            )
-        for pr in self.pairs:
-            shown = ", ".join(str(p) for p in pr.excluded) if pr.excluded else "none"
-            lines.append(f"pair {pr.extension}: excluded primes {{{shown}}}")
-        return "\n".join(lines)
-
-
-def validate_lattice(cfg: LatticeConfig) -> LatticeReport:
-    """Report-only diagnostics: certificates, Galois flags, excluded primes."""
-    fields = []
+def validate_lattice(cfg: LatticeConfig) -> str:
+    """The report of what the lattice declares: one line per field, by
+    name, with its degree, discriminant, irreducibility certificate, Galois
+    mark and closure; then one line per pair K/L, sorted, with its excluded
+    primes."""
+    lines = []
     for name in sorted(cfg.fields):
         f = cfg.fields[name]
         if name == BASE_NAME:
@@ -637,24 +587,16 @@ def validate_lattice(cfg: LatticeConfig) -> LatticeReport:
             cert = "trusted"
         else:
             cert = f"irreducible mod {f.certificate_prime}"
-        fields.append(
-            FieldDiagnostic(
-                name=name,
-                degree=f.degree,
-                disc=f.disc,
-                certificate=cert,
-                galois=cfg.is_galois(name),
-                closure=cfg.closure_of(name),
-            )
-        )
-    pairs = []
-    seen = set()
-    for name in sorted(cfg.fields):
-        if name != BASE_NAME:
-            seen.add((name, BASE_NAME))
-    for src, dst in sorted(cfg.embeddings):
-        seen.add((dst, src))
-    for top, base in sorted(seen):
-        ext = cfg.extension((top, base))
-        pairs.append(PairDiagnostic(ext.name, tuple(sorted(ext.excluded_primes()))))
-    return LatticeReport(tuple(fields), tuple(pairs))
+        parts = [f"field {name}: degree {f.degree}", f"disc {f.disc}", f"certificate {cert}"]
+        if cfg.is_galois(name):
+            parts.append("galois")
+        if name in cfg.closures:
+            parts.append(f"closure={cfg.closures[name]}")
+        lines.append(", ".join(parts))
+    pairs = {(name, BASE_NAME) for name in cfg.fields if name != BASE_NAME}
+    pairs |= {(dst, src) for src, dst in cfg.embeddings}
+    for pair in sorted(pairs):
+        ext = cfg.extension(pair)
+        shown = ", ".join(str(p) for p in sorted(ext.excluded_primes())) or "none"
+        lines.append(f"pair {ext.name}: excluded primes {{{shown}}}")
+    return "\n".join(lines)

@@ -22,8 +22,9 @@ integer f for a whole array of primes at once, one prime per numpy lane
 ``_LaneRing``, the residues mod f with x^p mod f (``_LaneRing.xpow``) and
 deg gcd(x^q - t, f) (``_LaneRing.fixed_count``): the root count
 (:func:`lane_root_count`), the factor degrees (:func:`lane_factor_degrees`)
-and, for rational maps t, the number of roots r of f with r^p = t(r)
-(:func:`lane_frobenius_counts`).  The Q-base density and Frobenius scans
+and, for rational maps t = num/den, the number of roots r of f with
+r^p = t(r) (:func:`lane_frobenius_counts`), read as deg gcd(den*x^p - num, f)
+so that no lane inverts den.  The Q-base density and Frobenius scans
 run the first two, and the relative-base scans the third; the scalar
 :func:`xpow_mod` and :func:`root_count`, and ``finitefield.degree_pattern``,
 are their oracles.  Lanes are int64 while every p^2 + p < 2^63 and Python
@@ -395,6 +396,11 @@ def lane_mod(c: int, P: np.ndarray) -> np.ndarray:
     return acc if c > 0 else (-acc) % P
 
 
+def _lift(coeffs, P: np.ndarray) -> np.ndarray:
+    """Integer coefficients mod p, as a (len(coeffs), L) array of lanes."""
+    return np.array([lane_mod(c, P) for c in coeffs]).reshape(len(coeffs), len(P))
+
+
 def _lane_powmod(a: np.ndarray, e: np.ndarray, P: np.ndarray) -> np.ndarray:
     """a^e mod p per lane, left to right over the largest bit length of e."""
     r = np.ones_like(P)
@@ -420,7 +426,7 @@ class _LaneRing:
             raise ValueError("lane kernels need a monic polynomial")
         self.P = P
         self.n = n = len(f) - 1
-        self.f = np.array([lane_mod(c, P) for c in f]).reshape(n + 1, len(P))
+        self.f = _lift(f, P)
         self.red = (-self.f[:n]) % P  # x^n mod f
 
     def const(self, c: int) -> np.ndarray:
@@ -474,22 +480,14 @@ class _LaneRing:
             acc[0] = (acc[0] + row) % self.P
         return acc
 
-    def rational(self, num: tuple[int, ...], den: int) -> np.ndarray:
-        """The residue of num/den, a polynomial of degree < n over Z divided
-        by an integer: ``lane_mod`` of each numerator coefficient times den^-1
-        mod p (Fermat), in every lane.  den must be a unit mod every p."""
-        P = self.P
-        inv = _lane_powmod(lane_mod(den, P), P - 2, P)
-        out = self.const(0)
-        for i, c in enumerate(num):
-            out[i] = lane_mod(c, P) * inv % P
-        return out
-
     def fixed_count(self, xq: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
-        """deg gcd(xq - target, f) per lane, target x when not given.  For
-        xq = x^(p^d) mod f and f squarefree mod p, this is the number of
-        roots of f in F_(p^d); for xq = x^p and the residue of a map t, the
-        number of roots r of f with r^p = t(r).
+        """deg gcd(xq - target, f) per lane, target x when not given; a
+        target of fewer than n rows is zero above them.  For xq = x^(p^d)
+        mod f and f squarefree mod p, this is the number of roots of f in
+        F_(p^d).  For xq = den*x^p and the numerators of a map t = num/den,
+        it is the number of roots r of f with r^p = t(r): den is a unit mod
+        p, so den*x^p - num has the gcd of x^p - t with f, and no inverse
+        of den is taken.
 
         Inverse-free Euclid: one step replaces u, the operand of higher
         degree, with lc(v)*u - lc(u)*x^(deg u - deg v)*v, so the leading
@@ -501,7 +499,7 @@ class _LaneRing:
         if target is None:
             v[1] = (v[1] - 1) % P
         else:
-            v[:n] = (v[:n] - target) % P
+            v[:len(target)] = (v[:len(target)] - target) % P
         u = self.f
         du, dv = np.full(len(P), n), _lane_degrees(v)
         rows = np.arange(n + 1)[:, None]
@@ -599,11 +597,12 @@ def lane_frobenius_counts(f: list[int], maps, primes: np.ndarray) -> np.ndarray:
     r^p = t(r).  When t is the image of the generator under an automorphism
     σ of the field of f, it is positive exactly when σ is a Frobenius
     element at p (Dokchitser-Dokchitser, "Identifying Frobenius elements in
-    Galois groups", 2013).  One x^p per lane serves every map.
+    Galois groups", 2013).  One x^p per lane serves every map, scaled by
+    its denominator: deg gcd(den*x^p - num, f) is the count, with no inverse.
     """
     def counts(f, P):
         ring = _LaneRing(f, P)
         xp = ring.xpow()
-        return np.array([ring.fixed_count(xp, ring.rational(*t)) for t in maps],
-                        dtype=np.int64).reshape(len(maps), len(P))
+        return np.array([ring.fixed_count(xp * lane_mod(den, P) % P, _lift(num, P))
+                         for num, den in maps], dtype=np.int64).reshape(len(maps), len(P))
     return _by_block(counts, f, primes)

@@ -422,10 +422,27 @@ def test_annihilator_output(capsys):
 
 
 def test_validate_output(capsys):
-    code, out, _ = run(capsys, "validate", "--lattice", LATTICE)
-    assert code == 0
-    assert "field Qi: degree 2" in out
-    assert "field S3c: degree 6" in out
+    code, out, err = run(capsys, "validate", "--lattice", LATTICE)
+    assert (code, err) == (0, "")
+    assert out == (
+        "field Q: degree 1, disc 1, certificate base field\n"
+        "field Q8: degree 4, disc 256, certificate trusted, galois, closure=Q8\n"
+        "field Qc2: degree 3, disc -108, certificate irreducible mod 7, closure=S3c\n"
+        "field Qi: degree 2, disc -4, certificate irreducible mod 3, galois, closure=Qi\n"
+        "field Qs2: degree 2, disc 8, certificate irreducible mod 3, galois, closure=Qs2\n"
+        "field Qw: degree 2, disc -3, certificate irreducible mod 2, galois, closure=Qw\n"
+        "field S3c: degree 6, disc -2066242608, certificate trusted, galois, closure=S3c\n"
+        "pair Q8/Q: excluded primes {2}\n"
+        "pair Q8/Qi: excluded primes {2}\n"
+        "pair Q8/Qs2: excluded primes {2}\n"
+        "pair Qc2/Q: excluded primes {2, 3}\n"
+        "pair Qi/Q: excluded primes {2}\n"
+        "pair Qs2/Q: excluded primes {2}\n"
+        "pair Qw/Q: excluded primes {3}\n"
+        "pair S3c/Q: excluded primes {2, 3}\n"
+        "pair S3c/Qc2: excluded primes {2, 3}\n"
+        "pair S3c/Qw: excluded primes {2, 3}\n"
+    )
 
 
 def test_validate_desk_scale_nonic(capsys, tmp_path):

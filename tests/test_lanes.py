@@ -2,17 +2,22 @@
 
 Every lane of ``_LaneRing.xpow`` (on the ``lanes`` of a prime array),
 ``lane_root_count`` and ``lane_factor_degrees`` must equal ``xpow_mod``,
-``root_count`` and ``finitefield.degree_pattern`` at that lane's prime, on int64 lanes
-and on the dtype=object lanes that take over above ``LANE_INT64_MAX``.  The
-prime arrays mix bit lengths, so lanes with leading zero bits run beside
-full ones.
+``root_count`` and ``finitefield.degree_pattern`` at that lane's prime, and
+``lane_frobenius_counts`` must equal deg gcd(x^p - t, f) on the scalar
+kernels, on int64 lanes and on the dtype=object lanes that take over above
+``LANE_INT64_MAX``.  The prime arrays mix bit lengths, so lanes with leading
+zero bits run beside full ones.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
 from arithplane.finitefield import degree_pattern
+from arithplane.intpoly import RatPoly, reduce_mod_p
+from arithplane.lattice import load_lattice
 from arithplane.sieve import is_prime
 
 pytest.importorskip("hypothesis")
@@ -92,6 +97,29 @@ def test_x2_x_1_at_two():
     assert mp.lane_root_count([1, 1, 1], two).tolist() == [0]
     assert _pattern(mp.lane_factor_degrees([1, 1, 1], two)[:, 0]) == (2,)
     assert xpow([1, 1, 1], two)[:, 0].tolist() == [1, 1]  # x^2 = x + 1
+
+
+DEMO = load_lattice(
+    (pathlib.Path(__file__).resolve().parent.parent / "configs" / "demo.cfg").read_text())
+BIG_MAP = RatPoly.over([2**70, -5, 0, 1], 17**20)  # both sides beyond int64
+
+
+def frobenius_count(f, h, p):
+    """deg gcd(x^p - h, f) mod p on the scalar kernels."""
+    fp = reduce_mod_p(f, p)
+    return mp.deg(mp.gcd_p(mp.sub(mp.xpow_mod(p, fp, p), reduce_mod_p(h, p), p), fp, p))
+
+
+@pytest.mark.parametrize("field", ["Q8", "S3c"])  # S3c's maps have denominator 9
+@pytest.mark.parametrize("pool", ["int64", "object"])
+def test_frobenius_counts_match_scalar_gcd(field, pool):
+    f = DEMO.field(field).poly
+    maps = [s.h for s in DEMO.autos(field)] + [BIG_MAP]
+    primes = [p for p in (INT64_POOL if pool == "int64" else OBJECT_POOL)
+              if all(h.den % p for h in maps)]
+    counts = mp.lane_frobenius_counts(list(f.num), [(h.num, h.den) for h in maps],
+                                      np.array(primes, dtype=np.int64))
+    assert counts.tolist() == [[frobenius_count(f, h, p) for p in primes] for h in maps]
 
 
 def test_empty_prime_array():

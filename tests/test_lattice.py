@@ -101,19 +101,13 @@ def test_exclusion_rule_on_prime_arrays(demo):
 
 
 def test_validation_report(demo):
-    rep = validate_lattice(demo)
-    by_name = {f.name: f for f in rep.fields}
-    assert by_name["Q"].certificate == "base field"
-    assert by_name["Q8"].certificate == "trusted"
-    assert by_name["Qi"].certificate.startswith("irreducible mod")
-    assert by_name["Q8"].galois and by_name["Q8"].closure == "Q8"
-    pairs = {p.extension: p.excluded for p in rep.pairs}
-    assert pairs["Q8/Q"] == (2,)
-    assert pairs["Qc2/Q"] == (2, 3)
-    assert pairs["Q8/Qi"] == (2,)
-    text = rep.render()
-    assert "field Q8: degree 4" in text
-    assert "pair Q8/Q: excluded primes {2}" in text
+    lines = validate_lattice(demo).split("\n")
+    assert "field Q: degree 1, disc 1, certificate base field" in lines
+    assert "field Q8: degree 4, disc 256, certificate trusted, galois, closure=Q8" in lines
+    assert "field Qi: degree 2, disc -4, certificate irreducible mod 3, galois, closure=Qi" in lines
+    assert "pair Q8/Q: excluded primes {2}" in lines
+    assert "pair Qc2/Q: excluded primes {2, 3}" in lines
+    assert "pair Q8/Qi: excluded primes {2}" in lines
 
 
 def test_prime_factors():
@@ -134,8 +128,8 @@ def test_validate_factors_semiprime_discriminant():
     # disc = 4 * 1000000000039 * 1000000000061: trial division to its
     # square root would take about 10^12 steps
     cfg = load_lattice("field Big\n  poly -1000000000100000000002379 0 1\n")
-    (pair,) = validate_lattice(cfg).pairs
-    assert pair.excluded == (2, 1000000000039, 1000000000061)
+    assert validate_lattice(cfg).split("\n")[2:] == [
+        "pair Big/Q: excluded primes {2, 1000000000039, 1000000000061}"]
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +416,41 @@ REFUSALS = [
         AutomorphismGroupError,
         "galois A: 1 automorphisms declared, degree is 2",
     ),
+    # the loader's own refusals, each at the line it names
+    ("field_usage", "field A B\n", LatticeSyntaxError,
+     "line 1: usage: field <name>"),
+    ("embed_usage", "field A\n  poly 1 0 1\nembed Q A\n  map 0\n", LatticeSyntaxError,
+     "line 3: usage: embed <src> -> <dst>"),
+    ("auto_usage", "auto\n", LatticeSyntaxError,
+     "line 1: usage: auto <field>"),
+    ("closure_usage", "closure A => B\n", LatticeSyntaxError,
+     "line 1: usage: closure <field> -> <galois-field>"),
+    ("galois_usage", "galois A B\n", LatticeSyntaxError,
+     "line 1: usage: galois <field>"),
+    ("trusted_usage", "trusted\n", LatticeSyntaxError,
+     "line 1: usage: trusted <field>"),
+    ("base_redeclared", "field Q\n  poly 0 1\n", LatticeSyntaxError,
+     "line 1: Q is implicit and cannot be redeclared"),
+    ("duplicate_field", "field A\n  poly 1 0 1\nfield A\n  poly -2 0 1\n", LatticeSyntaxError,
+     "line 3: duplicate field 'A'"),
+    ("expected_poly", "field A\n# a comment\n\nfield B\n  poly 1 0 1\n", LatticeSyntaxError,
+     "line 4: expected 'poly' line for preceding 'field A'"),
+    ("expected_map", "field A\n  poly 1 0 1\nauto A\n  poly 0 1\n", LatticeSyntaxError,
+     "line 4: expected 'map' line for preceding 'auto A'"),
+    ("document_ends", "field A\n  poly 1 0 1\nembed Q -> A\n  # no map\n\n", LatticeSyntaxError,
+     "document ends while 'embed Q -> A' still needs a 'map' line"),
+    ("empty_coefficients", "field A\n  poly   # none\n", LatticeSyntaxError,
+     "line 2: empty coefficient list"),
+    ("bad_coefficient_token", "field A\n  poly 1 0/0 1\n", LatticeSyntaxError,
+     "line 2: bad coefficient token '0/0'"),
+    ("poly_not_integer", "field A\n  poly 1/2 0 1\n", LatticeSyntaxError,
+     "line 2: poly coefficients must be integers"),
+    ("poly_not_monic", "field A\n  poly 1 0 2\n", LatticeSyntaxError,
+     "line 2: poly must be monic of degree >= 1 (constant first, last = 1)"),
+    ("stray_map", "field A\n  poly 1 0 1\n  map 0 1\n", LatticeSyntaxError,
+     "line 3: 'map' line without a preceding directive"),
+    ("unknown_directive", "field A\n  poly 1 0 1\nfrobnicate A\n", LatticeSyntaxError,
+     "line 3: unknown directive 'frobnicate'"),
 ]
 
 
