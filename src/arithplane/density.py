@@ -52,7 +52,8 @@ from __future__ import annotations
 
 import functools
 import os
-from collections import Counter
+import re
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,7 +72,6 @@ from .lattice import (
     Extension,
     LatticeConfig,
     NumberField,
-    prime_factors,
 )
 from .modpoly import lane_factor_degrees, lane_frobenius_counts, lane_root_count
 from .sieve import MAX_CHARACTERISTIC, iroot, is_prime, prime_range, ranges
@@ -162,43 +162,22 @@ def _eval_node(node: Node, atom_fn: Callable):
 # --------------------------------------------------------------------------
 # parser
 
-_PUNCT = ("|", "&", "!", "(", ")", "{", "}", "/", ",")
+# after any whitespace, one token: an integer, a name, a punctuation mark,
+# or any other character, which is refused, as is a name that starts with
+# neither a letter nor "_"
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|([|&!(){}/,])|(\S))")
+_Token = namedtuple("_Token", "kind text pos")
 
 
-class _Tok:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[_Token]:
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _PUNCT:
-            toks.append(_Tok(c, c, i))
-            i += 1
-        elif c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(_Tok("int", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("name", text[i:j], i))
-            i = j
-        else:
-            raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, pos = m.lastindex, m.start(m.lastindex)
+        word = m[kind]
+        if kind == 4 or (kind == 2 and not (word[0].isalpha() or word[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {word[0]!r}", pos)
+        toks.append(_Token(("int", "name", word)[kind - 1], word, pos))
+    toks.append(_Token("end", "", len(text)))
     return toks
 
 
@@ -210,10 +189,10 @@ class _Parser:
         self.i = 0
         self.base: str | None = None
 
-    def peek(self) -> _Tok:
+    def peek(self) -> _Token:
         return self.toks[self.i]
 
-    def take(self, kind: str) -> _Tok:
+    def take(self, kind: str) -> _Token:
         t = self.toks[self.i]
         if t.kind != kind:
             want = "end of input" if kind == "end" else repr(kind)
@@ -630,13 +609,11 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
             row.append((f, *counts))
         rows.append(tuple(row))
 
-    dens = {q for h in hs for q in prime_factors(h.den)}
-    for emb in into.values():
-        dens |= emb.denominator_primes()
+    dens = {h.den for h in hs} | {emb.h.den for emb in into.values()}
     return ClassTable(m.poly.num, tuple(classes),
                       tuple((hs[c[0]].num, hs[c[0]].den) for c in classes),
                       tuple(ext.name for ext in exts), tuple(rows),
-                      ExclusionRule((m.disc,), frozenset(dens)))
+                      ExclusionRule((m.disc,), tuple(sorted(dens - {1}))))
 
 
 def _power(move: list[int], j: int, f: int) -> int:
@@ -699,7 +676,7 @@ def _frobenius_kernel(fld: NumberField, lo: int, hi: int) -> Counter:
     """Factorization patterns of f mod the unramified primes in [lo, hi],
     from the prime-lane factor degrees."""
     primes = prime_range(lo, hi)
-    primes = primes[ExclusionRule((fld.disc,), frozenset()).reasons(primes) == 0]
+    primes = primes[ExclusionRule((fld.disc,), ()).reasons(primes) == 0]
     degrees = lane_factor_degrees(list(fld.poly.num), primes)
     cols, counts = np.unique(degrees, axis=1, return_counts=True)
     return Counter({tuple(d for d, k in enumerate(col, 1) for _ in range(k)): int(c)

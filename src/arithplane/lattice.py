@@ -91,9 +91,6 @@ class Embedding:
     dst: str
     h: RatPoly
 
-    def denominator_primes(self) -> frozenset[int]:
-        return frozenset(prime_factors(self.h.den))
-
 
 @dataclass(frozen=True)
 class Automorphism:
@@ -127,8 +124,7 @@ class Extension:
 
     def excluded_primes(self) -> frozenset[int]:
         rule = self.exclusion
-        out = {q for d in rule.discs for q in prime_factors(d)}
-        return frozenset(out | rule.denominators)
+        return frozenset(q for n in rule.discs + rule.dens for q in prime_factors(n))
 
     def is_excluded(self, p: int) -> bool:
         return self.exclusion.reason(p) is not None
@@ -140,33 +136,29 @@ class ExclusionRule:
 
     p is ``ramified`` if it divides the discriminant of any field or base
     involved; otherwise it is ``denominator`` if it divides the denominator
-    of an embedding coefficient.  Built once per extension set, so asking
-    about one prime costs a scan of the distinct discriminants and one set
-    lookup.
+    of an embedding map.  Both reasons are tested by divisibility, against
+    the distinct discriminants and the distinct denominators other than 1,
+    so nothing is factored and any integer serves.
     """
 
     discs: tuple[int, ...]
-    denominators: frozenset[int]
+    dens: tuple[int, ...]
 
     REASONS = ("ramified", "denominator")
 
     @classmethod
     def of(cls, exts: Iterable[Extension]) -> "ExclusionRule":
-        discs: list[int] = []
-        dens: set[int] = set()
-        for ext in exts:
-            for d in (ext.field.disc, ext.base.disc):
-                if d not in (1, -1) and d not in discs:
-                    discs.append(d)
-            dens |= ext.emb.denominator_primes()
-        return cls(tuple(discs), frozenset(dens))
+        exts = list(exts)
+        discs = {d: None for ext in exts for d in (ext.field.disc, ext.base.disc)
+                 if d not in (1, -1)}
+        dens = {ext.emb.h.den: None for ext in exts if ext.emb.h.den != 1}
+        return cls(tuple(discs), tuple(dens))
 
     def reason(self, p: int) -> str | None:
         """``"ramified"``, ``"denominator"``, or None when p is evaluable."""
-        for d in self.discs:
-            if d % p == 0:
-                return "ramified"
-        if p in self.denominators:
+        if any(d % p == 0 for d in self.discs):
+            return "ramified"
+        if any(d % p == 0 for d in self.dens):
             return "denominator"
         return None
 
@@ -174,11 +166,14 @@ class ExclusionRule:
         """The rule on an int64 array of primes: 0 where p is evaluable,
         else 1 + the index of its reason in ``REASONS``."""
         P = mp.lanes(primes)
-        ramified = np.zeros(len(P), dtype=bool)
-        for d in self.discs:
-            ramified |= mp.lane_mod(d, P) == 0
-        dens = [q for q in self.denominators if q <= np.iinfo(np.int64).max]
-        return np.where(ramified, 1, np.where(np.isin(primes, dens), 2, 0))
+
+        def divides(ns) -> np.ndarray:
+            out = np.zeros(len(P), dtype=bool)
+            for n in ns:
+                out |= mp.lane_mod(n, P) == 0
+            return out
+
+        return np.where(divides(self.discs), 1, np.where(divides(self.dens), 2, 0))
 
 
 _TRIAL_BOUND = 1000

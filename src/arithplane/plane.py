@@ -197,7 +197,6 @@ def _projector(pK: SplitPrime, pL: SplitPrime, emb) -> _Projector:
     return _Projector(pK, pL, emb)
 
 
-@functools.lru_cache(maxsize=2048)
 def project_point(ext: Extension, pK: SplitPrime) -> SplitPrime:
     """π^Sp along an extension: the unique point of the base below pK."""
     hits = [pl for pl in split_prime(ext.base, pK.p) if lies_over(pK, pl, ext.emb)]

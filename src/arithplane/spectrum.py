@@ -6,7 +6,8 @@ coefficient lists over F_p.  No residue field is built here: ``plane``
 carries fibre values as element indices on lanes, and the residue fields
 and naming maps of ``finitefield`` are the tests' reference for both.
 ``points_over`` walks the points of a field over the primes up to a bound
-that a set of extensions can evaluate, for the sequential checkers.
+that a set of extensions can evaluate, for the sequential checkers; each
+sieved range loses its excluded primes in one ``ExclusionRule.reasons`` call.
 
 Two families of predicates live here.  Pointwise ones relate a point of K
 to a point of L along a declared embedding, each by one computation over
@@ -38,7 +39,7 @@ from . import modpoly as mp
 from .errors import InvalidPrimeError, NotLyingOverError, RamifiedPrimeError
 from .intpoly import _format_poly, reduce_mod_p
 from .lattice import ExclusionRule, Extension, NumberField
-from .sieve import MAX_CHARACTERISTIC, is_prime, stream_primes
+from .sieve import MAX_CHARACTERISTIC, is_prime, prime_range, ranges
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,9 @@ def points_over(field: NumberField, n: int, exts: Iterable[Extension]) -> Iterat
     ascending in p and in ``split_prime`` order over each p: the walk of the
     pi-intersection, pullback, norm-fibre and section-independence checkers."""
     rule = ExclusionRule.of(exts)
-    for p in stream_primes(n):
-        if rule.reason(p) is None:
+    for lo, hi in ranges(n):
+        primes = prime_range(lo, hi)
+        for p in primes[rule.reasons(primes) == 0].tolist():
             yield from split_prime(field, p)
 
 

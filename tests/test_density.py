@@ -69,6 +69,8 @@ def test_parse_prime_set(demo):
 
 
 def test_parse_errors(demo):
+    # no-break space and the file separator are whitespace
+    assert expr(demo, "Psi(Qi/Q)\u00a0&\x1cPi(Qs2/Q)") == expr(demo, "Psi(Qi/Q) & Pi(Qs2/Q)")
     with pytest.raises(ExprSyntaxError, match="mixed base"):
         expr(demo, "Psi(Qi/Q) & Pi(Q8/Qi)")
     with pytest.raises(ExprSyntaxError, match="position 11"):
@@ -84,6 +86,16 @@ def test_parse_errors(demo):
         expr(demo, "Psi(Qi/Q) + Pi(Qi/Q)")
     with pytest.raises(ExprSyntaxError, match="position 2: unexpected character '²'"):
         expr(demo, "{3²}")
+    # numerals that are not decimal digits start no token
+    with pytest.raises(ExprSyntaxError, match="position 1: unexpected character 'Ⅻ'"):
+        expr(demo, "{Ⅻ}")
+    with pytest.raises(ExprSyntaxError, match="position 4: unexpected character '½'"):
+        expr(demo, "{3, ½}")
+    # but continue a name, as letters, digits and "_" do
+    with pytest.raises(UnknownFieldError, match="'a²'"):
+        expr(demo, "Psi(a²/Q)")
+    with pytest.raises(UnknownFieldError, match="'_x'"):
+        expr(demo, "Psi(_x/Q)")
     with pytest.raises(ExprSyntaxError):
         expr(demo, "Psi(Qi/Q) Pi(Qs2/Q)")  # trailing garbage
     with pytest.raises(ExprSyntaxError):

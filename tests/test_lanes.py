@@ -20,9 +20,6 @@ from arithplane.intpoly import RatPoly, reduce_mod_p
 from arithplane.lattice import load_lattice
 from arithplane.sieve import is_prime
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
 
 def _primes(start, step, count):
     out, q = [], start
@@ -129,20 +126,21 @@ def test_empty_prime_array():
     assert mp.lane_factor_degrees([-2, 0, 0, 1], empty).shape == (3, 0)
 
 
-@st.composite
-def lane_cases(draw):
-    """(f, primes): monic f of degree 1-8 with small or beyond-int64
-    coefficients, and 1-8 distinct primes from both pools."""
+def test_lanes_property():
+    # monic f of degree 1-8 with small or beyond-int64 coefficients, and 1-8
+    # distinct primes from both pools
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
     coeff = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
-    f = draw(st.lists(coeff, min_size=1, max_size=8)) + [1]
-    primes = draw(st.lists(st.sampled_from(OBJECT_POOL), min_size=1, max_size=8,
-                           unique=True))
-    return f, primes
+    cases = st.tuples(st.lists(coeff, min_size=1, max_size=8).map(lambda f: f + [1]),
+                      st.lists(st.sampled_from(OBJECT_POOL), min_size=1, max_size=8,
+                               unique=True))
 
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True)
+    @hyp.given(cases)
+    @hyp.example(([1, 1, 1], [2, 3, 7, 13]))
+    @hyp.example(([-2, 0, 0, 1], [2, 3, 5, 31, 2**31 - 1, *BELOW, *ABOVE, M61]))
+    def check(case):
+        check_lanes(*case)
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(lane_cases())
-@example(([1, 1, 1], [2, 3, 7, 13]))
-@example(([-2, 0, 0, 1], [2, 3, 5, 31, 2**31 - 1, *BELOW, *ABOVE, M61]))
-def test_lanes_property(case):
-    check_lanes(*case)
+    check()

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -83,21 +84,80 @@ def test_exclusion_rule(demo):
     assert rule.reason(2) == rule.reason(3) == "ramified"
     assert rule.reason(5) is None
     # a ramified prime is reported as ramified even if it is also a denominator
-    assert ExclusionRule((-4,), frozenset({2, 5})).reason(2) == "ramified"
-    assert ExclusionRule((-4,), frozenset({2, 5})).reason(5) == "denominator"
+    assert ExclusionRule((-4,), (10,)).reason(2) == "ramified"
+    assert ExclusionRule((-4,), (10,)).reason(5) == "denominator"
+
+
+def oracle_reason(disc_primes, den_primes, p):
+    """The rule from its definition, on the prime factors of the
+    discriminants and of the map denominators: ramified, else denominator."""
+    if p in disc_primes:
+        return "ramified"
+    return "denominator" if p in den_primes else None
+
+
+def _extensions(cfg):
+    """Every declared embedding read as an extension, and each field over Q."""
+    return ([cfg.extension((dst, src)) for src, dst in cfg.embeddings]
+            + [cfg.extension((name, "Q")) for name in cfg.fields if name != "Q"])
+
+
+M61 = 2**61 - 1
+NEAR_2_63 = (2**63 - 25, 2**63 + 29)  # the primes on either side of 2^63
+NEAR_2_64 = (2**64 - 59, 2**64 + 13)  # and of 2^64
+# discriminants and denominators past int64, each with its prime factors
+BIG_DISCS = ((-4, {2}), (3 * 7919 * 2**70, {2, 3, 7919}), (-(M61**2) * 99991, {M61, 99991}))
+BIG_DENS = ((10, {2, 5}), (7919 * 104729, {7919, 104729}),
+            (NEAR_2_64[1] * 99989 * 3**50, {NEAR_2_64[1], 99989, 3}))
+
+
+def _hand_built():
+    """(rule, its discriminant primes, its denominator primes)."""
+    yield (ExclusionRule(tuple(d for d, _ in BIG_DISCS), tuple(d for d, _ in BIG_DENS)),
+           set().union(*(ps for _, ps in BIG_DISCS)), set().union(*(ps for _, ps in BIG_DENS)))
+    yield (ExclusionRule((), (NEAR_2_63[0] * NEAR_2_64[0],)), set(), {NEAR_2_63[0], NEAR_2_64[0]})
+    yield (ExclusionRule((NEAR_2_63[1] * 5,), ()), {5, NEAR_2_63[1]}, set())
+
+
+def _demo_rules(demo):
+    """The rule of each demo extension, and of all of them at once, with the
+    prime factors of the discriminants and denominators they name."""
+    exts = _extensions(demo)
+    for group in [[ext] for ext in exts] + [exts]:
+        discs = {q for ext in group for d in (ext.field.disc, ext.base.disc)
+                 for q in prime_factors(d)}
+        dens = {q for ext in group for q in prime_factors(ext.emb.h.den)}
+        yield ExclusionRule.of(group), discs, dens
 
 
 def test_exclusion_rule_on_prime_arrays(demo):
-    # the array form agrees with the per-prime rule, including a
-    # discriminant beyond int64 (reduced per lane 31 bits at a time)
-    big = 3 * 7919 * 2**70
-    rules = [ExclusionRule.of([demo.extension("S3c/Qw"), demo.extension("Qc2/Q")]),
-             ExclusionRule((-4, big), frozenset({2, 5, 7919, 104729, 2**64 + 13}))]
-    primes = list(stream_primes(105000))
-    for rule in rules:
-        want = [0 if rule.reason(p) is None else 1 + ExclusionRule.REASONS.index(rule.reason(p))
-                for p in primes]
-        assert rule.reasons(np.array(primes, dtype=np.int64)).tolist() == want
+    # the per-prime and array forms both equal the oracle on the primes to
+    # 10^5, on the demo extensions and on rules with discriminants and
+    # denominators beyond int64 (reduced per lane 31 bits at a time)
+    primes = list(stream_primes(10**5))
+    seen = set()
+    for rule, discs, dens in [*_demo_rules(demo), *_hand_built()]:
+        want = [oracle_reason(discs, dens, p) for p in primes]
+        assert [rule.reason(p) for p in primes] == want
+        codes = [0 if r is None else 1 + ExclusionRule.REASONS.index(r) for r in want]
+        assert rule.reasons(np.array(primes, dtype=np.int64)).tolist() == codes
+        seen.update(want)
+    assert seen == {None, "ramified", "denominator"}
+
+
+def test_exclusion_rule_near_the_word_bounds(demo):
+    # primes either side of 2^63 and 2^64, alone and as factors of
+    # discriminants and denominators, through the per-prime rule
+    near = [*NEAR_2_63, *NEAR_2_64, M61]
+    for rule, discs, dens in [*_demo_rules(demo), *_hand_built()]:
+        assert [rule.reason(p) for p in near] == [oracle_reason(discs, dens, p) for p in near]
+    rules = [rule for rule, _, _ in _hand_built()]
+    assert [rules[0].reason(p) for p in near] == [None, None, None, "denominator", "ramified"]
+    assert [rules[1].reason(p) for p in near] == ["denominator", None, "denominator", None, None]
+    assert [rules[2].reason(p) for p in near] == [None, "ramified", None, None, None]
+    # the array form on the int64 primes among them
+    fits = np.array([NEAR_2_63[0], M61], dtype=np.int64)
+    assert [rule.reasons(fits).tolist() for rule in rules] == [[0, 1], [2, 0], [0, 0]]
 
 
 def test_validation_report(demo):
@@ -137,13 +197,6 @@ def test_validate_factors_semiprime_discriminant():
 # ---------------------------------------------------------------------------
 
 
-def test_syntax_error_carries_line_number():
-    with pytest.raises(LatticeSyntaxError) as ei:
-        load_lattice("field A\n  poly 1 0 1\nfrobnicate A\n")
-    assert ei.value.line == 3
-    assert "line 3" in str(ei.value)
-
-
 def test_poly_must_follow_field():
     with pytest.raises(LatticeSyntaxError) as ei:
         load_lattice("field A\nfield B\n")
@@ -155,26 +208,9 @@ def test_truncated_document():
         load_lattice("field A\n")
 
 
-def test_poly_must_be_monic():
-    with pytest.raises(LatticeSyntaxError) as ei:
-        load_lattice("field A\n  poly 1 0 2\n")
-    assert ei.value.line == 2
-
-
 def test_stray_map_line():
     with pytest.raises(LatticeSyntaxError):
         load_lattice("map 0 1\n")
-
-
-def test_duplicate_field():
-    doc = "field A\n  poly 1 0 1\nfield A\n  poly 2 0 1\n"
-    with pytest.raises(LatticeSyntaxError):
-        load_lattice(doc)
-
-
-def test_base_field_cannot_be_redeclared():
-    with pytest.raises(LatticeSyntaxError):
-        load_lattice("field Q\n  poly 0 1\n")
 
 
 def test_no_certificate_without_trusted():
@@ -229,6 +265,12 @@ def test_composition_coherence_enforced():
     with pytest.raises(EmbeddingInvalidError) as ei:
         load_lattice(bad)
     assert "compose" in str(ei.value)
+
+
+def test_identity_self_embedding_declares_nothing():
+    cfg = load_lattice("field A\n  poly 1 0 1\nembed A -> A\n  map 0 1\n")
+    assert cfg.embeddings == {}
+    assert cfg.embedding("A", "A").h == RatPoly.of(0, 1)
 
 
 def test_self_embedding_must_be_identity():
@@ -443,6 +485,8 @@ REFUSALS = [
      "line 2: empty coefficient list"),
     ("bad_coefficient_token", "field A\n  poly 1 0/0 1\n", LatticeSyntaxError,
      "line 2: bad coefficient token '0/0'"),
+    ("bad_coefficient_word", "field A\n  poly 1 zero 1\n", LatticeSyntaxError,
+     "line 2: bad coefficient token 'zero'"),
     ("poly_not_integer", "field A\n  poly 1/2 0 1\n", LatticeSyntaxError,
      "line 2: poly coefficients must be integers"),
     ("poly_not_monic", "field A\n  poly 1 0 2\n", LatticeSyntaxError,
@@ -451,6 +495,17 @@ REFUSALS = [
      "line 3: 'map' line without a preceding directive"),
     ("unknown_directive", "field A\n  poly 1 0 1\nfrobnicate A\n", LatticeSyntaxError,
      "line 3: unknown directive 'frobnicate'"),
+    # the assembly's refusals at a line
+    ("trusted_unknown_field", "field A\n  poly 1 0 1\ntrusted B\n", LatticeSyntaxError,
+     "line 3: trusted: unknown field 'B'"),
+    ("duplicate_embedding",
+     "field A\n  poly 1 0 1\nfield B\n  poly 1 0 0 0 1\ntrusted B\n"
+     "embed A -> B\n  map 0 0 1\nembed A -> B\n  map 0 0 -1\n", LatticeSyntaxError,
+     "line 9: duplicate embedding A -> B"),
+    ("duplicate_closure",
+     "field A\n  poly 1 0 1\nauto A\n  map 0 1\nauto A\n  map 0 -1\ngalois A\n"
+     "closure A -> A\nclosure A -> A\n", LatticeSyntaxError,
+     "line 9: duplicate closure for 'A'"),
 ]
 
 
@@ -459,6 +514,8 @@ def test_refusal_messages_are_pinned(name, doc, error, message, tmp_path, capsys
     with pytest.raises(error) as ei:
         load_lattice(doc)
     assert str(ei.value) == message
+    at = re.match(r"line (\d+): ", message)
+    assert getattr(ei.value, "line", None) == (int(at[1]) if at else None)
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(doc)
     code = main(["validate", "--lattice", str(cfg)])

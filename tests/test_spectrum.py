@@ -255,9 +255,8 @@ def _point_pairs(cfg, bound):
     """(ext, pK, pL) for every pair of points over each p <= bound at which
     the embedding map reduces, ramified points included."""
     for ext in _all_extensions(cfg):
-        skip = ext.emb.denominator_primes()
         for p in stream_primes(bound):
-            if p in skip:
+            if ext.emb.h.den % p == 0:
                 continue
             below = sp.split_prime(ext.base, p)
             for pK in sp.split_prime(ext.field, p):
