@@ -14,7 +14,7 @@ Every pooled scan goes through :func:`scan`: it walks the fixed-width
 ranges of :func:`~arithplane.sieve.ranges` lazily, each worker sieves its
 own range, and the per-range Counters are added in range order, so results
 are identical for any worker count and memory does not grow with N.
-Whether a prime is skipped, and why, is decided by
+Whether a prime is skipped is decided by
 :class:`~arithplane.lattice.ExclusionRule`; skips are counted once per point.
 
 A range is evaluated as arrays: every atom is one boolean array over the
@@ -36,11 +36,11 @@ Hom(L, M), and every count at them, so one row per class holds them all
 class of its prime as the one representative σ with
 deg gcd(f_M, x^p - h_σ) > 0 (``modpoly.lane_frobenius_counts``).  The rest
 take the per-point path, ``spectrum.split_prime`` and then
-``spectrum.compatible_root_count`` at every point: primes the expression's
-``ExclusionRule`` skips, primes dividing disc f_M or a denominator on the
-M side, lanes where not exactly one class is found, and every prime of a
-lattice without such an M.  Both paths give the same points and counts, so
-the output does not depend on which one a prime takes.
+``spectrum.compatible_root_count`` at every point: primes dividing a
+discriminant of the expression's fields or disc f_M, lanes where not
+exactly one class is found, and every prime of a lattice without such an
+M.  Both paths give the same points and counts, so the output does not
+depend on which one a prime takes.
 
 The psi-product and pi-eq-psi checkers scan two expressions each; for
 psi-product the kernel also lists the primes of the points where the two
@@ -364,10 +364,10 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     """Tally the base points over the primes in [lo, hi].
 
     Keys are ``(checkpoint index, slot)``.  Slot 0 counts evaluable points,
-    slot 1 + i skipped points by reason ``ExclusionRule.REASONS[i]``, and
-    slot ``3 + mask`` the points whose expression truth values form ``mask``
-    (expression j giving bit j).  Every count is per point of the base
-    spectrum.  Each extension of the payload, listed once, gets one array
+    slot 1 the points the ``ExclusionRule`` skips, and slot ``2 + mask`` the
+    points whose expression truth values form ``mask`` (expression j giving
+    bit j).  Every count is per point of the base spectrum.  Each extension
+    of the payload, listed once, gets one array
     per range that all its Pi and Psi atoms read: the counts of the roots of
     f_K at the evaluable points that restrict to them.  Over Q these are the
     prime-lane root counts at the primes of the range; over a larger base,
@@ -379,13 +379,13 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
     primes = prime_range(lo, hi)
     if base.degree == 1:
         ps = orders = primes
-        slots = rule.reasons(ps)
-        counts = {ext.name: lane_root_count(list(ext.field.poly.num), ps[slots == 0])
+        skip = rule.excluded(ps)
+        counts = {ext.name: lane_root_count(list(ext.field.poly.num), ps[~skip])
                   for ext in exts}
     else:
-        ps, orders, slots, counts = _relative_points(base, exts, primes, checkpoints[-1],
-                                                     rule, table)
-    ok = slots == 0
+        ps, orders, skip, counts = _relative_points(base, exts, primes, checkpoints[-1],
+                                                    rule, table)
+    ok = ~skip
 
     def leaf(atom: Node) -> np.ndarray:
         if isinstance(atom, PrimeSet):
@@ -393,11 +393,12 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
         return _atom_holds(atom, counts[atom.ext.name])
 
     masks = sum(_eval_node(node, leaf).astype(np.int64) << j for j, node in enumerate(nodes))
-    slots[ok] = 3 + masks
-    width = 3 + (1 << len(nodes))
+    slots = skip.astype(np.int64)
+    slots[ok] = 2 + masks
+    width = 2 + (1 << len(nodes))
     keys = np.searchsorted(checkpoints, orders) * width + slots
     tally = np.bincount(keys, minlength=len(checkpoints) * width).reshape(-1, width)
-    tally[:, 0] = tally[:, 3:].sum(axis=1)
+    tally[:, 0] = tally[:, 2:].sum(axis=1)
     out = Counter({(i, slot): int(v) for (i, slot), v in np.ndenumerate(tally) if v})
     if witnesses:
         disagree = (masks != 0) & (masks != (1 << len(nodes)) - 1)
@@ -408,16 +409,16 @@ def _density_kernel(payload, lo: int, hi: int) -> Counter:
 def _relative_points(base: NumberField, exts: Sequence[Extension], primes: np.ndarray,
                      n: int, rule: ExclusionRule, table: ClassTable | None):
     """The points of norm <= n of a base other than Q over the primes of a
-    range: (their primes, their norms, their skip slots, and the counts of
-    each extension at the evaluable ones, by name).
+    range: (their primes, their norms, whether the rule skips each, and the
+    counts of each extension at the evaluable ones, by name).
 
-    A prime that both the rule and the class table take reads its points
-    and counts from the row of its Frobenius class; every other prime is
-    split and its points are counted one by one.
+    A prime that the class table's rule takes reads its points and counts
+    from the row of its Frobenius class; every other prime is split and its
+    points are counted one by one.
     """
     cls = np.full(len(primes), -1)
     if table is not None:
-        took = np.flatnonzero((rule.reasons(primes) == 0) & (table.rule.reasons(primes) == 0))
+        took = np.flatnonzero(~table.rule.excluded(primes))
         cls[took] = table.classify(primes[took])
     parts = []  # (primes, norms, counts by extension) of one point in a class row
     for c, row in enumerate(table.rows if table is not None else ()):
@@ -428,17 +429,17 @@ def _relative_points(base: NumberField, exts: Sequence[Extension], primes: np.nd
     points = [pL for p in primes[cls < 0].tolist() for pL in sp.split_prime(base, p)
               if pL.order <= n]
     point_ps = np.array([pL.p for pL in points], dtype=np.int64)
-    point_slots = rule.reasons(point_ps)
-    evaluable = [pL for pL, s in zip(points, point_slots.tolist()) if not s]
+    point_skip = rule.excluded(point_ps)
+    evaluable = [pL for pL, s in zip(points, point_skip.tolist()) if not s]
     ps = np.concatenate([keep for keep, _, _ in parts] + [point_ps])
     orders = np.concatenate([norms for _, norms, _ in parts]
                             + [np.array([pL.order for pL in points], dtype=np.int64)])
-    slots = np.concatenate([np.zeros(len(ps) - len(points), dtype=np.int64), point_slots])
+    skip = np.concatenate([np.zeros(len(ps) - len(points), dtype=bool), point_skip])
     counts = {ext.name: np.concatenate(
         [np.full(len(keep), by_ext[ext.name], dtype=np.int64) for keep, _, by_ext in parts]
         + [np.array([sp.compatible_root_count(ext, pL) for pL in evaluable], dtype=np.int64)])
         for ext in exts}
-    return ps, orders, slots, counts
+    return ps, orders, skip, counts
 
 
 def _density_counts(exprs: Sequence[SetExpr], n: int, workers: int,
@@ -468,22 +469,19 @@ def _build_estimate(
     hits = total = 0
     for i, ck in enumerate(checkpoints):
         total += counts[i, 0]
-        hits += sum(counts[i, 3 + mask] for mask in range(1 << nexpr) if holds(mask))
+        hits += sum(counts[i, 2 + mask] for mask in range(1 << nexpr) if holds(mask))
         trace.append(TraceRow(ck, hits, total))
-    skipped = []
-    for slot, reason in enumerate(ExclusionRule.REASONS, 1):
-        v = sum(counts[i, slot] for i in range(len(checkpoints)))
-        if v:
-            skipped.append((reason, v))
-    return DensityEstimate(n, hits, total, tuple(skipped), tuple(trace))
+    skipped = sum(counts[i, 1] for i in range(len(checkpoints)))
+    return DensityEstimate(n, hits, total, (("ramified", skipped),) if skipped else (),
+                           tuple(trace))
 
 
 def estimate_density(expr: SetExpr, n: int, workers: int = 1) -> DensityEstimate:
     """Fraction of evaluable base points with norm <= n satisfying the expression.
 
     Points over primes where any atom's extension is excluded (see
-    :class:`ExclusionRule`) are skipped and tallied by reason, once per
-    point; the estimate carries a cumulative trace at every power-of-ten
+    :class:`ExclusionRule`) are skipped and tallied as ``ramified``, once
+    per point; the estimate carries a cumulative trace at every power-of-ten
     checkpoint.
     """
     checkpoints, counts = _density_counts((expr,), n, workers)
@@ -508,8 +506,8 @@ class ClassTable:
     ``compatible_root_count`` of each extension of ``exts`` there.  The
     points are the ⟨σ⟩-orbits on Hom(L, M), of length f, and the count of
     K/L at the orbit of τ is #{ι ∈ Hom(K, M) : ι∘emb = τ, σ^f∘ι = ι}.
-    ``rule`` names the primes the table cannot take: those dividing disc f_M
-    or a denominator of an automorphism of M or an embedding into M.
+    ``rule`` names the primes the table does not take: those dividing a
+    discriminant of the base or of a field of ``exts``, or disc f_M.
     """
 
     modulus: tuple[int, ...]
@@ -609,11 +607,10 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
             row.append((f, *counts))
         rows.append(tuple(row))
 
-    dens = {h.den for h in hs} | {emb.h.den for emb in into.values()}
     return ClassTable(m.poly.num, tuple(classes),
                       tuple((hs[c[0]].num, hs[c[0]].den) for c in classes),
                       tuple(ext.name for ext in exts), tuple(rows),
-                      ExclusionRule((m.disc,), tuple(sorted(dens - {1}))))
+                      ExclusionRule.of((*exts, cfg.extension((m.name, BASE_NAME)))))
 
 
 def _power(move: list[int], j: int, f: int) -> int:
@@ -676,7 +673,7 @@ def _frobenius_kernel(fld: NumberField, lo: int, hi: int) -> Counter:
     """Factorization patterns of f mod the unramified primes in [lo, hi],
     from the prime-lane factor degrees."""
     primes = prime_range(lo, hi)
-    primes = primes[ExclusionRule((fld.disc,), ()).reasons(primes) == 0]
+    primes = primes[~ExclusionRule((fld.disc,)).excluded(primes)]
     degrees = lane_factor_degrees(list(fld.poly.num), primes)
     cols, counts = np.unique(degrees, axis=1, return_counts=True)
     return Counter({tuple(d for d, k in enumerate(col, 1) for _ in range(k)): int(c)
@@ -704,7 +701,7 @@ def _compare(cfg: LatticeConfig, a: Node, b: Node, base: NumberField, n: int,
     exprs = (SetExpr(a, base, cfg), SetExpr(b, base, cfg))
     _, counts = _density_counts(exprs, n, 1, (n,), witnesses)
     differ = sorted(p for (tag, p), v in counts.items() if tag == "at" for _ in range(v))
-    return [counts[0, 3 + m] for m in range(4)], differ
+    return [counts[0, 2 + m] for m in range(4)], differ
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ Nothing is computed over Q beyond exact polynomial identities: closures and
 composita are *declared* and the loader verifies each declaration
 (root-map identities, group closure, degree bookkeeping) rather than
 deriving it.  Predicates downstream only ever evaluate at primes away from
-each pair's excluded set — primes dividing a discriminant or an embedding
-denominator.  ``validate_lattice`` returns the report text, built straight
-from the loaded config: each field, then each pair with its excluded set.
+each pair's excluded set — primes dividing a discriminant.
+``validate_lattice`` returns the report text, built straight from the
+loaded config: each field, then each pair with its excluded set.
 
 Every map identity the loader checks (each embedding and automorphism is a
 root map, declared two-step embeddings compose to the declared one-step
@@ -123,57 +123,43 @@ class Extension:
         return ExclusionRule.of((self,))
 
     def excluded_primes(self) -> frozenset[int]:
-        rule = self.exclusion
-        return frozenset(q for n in rule.discs + rule.dens for q in prime_factors(n))
+        return frozenset(q for d in self.exclusion.discs for q in prime_factors(d))
 
     def is_excluded(self, p: int) -> bool:
-        return self.exclusion.reason(p) is not None
+        return self.exclusion.excludes(p)
 
 
 @dataclass(frozen=True)
 class ExclusionRule:
-    """Which rational primes a set of extensions cannot evaluate, and why.
+    """Which rational primes a set of extensions cannot evaluate: those
+    dividing the discriminant of any field or base involved.
 
-    p is ``ramified`` if it divides the discriminant of any field or base
-    involved; otherwise it is ``denominator`` if it divides the denominator
-    of an embedding map.  Both reasons are tested by divisibility, against
-    the distinct discriminants and the distinct denominators other than 1,
-    so nothing is factored and any integer serves.
+    A declared map writes an algebraic integer of its destination K as
+    h(θ), θ the generator of K, so the denominator of h divides the index
+    of Z[θ] in the ring of integers of K, whose square divides disc f_K: a
+    denominator prime is excluded with the discriminant.  Primes are tested
+    by divisibility against the distinct discriminants, so nothing is
+    factored and any integer serves.
     """
 
     discs: tuple[int, ...]
-    dens: tuple[int, ...]
-
-    REASONS = ("ramified", "denominator")
 
     @classmethod
     def of(cls, exts: Iterable[Extension]) -> "ExclusionRule":
-        exts = list(exts)
         discs = {d: None for ext in exts for d in (ext.field.disc, ext.base.disc)
                  if d not in (1, -1)}
-        dens = {ext.emb.h.den: None for ext in exts if ext.emb.h.den != 1}
-        return cls(tuple(discs), tuple(dens))
+        return cls(tuple(discs))
 
-    def reason(self, p: int) -> str | None:
-        """``"ramified"``, ``"denominator"``, or None when p is evaluable."""
-        if any(d % p == 0 for d in self.discs):
-            return "ramified"
-        if any(d % p == 0 for d in self.dens):
-            return "denominator"
-        return None
+    def excludes(self, p: int) -> bool:
+        return any(d % p == 0 for d in self.discs)
 
-    def reasons(self, primes: np.ndarray) -> np.ndarray:
-        """The rule on an int64 array of primes: 0 where p is evaluable,
-        else 1 + the index of its reason in ``REASONS``."""
+    def excluded(self, primes: np.ndarray) -> np.ndarray:
+        """The rule on an int64 array of primes: True where p is excluded."""
         P = mp.lanes(primes)
-
-        def divides(ns) -> np.ndarray:
-            out = np.zeros(len(P), dtype=bool)
-            for n in ns:
-                out |= mp.lane_mod(n, P) == 0
-            return out
-
-        return np.where(divides(self.discs), 1, np.where(divides(self.dens), 2, 0))
+        out = np.zeros(len(P), dtype=bool)
+        for d in self.discs:
+            out |= mp.lane_mod(d, P) == 0
+        return out
 
 
 _TRIAL_BOUND = 1000

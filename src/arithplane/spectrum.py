@@ -7,7 +7,7 @@ carries fibre values as element indices on lanes, and the residue fields
 and naming maps of ``finitefield`` are the tests' reference for both.
 ``points_over`` walks the points of a field over the primes up to a bound
 that a set of extensions can evaluate, for the sequential checkers; each
-sieved range loses its excluded primes in one ``ExclusionRule.reasons`` call.
+sieved range loses its excluded primes in one ``ExclusionRule.excluded`` call.
 
 Two families of predicates live here.  Pointwise ones relate a point of K
 to a point of L along a declared embedding, each by one computation over
@@ -24,10 +24,10 @@ or field element is built.
 ``in_pi_absolute``/``in_psi_absolute`` re-derive them from the full
 splitting and ``relative_degree`` as an independent cross-check.
 
-Ramified primes (dividing a discriminant or an embedding denominator) are
-represented honestly as points with ``ramified_flag`` set, but every
-predicate refuses them: the residue data of a non-maximal order at such p
-does not determine the answer.
+Ramified primes (dividing a discriminant) are represented honestly as
+points with ``ramified_flag`` set, but every predicate refuses them: the
+residue data of a non-maximal order at such p does not determine the
+answer.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def points_over(field: NumberField, n: int, exts: Iterable[Extension]) -> Iterat
     rule = ExclusionRule.of(exts)
     for lo, hi in ranges(n):
         primes = prime_range(lo, hi)
-        for p in primes[rule.reasons(primes) == 0].tolist():
+        for p in primes[~rule.excluded(primes)].tolist():
             yield from split_prime(field, p)
 
 

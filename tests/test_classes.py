@@ -4,9 +4,10 @@ Over a base other than Q, a density scan reads the points and counts of a
 prime from the row of its Frobenius class in a declared Galois field
 (``density.ClassTable``).  These tests pin the bytes the scan printed
 before it did, compare the table route with the forced per-point route on
-random cyclotomic lattices and on lanes that fail to classify, check every
-class found on lanes against the Frobenius element x^p = h_σ mod g_q at each
-point q, and pin ``chebotarev_predict``, which reads the same table.
+random cyclotomic lattices, on the dihedral lattice and on lanes that fail
+to classify, check every class found on lanes against the Frobenius
+element x^p = h_σ mod g_q at each point q, and pin ``chebotarev_predict``,
+which reads the same table.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ from arithplane.sieve import is_prime, stream_primes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LATTICE = str(ROOT / "configs" / "demo.cfg")
+DIHEDRAL = (ROOT / "configs" / "dihedral.cfg").read_text()  # Gal(D4c/Q) is D4
 GOLDEN_RELATIVE = pathlib.Path(__file__).parent / "data" / "relative_density.txt"
 RELATIVE_EXPRS = ["Psi(Q8/Qi)", "Psi(S3c/Qw)", "Psi(S3c/Qc2)", "Pi(S3c/Qc2) & !Psi(S3c/Qc2)"]
 
@@ -85,6 +87,13 @@ NO_GALOIS = "field K\n  poly -2 0 1\nfield M\n  poly -3 0 0 1\n"
     (NO_GALOIS, "Psi(M/Q) | Pi(K/Q)", None),
     (NO_CLOSURE, "Pi(K/Q)", None),  # a table, but no declared closure
     (NO_CLOSURE, "Psi(K/K)", None),
+    *(pytest.param(DIHEDRAL, text, want, id=f"dihedral-{text}") for text, want in [
+        ("Pi(Qq2/Q)", Fraction(3, 8)),
+        ("Psi(Qq2/Q)", Fraction(1, 8)),
+        ("Psi(D4c/Qi)", Fraction(1, 4)),
+        ("Psi(D4c/Q8)", Fraction(1, 2)),
+        ("Pi(D4c/Qs2) & !Psi(D4c/Qs2)", Fraction(0)),
+    ]),
 ])
 def test_chebotarev_pins(demo, doc, text, want):
     cfg = demo if doc is None else load_lattice(doc)
@@ -257,6 +266,16 @@ def test_unclassified_lanes_take_the_per_point_path(demo, monkeypatch, text):
     assert counts(e, 10000, workers=2) == want
 
 
+@pytest.mark.parametrize("text", ["Psi(D4c/Qi)", "Psi(D4c/Q8)",
+                                  "Pi(D4c/Qs2) & !Psi(D4c/Qs2)"])
+def test_dihedral_tables_match_per_point(monkeypatch, text):
+    cfg = load_lattice(DIHEDRAL)
+    e = dn.parse_set_expr(text, cfg)
+    table = dn.class_table(cfg, e.base, tuple(a.ext for a in e.atoms()))
+    assert table.modulus == cfg.field("D4c").poly.coeffs and len(table.classes) == 5
+    assert counts(e, 10000) == per_point(e, 10000, monkeypatch)
+
+
 # Q(ζ8) once more, generated by 3ζ8: disc 2^8·3^12, and it sorts before Q8,
 # so the class table is built over A8 and refuses p = 3, which the
 # expressions over Q8/Qi can evaluate
@@ -324,7 +343,7 @@ def test_lane_classes_hold_the_frobenius_element(demo, name):
     big = np.array(_primes_above(2**32, 3), dtype=np.int64)
     assert mp.lanes(small).dtype == np.int64 and mp.lanes(big).dtype == object
     for primes in (small, big):
-        taken = primes[table.rule.reasons(primes) == 0]
+        taken = primes[~table.rule.excluded(primes)]
         assert not any(fld.disc % p == 0 for p in taken.tolist())
         classes = table.classify(taken)
         assert (classes >= 0).all()

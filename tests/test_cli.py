@@ -454,6 +454,20 @@ def test_validate_desk_scale_nonic(capsys, tmp_path):
     assert "field A: degree 9, disc 23293515660770557, certificate irreducible mod 79\n" in out
 
 
+def test_map_denominator_primes_are_discriminant_primes(capsys, tmp_path):
+    # B = Q(10403 sqrt 2) with 10403 = 101 * 103: the map's denominator
+    # divides the index of Z[x]/(f_B), so 101 and 103 divide disc f_B and
+    # their points are skipped as ramified
+    cfg = tmp_path / "index.cfg"
+    cfg.write_text("field A\n  poly -2 0 1\nfield B\n  poly -216444818 0 1\n"
+                   "embed A -> B\n  map 0 1/10403\n")
+    code, out, _ = run(capsys, "validate", "--lattice", str(cfg))
+    assert code == 0 and "pair B/A: excluded primes {2, 101, 103}\n" in out
+    code, out, _ = run(capsys, "density", "--lattice", str(cfg),
+                       "--expr", "Psi(B/A)", "--max", "20000")
+    assert code == 0 and "(skipped: ramified=4)\n" in out
+
+
 def test_validate_bad_config_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("field K\n  poly 1 1\nfield K\n  poly -2 0 1\n")

@@ -525,15 +525,14 @@ def _scalar_atom(p):
 
 
 def _recount(exprs, n, atom_at=_scalar_atom):
-    """(per-checkpoint [total, hits of each expression], skips by reason)."""
+    """(per-checkpoint [total, hits of each expression], primes skipped)."""
     rule = ExclusionRule.of(a.ext for e in exprs for a in e.atoms())
     checkpoints = dn._checkpoints(n)
     rows = {ck: [0] * (1 + (1 << len(exprs))) for ck in checkpoints}
-    skipped = {}
+    skipped = 0
     for p in stream_primes(n):
-        reason = rule.reason(p)
-        if reason:
-            skipped[reason] = skipped.get(reason, 0) + 1
+        if rule.excludes(p):
+            skipped += 1
             continue
         row = rows[next(ck for ck in checkpoints if p <= ck)]
         row[0] += 1
@@ -547,7 +546,7 @@ def _recounted_estimate(rows, skipped, n, holds):
         total += row[0]
         hits += sum(v for mask, v in enumerate(row[1:]) if holds(mask))
         trace.append(dn.TraceRow(ck, hits, total))
-    skips = tuple((r, skipped[r]) for r in ExclusionRule.REASONS if r in skipped)
+    skips = (("ramified", skipped),) if skipped else ()
     return dn.DensityEstimate(n, hits, total, skips, tuple(trace))
 
 
@@ -583,8 +582,8 @@ def test_relative_density_matches_recount(demo, narrow_ranges, text):
             row[0] += 1
             row[1 + _truth(e.node, pL.p, absolute(pL))] += 1
     rule = ExclusionRule.of(exts)
-    skipped = Counter(rule.reason(p) for p in stream_primes(RECOUNT_N) if rule.reason(p)
-                      for pL in sp.split_prime(e.base, p) if pL.order <= RECOUNT_N)
+    skipped = sum(1 for p in stream_primes(RECOUNT_N) if rule.excludes(p)
+                  for pL in sp.split_prime(e.base, p) if pL.order <= RECOUNT_N)
     want = _recounted_estimate(rows, skipped, RECOUNT_N, bool)
     assert want.skipped and want.hits
     assert dn.estimate_density(e, RECOUNT_N) == want
@@ -600,9 +599,9 @@ def test_relative_points_take_a_bound_of_any_size(demo, with_table):
     primes = sieve.prime_range(2, 1000)
     got = [dn._relative_points(ext.base, (ext,), primes, n, ExclusionRule.of((ext,)), table)
            for n in (10**6, 10**400)]
-    (ps, orders, slots, counts), (ps2, orders2, slots2, counts2) = got
+    (ps, orders, skip, counts), (ps2, orders2, skip2, counts2) = got
     assert len(ps) > len(primes)
-    assert (ps == ps2).all() and (orders == orders2).all() and (slots == slots2).all()
+    assert (ps == ps2).all() and (orders == orders2).all() and (skip == skip2).all()
     assert counts.keys() == counts2.keys() == {ext.name}
     assert (counts[ext.name] == counts2[ext.name]).all()
 

@@ -70,9 +70,9 @@ def test_extension_lookup(demo):
         demo.extension("Qi")
 
 
-def test_excluded_primes_include_map_denominators(demo):
-    # the cubic-into-sextic map has thirds and ninths, so 3 must be excluded
-    # even though disc(x^3 - 2) = -108 already contains it
+def test_excluded_primes_are_the_discriminant_primes(demo):
+    # 3 divides disc S3c as well as disc(x^3 - 2) = -108, so S3c/Qc2
+    # excludes it; the map's thirds and ninths add no prime of their own
     ext = demo.extension("S3c/Qc2")
     assert ext.excluded_primes() == frozenset({2, 3})
     assert demo.extension("S3c/Q").excluded_primes() == frozenset({2, 3})
@@ -81,19 +81,26 @@ def test_excluded_primes_include_map_denominators(demo):
 
 def test_exclusion_rule(demo):
     rule = ExclusionRule.of([demo.extension("S3c/Qc2"), demo.extension("Qi/Q")])
-    assert rule.reason(2) == rule.reason(3) == "ramified"
-    assert rule.reason(5) is None
-    # a ramified prime is reported as ramified even if it is also a denominator
-    assert ExclusionRule((-4,), (10,)).reason(2) == "ramified"
-    assert ExclusionRule((-4,), (10,)).reason(5) == "denominator"
+    assert rule.excludes(2) and rule.excludes(3)
+    assert not rule.excludes(5)
+    assert ExclusionRule((-4, 15)).excludes(5)
 
 
-def oracle_reason(disc_primes, den_primes, p):
-    """The rule from its definition, on the prime factors of the
-    discriminants and of the map denominators: ramified, else denominator."""
-    if p in disc_primes:
-        return "ramified"
-    return "denominator" if p in den_primes else None
+def _maps(cfg):
+    """(map, destination field) of every declared embedding and automorphism."""
+    return ([(emb.h, cfg.field(dst)) for (_, dst), emb in cfg.embeddings.items()]
+            + [(a.h, cfg.field(a.field)) for autos in cfg.automorphisms.values() for a in autos])
+
+
+@pytest.mark.parametrize("name", ["demo.cfg", "dihedral.cfg"])
+def test_map_denominators_divide_the_index(name):
+    # a map sends a generator to an algebraic integer of its destination K,
+    # so its denominator divides the index of Z[x]/(f_K) in the integers of
+    # K, whose square divides disc f_K: the rule needs no denominators
+    cfg = load_lattice((CONFIG_DIR / name).read_text())
+    maps = _maps(cfg)
+    assert any(h.den > 1 for h, _ in maps)
+    assert all(fld.disc % h.den**2 == 0 for h, fld in maps)
 
 
 def _extensions(cfg):
@@ -105,59 +112,58 @@ def _extensions(cfg):
 M61 = 2**61 - 1
 NEAR_2_63 = (2**63 - 25, 2**63 + 29)  # the primes on either side of 2^63
 NEAR_2_64 = (2**64 - 59, 2**64 + 13)  # and of 2^64
-# discriminants and denominators past int64, each with its prime factors
-BIG_DISCS = ((-4, {2}), (3 * 7919 * 2**70, {2, 3, 7919}), (-(M61**2) * 99991, {M61, 99991}))
-BIG_DENS = ((10, {2, 5}), (7919 * 104729, {7919, 104729}),
-            (NEAR_2_64[1] * 99989 * 3**50, {NEAR_2_64[1], 99989, 3}))
+# discriminants, three of them past int64, each with its prime factors
+BIG_DISCS = ((-4, {2}), (3 * 7919 * 2**70, {2, 3, 7919}), (-(M61**2) * 99991, {M61, 99991}),
+             (10, {2, 5}), (7919 * 104729, {7919, 104729}),
+             (NEAR_2_64[1] * 99989 * 3**50, {NEAR_2_64[1], 99989, 3}))
 
 
 def _hand_built():
-    """(rule, its discriminant primes, its denominator primes)."""
-    yield (ExclusionRule(tuple(d for d, _ in BIG_DISCS), tuple(d for d, _ in BIG_DENS)),
-           set().union(*(ps for _, ps in BIG_DISCS)), set().union(*(ps for _, ps in BIG_DENS)))
-    yield (ExclusionRule((), (NEAR_2_63[0] * NEAR_2_64[0],)), set(), {NEAR_2_63[0], NEAR_2_64[0]})
-    yield (ExclusionRule((NEAR_2_63[1] * 5,), ()), {5, NEAR_2_63[1]}, set())
+    """(rule, the prime factors of its discriminants)."""
+    yield ExclusionRule(tuple(d for d, _ in BIG_DISCS)), set().union(*(ps for _, ps in BIG_DISCS))
+    yield ExclusionRule((NEAR_2_63[0] * NEAR_2_64[0],)), {NEAR_2_63[0], NEAR_2_64[0]}
+    yield ExclusionRule((NEAR_2_63[1] * 5,)), {5, NEAR_2_63[1]}
 
 
 def _demo_rules(demo):
     """The rule of each demo extension, and of all of them at once, with the
-    prime factors of the discriminants and denominators they name."""
+    prime factors of the discriminants they name."""
     exts = _extensions(demo)
     for group in [[ext] for ext in exts] + [exts]:
         discs = {q for ext in group for d in (ext.field.disc, ext.base.disc)
                  for q in prime_factors(d)}
-        dens = {q for ext in group for q in prime_factors(ext.emb.h.den)}
-        yield ExclusionRule.of(group), discs, dens
+        yield ExclusionRule.of(group), discs
 
 
 def test_exclusion_rule_on_prime_arrays(demo):
-    # the per-prime and array forms both equal the oracle on the primes to
-    # 10^5, on the demo extensions and on rules with discriminants and
-    # denominators beyond int64 (reduced per lane 31 bits at a time)
+    # the per-prime and array forms both exclude exactly the prime factors
+    # of the discriminants, on the primes to 10^5, on the demo extensions
+    # and on rules with discriminants beyond int64 (reduced per lane 31 bits
+    # at a time)
     primes = list(stream_primes(10**5))
     seen = set()
-    for rule, discs, dens in [*_demo_rules(demo), *_hand_built()]:
-        want = [oracle_reason(discs, dens, p) for p in primes]
-        assert [rule.reason(p) for p in primes] == want
-        codes = [0 if r is None else 1 + ExclusionRule.REASONS.index(r) for r in want]
-        assert rule.reasons(np.array(primes, dtype=np.int64)).tolist() == codes
+    for rule, discs in [*_demo_rules(demo), *_hand_built()]:
+        want = [p in discs for p in primes]
+        assert [rule.excludes(p) for p in primes] == want
+        assert rule.excluded(np.array(primes, dtype=np.int64)).tolist() == want
         seen.update(want)
-    assert seen == {None, "ramified", "denominator"}
+    assert seen == {False, True}
 
 
 def test_exclusion_rule_near_the_word_bounds(demo):
     # primes either side of 2^63 and 2^64, alone and as factors of
-    # discriminants and denominators, through the per-prime rule
+    # discriminants, through the per-prime rule
     near = [*NEAR_2_63, *NEAR_2_64, M61]
-    for rule, discs, dens in [*_demo_rules(demo), *_hand_built()]:
-        assert [rule.reason(p) for p in near] == [oracle_reason(discs, dens, p) for p in near]
-    rules = [rule for rule, _, _ in _hand_built()]
-    assert [rules[0].reason(p) for p in near] == [None, None, None, "denominator", "ramified"]
-    assert [rules[1].reason(p) for p in near] == ["denominator", None, "denominator", None, None]
-    assert [rules[2].reason(p) for p in near] == [None, "ramified", None, None, None]
+    for rule, discs in [*_demo_rules(demo), *_hand_built()]:
+        assert [rule.excludes(p) for p in near] == [p in discs for p in near]
+    rules = [rule for rule, _ in _hand_built()]
+    assert [rules[0].excludes(p) for p in near] == [False, False, False, True, True]
+    assert [rules[1].excludes(p) for p in near] == [True, False, True, False, False]
+    assert [rules[2].excludes(p) for p in near] == [False, True, False, False, False]
     # the array form on the int64 primes among them
     fits = np.array([NEAR_2_63[0], M61], dtype=np.int64)
-    assert [rule.reasons(fits).tolist() for rule in rules] == [[0, 1], [2, 0], [0, 0]]
+    assert [rule.excluded(fits).tolist() for rule in rules] == [
+        [False, True], [True, False], [False, False]]
 
 
 def test_validation_report(demo):
@@ -195,22 +201,6 @@ def test_validate_factors_semiprime_discriminant():
 # ---------------------------------------------------------------------------
 # rejected documents
 # ---------------------------------------------------------------------------
-
-
-def test_poly_must_follow_field():
-    with pytest.raises(LatticeSyntaxError) as ei:
-        load_lattice("field A\nfield B\n")
-    assert ei.value.line == 2
-
-
-def test_truncated_document():
-    with pytest.raises(LatticeSyntaxError):
-        load_lattice("field A\n")
-
-
-def test_stray_map_line():
-    with pytest.raises(LatticeSyntaxError):
-        load_lattice("map 0 1\n")
 
 
 def test_no_certificate_without_trusted():
@@ -521,14 +511,6 @@ def test_refusal_messages_are_pinned(name, doc, error, message, tmp_path, capsys
     code = main(["validate", "--lattice", str(cfg)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"arithplane: {message}\n")
-
-
-def test_bad_coefficient_token():
-    with pytest.raises(LatticeSyntaxError) as ei:
-        load_lattice("field A\n  poly 1 0/0 1\n")
-    assert ei.value.line == 2
-    with pytest.raises(LatticeSyntaxError):
-        load_lattice("field A\n  poly 1 zero 1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ def test_pi_psi_refuse_excluded(demo):
         sp.in_pi(demo.extension("Qi/Q"), q_point(demo, 2))
     with pytest.raises(RamifiedPrimeError):
         sp.in_psi(demo.extension("Qc2/Q"), q_point(demo, 3))
-    # denominators of the embedding map matter, not just discriminants:
+    # the discriminants of both fields matter, not just the base's:
     # S3c/Qw excludes 2 via disc(S3c) even though disc(Qw) = -3
     ext = demo.extension("S3c/Qw")
     (p2,) = [x for x in sp.split_prime(demo.field("Qw"), 2)]
