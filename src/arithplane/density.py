@@ -54,7 +54,6 @@ import functools
 import os
 import re
 from collections import Counter, namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -350,6 +349,8 @@ def scan(kernel: Callable[..., Counter], payload, n: int, workers: int) -> Count
     workers = min(workers, len(batch))
     if workers == 1:
         return sum((kernel(payload, lo, hi) for lo, hi in chain(batch, spans)), Counter())
+    from concurrent.futures import ProcessPoolExecutor  # here, so the package import skips it
+
     batches = chain([batch], iter(lambda: list(islice(spans, SCAN_BATCH * workers)), []))
     total, pending = Counter(), ()
     with ProcessPoolExecutor(max_workers=workers) as pool:

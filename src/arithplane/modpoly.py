@@ -27,8 +27,10 @@ r^p = t(r) (:func:`lane_frobenius_counts`), read as deg gcd(den*x^p - num, f)
 so that no lane inverts den.  The Q-base density and Frobenius scans
 run the first two, and the relative-base scans the third; the scalar
 :func:`xpow_mod` and :func:`root_count`, and ``finitefield.degree_pattern``,
-are their oracles.  Lanes are int64 while every p^2 + p < 2^63 and Python
-integers (dtype=object) beyond, with the same code.
+are their oracles.  A lane product adds its row products unreduced and
+reduces each row once, so ``_LaneRing`` keeps int64 lanes while
+(2n - 1)(p - 1)^2 < 2^63 for its degree n and every p, and runs the same
+code on Python integers (dtype=object) beyond.
 """
 
 from __future__ import annotations
@@ -371,7 +373,10 @@ def linsolve(matrix: list[list[int]], rhs: list[int], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 LANE_INT64_MAX = 3037000499
-"""The largest p with p^2 + p < 2^63: every lane product stays in int64."""
+"""The largest p with p^2 + p < 2^63: ``lanes`` and ``lane_mod`` keep int64
+lanes up to it, where a product of two residues plus a residue fits.  A
+``_LaneRing`` of degree n sums up to 2n - 1 products in a row, so it sets its
+own, lower bound."""
 
 LANE_BLOCK = 1024
 """Lanes per kernel call: a temporary of 2n - 1 rows stays near 100 KB up to
@@ -415,17 +420,25 @@ class _LaneRing:
     primes p, one prime per lane.
 
     A residue is an (n, L) array whose row i holds the coefficient of x^i in
-    every lane.  Every product of two residues mod p is reduced before the
-    next is added, so int64 lanes never exceed p^2 + p.  A ring of one prime
-    lane multiplies and powers residues of any lane count L, its p broadcast
-    over them: that is how ``plane`` runs one element per lane.
+    every lane, each in [0, p).  A product adds its n row products
+    unreduced, reduces only the top row each fold step multiplies by the
+    x^n row, and reduces the n result rows once at the end: before that, a
+    row holds at most 2n - 1 products, so it never exceeds (2n - 1)(p - 1)^2.
+    The constructor keeps int64 lanes while that bound is below 2^63 at the
+    largest p and takes ``P.astype(object)`` above it, where Python integers
+    make the same code exact; ``P`` is the ring's lanes, in the dtype of its
+    residues.  A ring of one prime lane multiplies and powers residues of
+    any lane count L, its p broadcast over them: that is how ``plane`` runs
+    one element per lane.
     """
 
     def __init__(self, f: list[int], P: np.ndarray):
         if not f or f[-1] != 1:
             raise ValueError("lane kernels need a monic polynomial")
-        self.P = P
         self.n = n = len(f) - 1
+        if P.dtype != object and P.size and (2 * n - 1) * (int(P.max()) - 1) ** 2 >= 1 << 63:
+            P = P.astype(object)
+        self.P = P
         self.f = _lift(f, P)
         self.red = (-self.f[:n]) % P  # x^n mod f
 
@@ -443,11 +456,10 @@ class _LaneRing:
         n, P = self.n, self.P
         out = np.zeros((2 * n - 1, a.shape[1]), dtype=P.dtype)
         for i in range(n):
-            out[i:i + n] += a[i] * b % P  # each row sums at most n terms < p
-        out %= P
+            out[i:i + n] += a[i] * b
         for k in range(2 * n - 2, n - 1, -1):  # fold x^k = x^(k-n) * x^n
-            out[k - n:k] = (out[k - n:k] + out[k] * self.red) % P
-        return out[:n]
+            out[k - n:k] += out[k] % P * self.red
+        return out[:n] % P
 
     def pow(self, a: np.ndarray, e: int) -> np.ndarray:
         """a^e mod f in every lane, for one exponent e >= 0 shared by all
@@ -602,7 +614,7 @@ def lane_frobenius_counts(f: list[int], maps, primes: np.ndarray) -> np.ndarray:
     """
     def counts(f, P):
         ring = _LaneRing(f, P)
-        xp = ring.xpow()
+        P, xp = ring.P, ring.xpow()
         return np.array([ring.fixed_count(xp * lane_mod(den, P) % P, _lift(num, P))
                          for num, den in maps], dtype=np.int64).reshape(len(maps), len(P))
     return _by_block(counts, f, primes)

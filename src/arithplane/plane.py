@@ -67,15 +67,15 @@ class _Fibre:
     """F_pK on element lanes.
 
     Index arrays are int64 while |pK| < 2^63 and dtype=object above; digit
-    lanes take the dtype ``modpoly.lanes`` gives the prime.
+    lanes take the dtype of the fibre's ring.
     """
 
     def __init__(self, pk: SplitPrime):
         self.p, self.m, self.order = pk.p, pk.residue_degree, pk.order
-        P = mp.lanes(np.array([self.p]))  # one prime lane, broadcast over the element lanes
-        self.dtype = P.dtype
+        # one prime lane, broadcast over the element lanes
+        self.ring = mp._LaneRing(list(pk.local_factor), mp.lanes(np.array([self.p])))
+        self.dtype = self.ring.P.dtype
         self.index_dtype = np.int64 if self.order < 1 << 63 else object
-        self.ring = mp._LaneRing(list(pk.local_factor), P)
 
     def lane(self, idx) -> np.ndarray:
         """Element indices (a sequence, an array or one int) as a 1-d index
@@ -169,13 +169,13 @@ class _Projector:
         self._inverse = np.array(inverse, dtype=self.fibre_k.dtype)
 
     def _rewrite(self, w: np.ndarray) -> np.ndarray:
-        """F_pL coordinates of the (m, L) digit lanes w of subfield elements."""
+        """F_pL digit lanes of the (m, L) digit lanes w of subfield elements."""
         p = self.fibre_k.p
         coords = _matmul_mod(self._inverse, w, p)
         # the rows invert the basis on the subfield only: rebuilding w proves w lies in it
         assert (_matmul_mod(self._powers_t, coords, p) == w).all(), \
             "subfield rewrite failed to reconstruct"
-        return coords
+        return coords.astype(self.fibre_l.dtype, copy=False)
 
     def _norm(self, w: np.ndarray) -> np.ndarray:
         return self._rewrite(self.fibre_k.ring.pow(w, self._e))

@@ -13,6 +13,7 @@ from arithplane.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LATTICE = str(ROOT / "configs" / "demo.cfg")
+DIHEDRAL = str(ROOT / "configs" / "dihedral.cfg")
 GOLDEN_HELP = pathlib.Path(__file__).parent / "data" / "cli_help.txt"
 GOLDEN_CHECKS = pathlib.Path(__file__).parent / "data" / "cli_checks.txt"
 # the environment of a fresh interpreter that imports this checkout's package
@@ -102,6 +103,28 @@ def test_split_output(capsys):
     assert code == 0 and "ramified" in out
 
 
+# above 1358187913, the last prime at which a degree-3 lane ring keeps int64
+# lanes, and below LANE_INT64_MAX: the cubic S3c points' rings take object
+# lanes while the quadratic Q8 points' keep int64
+RING_EDGE_P = "1358187949"
+S3C_CUBIC = ("(1358187949, 1358187946 + 262250696*t + 262250699*t^2 + t^3) in S3c",
+             "(1358187949, 1358187946 + 1095937250*t + 1095937253*t^2 + t^3) in S3c")
+Q8_QUADRATIC = ("(1358187949, 377371699 + t^2) in Q8", "(1358187949, 980816250 + t^2) in Q8")
+
+
+@pytest.mark.parametrize("field, auto, points", [("S3c", "3", S3C_CUBIC),
+                                                 ("Q8", "1", Q8_QUADRATIC)],
+                         ids=["S3c", "Q8"])
+def test_split_and_galois_past_a_ring_bound(capsys, field, auto, points):
+    code, out, _ = run(capsys, "split", "--lattice", LATTICE,
+                       "--field", field, "--prime", RING_EDGE_P)
+    assert code == 0 and out == "".join(f"{pt}\n" for pt in points)
+    code, out, _ = run(capsys, "galois", "--lattice", LATTICE, "--field", field,
+                       "--auto", auto, "--prime", RING_EDGE_P, "--mode", "direct")
+    a, b = points  # both automorphisms swap the two points
+    assert code == 0 and out == f"{a} -> {b}\n{b} -> {a}\n"
+
+
 def test_split_unknown_field_exits_2(capsys):
     code, _, err = run(capsys, "split", "--lattice", LATTICE,
                        "--field", "NoSuch", "--prime", "5")
@@ -185,6 +208,19 @@ def test_frobenius_csv(capsys, tmp_path):
         "1+1,11,24,0.458333\n"
         "2,13,24,0.541667\n"
     )
+
+
+@pytest.mark.parametrize("field, line", [
+    ("Qq2", "Qq2, primes <= 100000: 1+1+1+1: 1182/9591 = 0.1232; 1+1+2: 2399/9591 = 0.2501;"
+            " 2+2: 3611/9591 = 0.3765; 4: 2399/9591 = 0.2501"),
+    ("D4c", "D4c, primes <= 100000: 1+1+1+1+1+1+1+1: 1182/9590 = 0.1233;"
+            " 2+2+2+2: 6009/9590 = 0.6266; 4+4: 2399/9590 = 0.2502"),
+], ids=["Qq2", "D4c"])
+def test_dihedral_frobenius_histograms(capsys, field, line):
+    # degree-4 and degree-8 lanes, on a D4 closure that the demo lattice lacks
+    code, out, _ = run(capsys, "frobenius", "--lattice", DIHEDRAL,
+                       "--field", field, "--max", "100000")
+    assert code == 0 and out == line + "\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -347,6 +383,17 @@ def test_program_never_loads_the_finite_field_oracles():
     modules, loaded = proc.stdout.splitlines()
     assert "arithplane.plane" in modules and "arithplane.density" in modules
     assert loaded == "False", modules
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a scan with two or more workers imports the process pool
+    script = ("import sys\n"
+              "import arithplane.cli\n"
+              "print('concurrent.futures.process' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 UNCALLED_BY_DESIGN = {

@@ -1,3 +1,4 @@
+import concurrent.futures
 import pathlib
 import tracemalloc
 from collections import Counter
@@ -157,7 +158,7 @@ def test_density_worker_parity(demo, monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(dn, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(sieve, "RANGE_WIDTH", 500)
     monkeypatch.setattr(dn.os, "cpu_count", lambda: 2)
     scans = [
@@ -213,7 +214,7 @@ def test_scan_queues_fixed_batches_in_range_order(demo, monkeypatch):
             batches.append((self.workers, list(zip(lows, highs))))
             return map(fn, payloads, lows, highs)
 
-    monkeypatch.setattr(dn, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sieve, "RANGE_WIDTH", 100)
     monkeypatch.setattr(dn.os, "cpu_count", lambda: 3)
     want = dn.frobenius_histogram(fld, 3001, workers=1)
@@ -239,7 +240,7 @@ def test_scan_checks_workers(demo, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(dn, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(sieve, "RANGE_WIDTH", 100)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         dn.frobenius_histogram(fld, 1000, workers=0)
@@ -564,11 +565,17 @@ def test_qbase_density_matches_recount(demo, narrow_ranges, text):
     assert dn.estimate_density(e, RECOUNT_N) == want
 
 
-@pytest.mark.parametrize("text", ["Pi(Q8/Qi) & !Psi(Q8/Qi) | {5}",
-                                  "Psi(S3c/Qw) | Pi(S3c/Qw) & !{7}"])
-def test_relative_density_matches_recount(demo, narrow_ranges, text):
+@pytest.mark.parametrize("lattice, text", [
+    *(pytest.param("demo.cfg", text, id=text)
+      for text in ["Pi(Q8/Qi) & !Psi(Q8/Qi) | {5}", "Psi(S3c/Qw) | Pi(S3c/Qw) & !{7}"]),
+    # the degree-8 lanes of D4c over the points of Qi
+    pytest.param("dihedral.cfg", "Psi(D4c/Qi) | Pi(D4c/Qi) & !{5}",
+                 id="dihedral-Psi(D4c/Qi) | Pi(D4c/Qi) & !{5}"),
+])
+def test_relative_density_matches_recount(demo, narrow_ranges, lattice, text):
     # every base point asks the full-splitting route of spectrum
-    e = expr(demo, text)
+    cfg = demo if lattice == "demo.cfg" else load_lattice((CONFIG_DIR / lattice).read_text())
+    e = expr(cfg, text)
     exts = [a.ext for a in e.atoms()]
     rows = {ck: [0, 0, 0] for ck in dn._checkpoints(RECOUNT_N)}
 

@@ -5,10 +5,12 @@ Every lane of ``_LaneRing.xpow`` (on the ``lanes`` of a prime array),
 ``root_count`` and ``finitefield.degree_pattern`` at that lane's prime, and
 ``lane_frobenius_counts`` must equal deg gcd(x^p - t, f) on the scalar
 kernels, on int64 lanes and on the dtype=object lanes that take over above
-``LANE_INT64_MAX``.  The prime arrays mix bit lengths, so lanes with leading
-zero bits run beside full ones.
+``LANE_INT64_MAX``, or above a ring's own bound (2n - 1)(p - 1)^2 < 2^63 at
+degree n.  The prime arrays mix bit lengths, so lanes with leading zero bits
+run beside full ones.
 """
 
+import math
 import pathlib
 
 import numpy as np
@@ -30,10 +32,19 @@ def _primes(start, step, count):
     return out
 
 
+def _ring_edge(n):
+    """The largest prime p with (2n - 1)(p - 1)^2 < 2^63, the last at which a
+    degree-n ring keeps int64 lanes, and the next prime after it."""
+    top = 1 + math.isqrt((2**63 - 1) // (2 * n - 1))
+    return _primes(top, -1, 1)[0], _primes(top + 1, 1, 1)[0]
+
+
 BELOW = _primes(mp.LANE_INT64_MAX, -1, 2)  # the largest int64-lane primes
 ABOVE = _primes(mp.LANE_INT64_MAX + 1, 1, 2)  # the smallest object-lane ones
 M61 = 2**61 - 1
-INT64_POOL = [2, 3, 5, 7, 11, 13, 101, 7919, 65537, 2**31 - 1, 2147483659, *BELOW]
+RING_EDGES = [p for n in (3, 6, 8) for p in _ring_edge(n)]
+INT64_POOL = [2, 3, 5, 7, 11, 13, 101, 7919, 65537, 2**31 - 1, 2147483659, *BELOW,
+              *RING_EDGES]
 OBJECT_POOL = [*INT64_POOL, *ABOVE, M61]
 
 
@@ -119,6 +130,24 @@ def test_frobenius_counts_match_scalar_gcd(field, pool):
     assert counts.tolist() == [[frobenius_count(f, h, p) for p in primes] for h in maps]
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_ring_products_either_side_of_the_int64_bound(n):
+    # operands of all p - 1 make every row product (p - 1)^2, the largest
+    # there is, and f = x^n + ... + 1 makes the x^n row all p - 1; a lane of
+    # p = 3 runs beside, so the largest prime of the array sets the dtype
+    f = [1] * (n + 1)
+    for p, dtype in zip(_ring_edge(n), (np.int64, object)):
+        ring = mp._LaneRing(f, mp.lanes(np.array([3, p])))
+        assert ring.P.dtype == dtype, (n, p)
+        top = np.array([[2, p - 1]] * n, dtype=dtype)
+        got = ring.mul(top, top)
+        wide = mp._LaneRing(f, np.array([3, p], dtype=object))
+        assert (wide.mul(top.astype(object), top.astype(object)) == got).all(), (n, p)
+        for j, q in enumerate((3, p)):
+            want = mp.rem_p(mp.mul([q - 1] * n, [q - 1] * n, q), f, q)
+            assert mp.trim([int(c) for c in got[:, j]]) == want, (n, q)
+
+
 def test_empty_prime_array():
     empty = np.empty(0, dtype=np.int64)
     assert xpow([9, 9, 0, 3, 6, 3, 1], empty).shape == (6, 0)
@@ -127,12 +156,12 @@ def test_empty_prime_array():
 
 
 def test_lanes_property():
-    # monic f of degree 1-8 with small or beyond-int64 coefficients, and 1-8
-    # distinct primes from both pools
+    # monic f of degree 1-16 with small or beyond-int64 coefficients, and 1-8
+    # distinct primes from both pools, the degree-3, 6 and 8 ring edges among them
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     coeff = st.one_of(st.integers(-50, 50), st.integers(-(2**80), 2**80))
-    cases = st.tuples(st.lists(coeff, min_size=1, max_size=8).map(lambda f: f + [1]),
+    cases = st.tuples(st.lists(coeff, min_size=1, max_size=16).map(lambda f: f + [1]),
                       st.lists(st.sampled_from(OBJECT_POOL), min_size=1, max_size=8,
                                unique=True))
 
@@ -140,6 +169,7 @@ def test_lanes_property():
     @hyp.given(cases)
     @hyp.example(([1, 1, 1], [2, 3, 7, 13]))
     @hyp.example(([-2, 0, 0, 1], [2, 3, 5, 31, 2**31 - 1, *BELOW, *ABOVE, M61]))
+    @hyp.example(([3, 0, 1, -5] * 4 + [1], [2, *RING_EDGES]))
     def check(case):
         check_lanes(*case)
 

@@ -493,6 +493,26 @@ def _oracle_norm(pK, pL, emb):
 
 
 NEAR_2_61 = (2305843009213693951, 2305843009213693921, 2305843009213693907)
+# past the degree-3 lane-ring bound, 1358187913, and far below LANE_INT64_MAX:
+# cubic fibres multiply on object lanes, linear and quadratic ones on int64
+RING_EDGE_P = 1358187949
+
+
+def test_fibres_past_a_ring_bound_take_the_ring_dtype(demo):
+    rng = random.Random(7)
+    assert mp.lanes(np.array([RING_EDGE_P])).dtype == np.int64
+    ext = demo.extension("S3c/Q")
+    for pk in sp.split_prime(demo.field("S3c"), RING_EDGE_P):
+        fk = pl._fibre(pk)
+        assert pk.residue_degree == 3 and fk.ring.P.dtype == object
+        assert fk.digits([5]).dtype == object
+        below = pl.project_point(ext, pk)
+        proj = pl._projector(pk, below, ext.emb)
+        assert proj.fibre_l.ring.P.dtype == np.int64
+        # a cubic element times its inverse is 1, and base points project to 1
+        x = [rng.randrange(1, pk.order) for _ in range(20)]
+        assert (fk.index(fk.mul(fk.digits(x), fk.inverse(fk.digits(x)))) == 1).all()
+        assert (proj.project(x, x, 1) == 1).all()
 
 
 def test_projector_norm_matches_element_oracle(demo):
@@ -504,7 +524,7 @@ def test_projector_norm_matches_element_oracle(demo):
     exts += [demo.extension((name, "Q")) for name in demo.fields if name != "Q"]
     shapes = set()
     for ext in exts:
-        for p in [*stream_primes(20), 998244353, NEAR_2_61[0]]:
+        for p in [*stream_primes(20), 998244353, RING_EDGE_P, NEAR_2_61[0]]:
             if ext.is_excluded(p):
                 continue
             for pK in sp.split_prime(ext.field, p):
