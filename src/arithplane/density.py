@@ -33,8 +33,8 @@ every atom field K.  The Frobenius class of an unramified p in Gal(M/Q)
 fixes the points of L over p, as orbits of a representative σ on
 Hom(L, M), and every count at them, so one row per class holds them all
 (Ax, "The elementary theory of finite fields", 1968).  A lane finds the
-class of its prime as the one representative σ with
-deg gcd(f_M, x^p - h_σ) > 0 (``modpoly.lane_frobenius_counts``).  The rest
+class of its prime as the one whose product of x^p - h_σ over its members σ
+vanishes mod f_M (``modpoly.lane_frobenius_classes``).  The rest
 take the per-point path, ``spectrum.split_prime`` and then
 ``spectrum.compatible_root_count`` at every point: primes dividing a
 discriminant of the expression's fields or disc f_M, lanes where not
@@ -72,7 +72,7 @@ from .lattice import (
     LatticeConfig,
     NumberField,
 )
-from .modpoly import lane_factor_degrees, lane_frobenius_counts, lane_root_count
+from .modpoly import lane_factor_degrees, lane_frobenius_classes, lane_root_count
 from .sieve import MAX_CHARACTERISTIC, iroot, is_prime, prime_range, ranges
 
 CHECKPOINT_START = 100
@@ -500,9 +500,9 @@ class ClassTable:
     the group G of a declared Galois field M that contains L and every K.
 
     ``classes`` holds the conjugacy classes of G as indices into M's
-    declared automorphisms, and ``maps`` the map h_σ of the first member σ
-    of each, as the integer pair (``h.num``, ``h.den``) that
-    ``modpoly.lane_frobenius_counts`` takes.  Row c has one entry per point
+    declared automorphisms, and ``maps`` the maps h_σ of their members σ,
+    as the integer pairs (``h.num``, ``h.den``) that
+    ``modpoly.lane_frobenius_classes`` takes.  Row c has one entry per point
     of L over a prime of class c: its residue degree f, then the
     ``compatible_root_count`` of each extension of ``exts`` there.  The
     points are the ⟨σ⟩-orbits on Hom(L, M), of length f, and the count of
@@ -513,17 +513,15 @@ class ClassTable:
 
     modulus: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    maps: tuple[tuple[tuple[int, ...], int], ...]
+    maps: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
     exts: tuple[str, ...]
     rows: tuple[tuple[tuple[int, ...], ...], ...]
     rule: ExclusionRule
 
     def classify(self, primes: np.ndarray) -> np.ndarray:
-        """The class of each prime, from one x^p mod f_M per lane; -1 where
-        the representatives that are Frobenius elements at p are not
-        exactly one."""
-        hits = lane_frobenius_counts(list(self.modulus), self.maps, primes) > 0
-        return np.where(hits.sum(axis=0) == 1, hits.argmax(axis=0), -1)
+        """The class of each prime, the one whose product of den*x^p - num
+        over its maps vanishes mod f_M; -1 where that is not exactly one."""
+        return lane_frobenius_classes(list(self.modulus), self.maps, primes)
 
 
 @functools.lru_cache(maxsize=8)
@@ -609,7 +607,7 @@ def _class_table(cfg: LatticeConfig, m: NumberField, base: NumberField,
         rows.append(tuple(row))
 
     return ClassTable(m.poly.num, tuple(classes),
-                      tuple((hs[c[0]].num, hs[c[0]].den) for c in classes),
+                      tuple(tuple((hs[i].num, hs[i].den) for i in c) for c in classes),
                       tuple(ext.name for ext in exts), tuple(rows),
                       ExclusionRule.of((*exts, cfg.extension((m.name, BASE_NAME)))))
 

@@ -20,11 +20,11 @@ The prime-lane kernels at the end answer one question about one monic
 integer f for a whole array of primes at once, one prime per numpy lane
 (the many-primes approach of Kedlaya-Sutherland, ANTS VIII 2008), on
 ``_LaneRing``, the residues mod f with x^p mod f (``_LaneRing.xpow``) and
-deg gcd(x^q - t, f) (``_LaneRing.fixed_count``): the root count
+deg gcd(x^q - x, f) (``_LaneRing.fixed_count``): the root count
 (:func:`lane_root_count`), the factor degrees (:func:`lane_factor_degrees`)
-and, for rational maps t = num/den, the number of roots r of f with
-r^p = t(r) (:func:`lane_frobenius_counts`), read as deg gcd(den*x^p - num, f)
-so that no lane inverts den.  The Q-base density and Frobenius scans
+and, for a Galois f, the Frobenius class of p, the one whose product of
+den*x^p - num over its maps num/den vanishes mod f
+(:func:`lane_frobenius_classes`).  The Q-base density and Frobenius scans
 run the first two, and the relative-base scans the third; the scalar
 :func:`xpow_mod` and :func:`root_count`, and ``finitefield.degree_pattern``,
 are their oracles.  A lane product adds its row products unreduced and
@@ -35,6 +35,7 @@ code on Python integers (dtype=object) beyond.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -492,14 +493,9 @@ class _LaneRing:
             acc[0] = (acc[0] + row) % self.P
         return acc
 
-    def fixed_count(self, xq: np.ndarray, target: np.ndarray | None = None) -> np.ndarray:
-        """deg gcd(xq - target, f) per lane, target x when not given; a
-        target of fewer than n rows is zero above them.  For xq = x^(p^d)
-        mod f and f squarefree mod p, this is the number of roots of f in
-        F_(p^d).  For xq = den*x^p and the numerators of a map t = num/den,
-        it is the number of roots r of f with r^p = t(r): den is a unit mod
-        p, so den*x^p - num has the gcd of x^p - t with f, and no inverse
-        of den is taken.
+    def fixed_count(self, xq: np.ndarray) -> np.ndarray:
+        """deg gcd(xq - x, f) per lane.  For xq = x^(p^d) mod f and f
+        squarefree mod p, this is the number of roots of f in F_(p^d).
 
         Inverse-free Euclid: one step replaces u, the operand of higher
         degree, with lc(v)*u - lc(u)*x^(deg u - deg v)*v, so the leading
@@ -508,10 +504,7 @@ class _LaneRing:
         """
         P, n = self.P, self.n
         v = np.vstack([xq, np.zeros_like(xq[:1])])
-        if target is None:
-            v[1] = (v[1] - 1) % P
-        else:
-            v[:len(target)] = (v[:len(target)] - target) % P
+        v[1] = (v[1] - 1) % P
         u = self.f
         du, dv = np.full(len(P), n), _lane_degrees(v)
         rows = np.arange(n + 1)[:, None]
@@ -599,22 +592,30 @@ def _factor_degrees(f: list[int], P: np.ndarray) -> np.ndarray:
     return out.astype(np.min_scalar_type(n))
 
 
-def lane_frobenius_counts(f: list[int], maps, primes: np.ndarray) -> np.ndarray:
-    """deg gcd(x^p - t, f) for every map t and every prime p of the array,
-    as a (len(maps), L) array.  Each map is a pair (numerators, denominator)
-    of integers, the polynomial t = numerators/denominator of degree < deg f,
-    and the denominator must be a unit mod every p.
+def lane_frobenius_classes(f: list[int], classes, primes: np.ndarray) -> np.ndarray:
+    """The Frobenius class of every prime of the array, as an index into
+    classes, or -1 where that is not exactly one class.  f defines a Galois
+    field Q(θ); a class is the tuple of its members' maps (num, den), the
+    integer numerators and denominator of σθ = h_σ(θ).
 
-    With f squarefree mod p this counts the roots r of f over F_p with
-    r^p = t(r).  When t is the image of the generator under an automorphism
-    σ of the field of f, it is positive exactly when σ is a Frobenius
-    element at p (Dokchitser-Dokchitser, "Identifying Frobenius elements in
-    Galois groups", 2013).  One x^p per lane serves every map, scaled by
-    its denominator: deg gcd(den*x^p - num, f) is the count, with no inverse.
+    The class of p is the one whose product of den*x^p - num vanishes mod
+    f: no inverse, no gcd (Dokchitser-Dokchitser, "Identifying Frobenius
+    elements in Galois groups", 2013).  It is exact when p ∤ disc f.  Then f
+    is squarefree mod p, and at each factor g exactly one σ_g, in the class
+    of p, has x^p = h_σ_g mod g.  Each other h_τ - h_σ_g is a unit mod g, as
+    the product of σθ - τθ over τ ≠ σ is f'(σθ), of norm ±disc f, and each
+    den is a unit, as den^2 divides disc f.  So only the class of p has a
+    product that vanishes mod every g, hence mod f.
     """
-    def counts(f, P):
+    def find(f, P):
         ring = _LaneRing(f, P)
         P, xp = ring.P, ring.xpow()
-        return np.array([ring.fixed_count(xp * lane_mod(den, P) % P, _lift(num, P))
-                         for num, den in maps], dtype=np.int64).reshape(len(maps), len(P))
-    return _by_block(counts, f, primes)
+
+        def term(num, den):
+            t = xp * lane_mod(den, P)
+            t[:len(num)] -= _lift(num, P)
+            return t % P
+        zero = np.array([~functools.reduce(ring.mul, [term(*m) for m in c]).any(axis=0)
+                         for c in classes])
+        return np.where(zero.sum(axis=0) == 1, zero.argmax(axis=0), -1)
+    return _by_block(find, f, primes)

@@ -27,6 +27,7 @@ from arithplane.cli import main
 from arithplane.intpoly import reduce_mod_p
 from arithplane.lattice import load_lattice
 from arithplane.sieve import is_prime, stream_primes
+from test_lanes import _ring_edge
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LATTICE = str(ROOT / "configs" / "demo.cfg")
@@ -236,12 +237,11 @@ def test_cyclotomic_table_rows():
 
 
 def _spoiled(real):
-    """lane_frobenius_counts with no class found at p = 1 mod 5 and every
-    class found at p = 2 mod 5."""
-    def spoiled(f, maps, primes):
-        out = real(f, maps, primes)
-        out[:, primes % 5 == 1] = 0
-        out[:, primes % 5 == 2] = 1
+    """lane_frobenius_classes with no class found at p = 1 mod 5 and more
+    than one at p = 2 mod 5: both read -1."""
+    def spoiled(f, classes, primes):
+        out = real(f, classes, primes)
+        out[(primes % 5 == 1) | (primes % 5 == 2)] = -1
         return out
     return spoiled
 
@@ -258,7 +258,7 @@ def test_unclassified_lanes_take_the_per_point_path(demo, monkeypatch, text):
         points.append(p)
         return split(fld, p)
 
-    monkeypatch.setattr(dn, "lane_frobenius_counts", _spoiled(dn.lane_frobenius_counts))
+    monkeypatch.setattr(dn, "lane_frobenius_classes", _spoiled(dn.lane_frobenius_classes))
     monkeypatch.setattr(sp, "split_prime", counting_split)
     assert counts(e, 10000) == want
     assert {p % 5 for p in points} >= {1, 2} and len(points) > 500
@@ -330,21 +330,27 @@ def _primes_above(start, count):
     return out
 
 
-@pytest.mark.parametrize("name", ["Qi", "Qs2", "Qw", "Q8", "S3c"])
+@pytest.mark.parametrize("name", ["Qi", "Qs2", "Qw", "Q8", "S3c", "D4c"])
 def test_lane_classes_hold_the_frobenius_element(demo, name):
     # at each point q over p, the automorphism σ with x^p = h_σ mod g_q is
     # the Frobenius element of q, and it must lie in the class of p found on
-    # lanes; three primes above 2^32 run on object lanes
-    fld = demo.field(name)
-    table = dn.class_table(demo, fld, (demo.extension((name, name)),))
+    # lanes; the primes either side of the field's ring bound and three
+    # above 2^32 run the class products on int64 and on object lanes
+    cfg = load_lattice(DIHEDRAL) if name == "D4c" else demo
+    fld = cfg.field(name)
+    table = dn.class_table(cfg, fld, (cfg.extension((name, name)),))
     assert table.modulus == fld.poly.coeffs
-    autos = demo.autos(name)
-    small = np.array(list(stream_primes(2000)), dtype=np.int64)
-    big = np.array(_primes_above(2**32, 3), dtype=np.int64)
-    assert mp.lanes(small).dtype == np.int64 and mp.lanes(big).dtype == object
-    for primes in (small, big):
+    if name == "D4c":
+        assert sorted(map(len, table.maps)) == [1, 1, 2, 2, 2]
+    autos = cfg.autos(name)
+    below, above = _ring_edge(fld.degree)
+    small = np.array([*stream_primes(2000), below], dtype=np.int64)
+    big = np.array([above, *_primes_above(2**32, 3)], dtype=np.int64)
+    for primes, dtype in ((small, np.int64), (big, object)):
+        assert mp._LaneRing(list(fld.poly.num), mp.lanes(primes)).P.dtype == dtype
         taken = primes[~table.rule.excluded(primes)]
         assert not any(fld.disc % p == 0 for p in taken.tolist())
+        assert {below, above} & set(taken.tolist())
         classes = table.classify(taken)
         assert (classes >= 0).all()
         for p, c in zip(taken.tolist(), classes.tolist()):

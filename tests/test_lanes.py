@@ -3,13 +3,14 @@
 Every lane of ``_LaneRing.xpow`` (on the ``lanes`` of a prime array),
 ``lane_root_count`` and ``lane_factor_degrees`` must equal ``xpow_mod``,
 ``root_count`` and ``finitefield.degree_pattern`` at that lane's prime, and
-``lane_frobenius_counts`` must equal deg gcd(x^p - t, f) on the scalar
-kernels, on int64 lanes and on the dtype=object lanes that take over above
-``LANE_INT64_MAX``, or above a ring's own bound (2n - 1)(p - 1)^2 < 2^63 at
-degree n.  The prime arrays mix bit lengths, so lanes with leading zero bits
-run beside full ones.
+``lane_frobenius_classes`` must find the class whose product of
+den*x^p - num vanishes mod (p, f) on the scalar kernels, on int64 lanes and
+on the dtype=object lanes that take over above ``LANE_INT64_MAX``, or above
+a ring's own bound (2n - 1)(p - 1)^2 < 2^63 at degree n.  The prime arrays
+mix bit lengths, so lanes with leading zero bits run beside full ones.
 """
 
+import functools
 import math
 import pathlib
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from arithplane import modpoly as mp
+from arithplane.density import class_table
 from arithplane.finitefield import degree_pattern
 from arithplane.intpoly import RatPoly, reduce_mod_p
 from arithplane.lattice import load_lattice
@@ -112,22 +114,32 @@ DEMO = load_lattice(
 BIG_MAP = RatPoly.over([2**70, -5, 0, 1], 17**20)  # both sides beyond int64
 
 
-def frobenius_count(f, h, p):
-    """deg gcd(x^p - h, f) mod p on the scalar kernels."""
+def frobenius_class(f, classes, p):
+    """The one class whose product of den*x^p - num vanishes mod (p, f), on
+    the scalar kernels, or -1 where that is not exactly one class."""
     fp = reduce_mod_p(f, p)
-    return mp.deg(mp.gcd_p(mp.sub(mp.xpow_mod(p, fp, p), reduce_mod_p(h, p), p), fp, p))
+    xp = mp.xpow_mod(p, fp, p)
+    zero = []
+    for c in classes:
+        terms = [mp.sub(mp.mul(xp, [den % p], p), [a % p for a in num], p) for num, den in c]
+        zero.append(not functools.reduce(lambda a, b: mp.rem_p(mp.mul(a, b, p), fp, p), terms))
+    return zero.index(True) if zero.count(True) == 1 else -1
 
 
 @pytest.mark.parametrize("field", ["Q8", "S3c"])  # S3c's maps have denominator 9
 @pytest.mark.parametrize("pool", ["int64", "object"])
-def test_frobenius_counts_match_scalar_gcd(field, pool):
+def test_frobenius_classes_match_scalar_product(field, pool):
+    # the field's classes, and one more that holds BIG_MAP and the last
+    # class, so that a lane of the last class finds two classes and reads -1
     f = DEMO.field(field).poly
-    maps = [s.h for s in DEMO.autos(field)] + [BIG_MAP]
+    table = class_table(DEMO, DEMO.field(field), (DEMO.extension((field, field)),))
+    assert sorted(map(len, table.maps)) == {"Q8": [1, 1, 1, 1], "S3c": [1, 2, 3]}[field]
+    classes = [*table.maps, ((BIG_MAP.num, BIG_MAP.den), *table.maps[-1])]
     primes = [p for p in (INT64_POOL if pool == "int64" else OBJECT_POOL)
-              if all(h.den % p for h in maps)]
-    counts = mp.lane_frobenius_counts(list(f.num), [(h.num, h.den) for h in maps],
-                                      np.array(primes, dtype=np.int64))
-    assert counts.tolist() == [[frobenius_count(f, h, p) for p in primes] for h in maps]
+              if all(den % p for c in classes for _, den in c)]
+    got = mp.lane_frobenius_classes(list(f.num), classes, np.array(primes, dtype=np.int64))
+    assert got.tolist() == [frobenius_class(f, classes, p) for p in primes]
+    assert set(got.tolist()) == {-1, *range(len(table.maps) - 1)}
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -153,6 +165,8 @@ def test_empty_prime_array():
     assert xpow([9, 9, 0, 3, 6, 3, 1], empty).shape == (6, 0)
     assert mp.lane_root_count([1, 0, 1], empty).shape == (0,)
     assert mp.lane_factor_degrees([-2, 0, 0, 1], empty).shape == (3, 0)
+    classes = [[((0, 1), 1)], [((0, 0, 0, 1), 1), ((0, -1), 1)]]
+    assert mp.lane_frobenius_classes([1, 0, 0, 0, 1], classes, empty).shape == (0,)
 
 
 def test_lanes_property():
