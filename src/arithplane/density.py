@@ -22,7 +22,9 @@ range's evaluable points.  Pi(K/L) and Psi(K/L) threshold one count per
 extension and point, the roots of f_K in the point's residue field that
 restrict to it (at least one, or all [K:L]), made once per range however
 many atoms name the extension.  Over Q a point is its prime and the count
-is the prime-lane root count of ``modpoly``.  Prime sets are tested by
+is the prime-lane root count of ``modpoly``; for a quadratic K that is one
+Euler test per residue class of p mod 4|D| in the range, D the discriminant
+of f_K, read by every prime of the class.  Prime sets are tested by
 membership.  The expression tree combines those arrays, and
 ``searchsorted`` plus ``bincount`` tally them by checkpoint.  The Frobenius
 histogram counts the lane factor-degree patterns the same way.

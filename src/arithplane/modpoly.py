@@ -27,7 +27,12 @@ den*x^p - num over its maps num/den vanishes mod f
 (:func:`lane_frobenius_classes`).  The Q-base density and Frobenius scans
 run the first two, and the relative-base scans the third; the scalar
 :func:`xpow_mod` and :func:`root_count`, and ``finitefield.degree_pattern``,
-are their oracles.  A lane product adds its row products unreduced and
+are their oracles.  The ring kernels run ``LANE_BLOCK`` primes at a time,
+which bounds only the ring's temporaries.  A quadratic needs no ring: its
+root count at p is fixed by p mod 4|D|, D its discriminant, so
+:func:`lane_root_count` and :func:`lane_factor_degrees` take Euler's
+criterion at one prime of each residue class present and broadcast it over
+the whole array at once.  A lane product adds its row products unreduced and
 reduces each row once, so ``_LaneRing`` keeps int64 lanes while
 (2n - 1)(p - 1)^2 < 2^63 for its degree n and every p, and runs the same
 code on Python integers (dtype=object) beyond.
@@ -380,8 +385,10 @@ lanes up to it, where a product of two residues plus a residue fits.  A
 own, lower bound."""
 
 LANE_BLOCK = 1024
-"""Lanes per kernel call: a temporary of 2n - 1 rows stays near 100 KB up to
-degree 8, so a scan's memory does not grow with the primes in its range."""
+"""Lanes per ring kernel call: a ``_LaneRing`` temporary of 2n - 1 rows stays
+near 100 KB up to degree 8, so a scan's memory does not grow with the primes
+in its range.  The quadratic path of :func:`lane_root_count` is not cut into
+blocks; its arrays hold one value per prime."""
 
 
 def lanes(primes: np.ndarray) -> np.ndarray:
@@ -537,10 +544,30 @@ def _by_block(kernel, f: list[int], primes: np.ndarray) -> np.ndarray:
 def lane_root_count(f: list[int], primes: np.ndarray) -> np.ndarray:
     """Distinct roots of monic f in F_p for every prime p of the array.
 
-    Degree 2 reads Euler's criterion on the discriminant (p = 2 by
-    evaluating f at 0 and 1); degree 3 and up take deg gcd(x^p - x, f).
+    Degree 3 and up take deg gcd(x^p - x, f), ``LANE_BLOCK`` primes at a
+    time.  A quadratic x^2 + c1*x + c0, with D = c1^2 - 4*c0, takes one pass
+    over the whole array by residue class of p mod 4|D|: Euler's criterion
+    on D (p = 2 by evaluating f at 0 and 1) runs only at the first prime of
+    each class present, and every prime of the class takes its count.  That
+    is exact at every prime.  At odd p not dividing D the count is
+    1 + (D/p), and odd p, q not dividing D with p = q mod 4|D| have the same
+    Jacobi symbol (D/.) by quadratic reciprocity (Ireland-Rosen, ch. 5);
+    the prime 2 and every prime dividing D are alone in their classes.
+    When 4|D| exceeds every prime, the class of p is p itself, so no int64
+    lane is reduced by a modulus past the largest prime.  When D = 0, f is
+    the square (x + c1/2)^2, with one root at every p: all primes form one
+    class.
     """
-    return _by_block(_root_count, f, primes)
+    if len(f) != 3:
+        return _by_block(_root_count, f, primes)
+    P = lanes(primes)
+    m = 4 * abs(f[1] * f[1] - 4 * f[0])
+    if m == 0:
+        key = np.zeros_like(P)
+    else:
+        key = P % m if m <= int(P.max(initial=0)) else P
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    return _root_count(f, P[first])[cls]
 
 
 def _root_count(f: list[int], P: np.ndarray) -> np.ndarray:
@@ -566,30 +593,30 @@ def lane_factor_degrees(f: list[int], primes: np.ndarray) -> np.ndarray:
     c_d = deg gcd(x^(p^d) - x, f) is the sum of e * N_e over e | d, where
     N_e counts the degree-e factors, so N_d follows for d <= n/2 by Möbius
     inversion, solved one d at a time; what is left is one factor of degree
-    above n/2.  The Frobenius powers come by composition,
-    x^(p^d) = x^(p^(d-1)) o x^p.
+    above n/2.  Up to degree 2, c_1 is :func:`lane_root_count`, one pass
+    over the whole array; above, the Frobenius powers come by composition,
+    x^(p^d) = x^(p^(d-1)) o x^p, ``LANE_BLOCK`` primes at a time.
     """
-    return _by_block(_factor_degrees, f, primes)
-
-
-def _factor_degrees(f: list[int], P: np.ndarray) -> np.ndarray:
     n = len(f) - 1
-    if n <= 2:
-        counts = [_root_count(f, P)]
-    else:
-        ring = _LaneRing(f, P)
-        x1 = xd = ring.xpow()
-        counts = [ring.fixed_count(x1)]
-        for _ in range(2, n // 2 + 1):
-            xd = ring.compose(xd, x1)
-            counts.append(ring.fixed_count(xd))
-    out = np.zeros((n, len(P)), dtype=np.int64)
+    counts = lane_root_count(f, primes)[None] if n <= 2 else _by_block(_fixed_counts, f, primes)
+    out = np.zeros((n, counts.shape[1]), dtype=np.int64)
     for d, c in enumerate(counts, 1):  # c_d = sum of e * N_e over e | d
         out[d - 1] = (c - sum(e * out[e - 1] for e in range(1, d) if d % e == 0)) // d
     rest = n - (np.arange(1, n + 1)[:, None] * out).sum(axis=0)
     lanes_with_rest = np.nonzero(rest)[0]
     out[rest[lanes_with_rest] - 1, lanes_with_rest] += 1
     return out.astype(np.min_scalar_type(n))
+
+
+def _fixed_counts(f: list[int], P: np.ndarray) -> np.ndarray:
+    """c_d for d = 1 .. n/2, one row each."""
+    ring = _LaneRing(f, P)
+    x1 = xd = ring.xpow()
+    counts = [ring.fixed_count(x1)]
+    for _ in range(2, ring.n // 2 + 1):
+        xd = ring.compose(xd, x1)
+        counts.append(ring.fixed_count(xd))
+    return np.array(counts)
 
 
 def lane_frobenius_classes(f: list[int], classes, primes: np.ndarray) -> np.ndarray:

@@ -565,6 +565,36 @@ def test_qbase_density_matches_recount(demo, narrow_ranges, text):
     assert dn.estimate_density(e, RECOUNT_N) == want
 
 
+QUADRATIC_N = 199999  # prime
+B_LATTICE = "field B\n  poly -216444818 0 1\n"  # 4|D| = 3462317088 passes every prime
+
+
+@pytest.mark.parametrize("lattice, text", [
+    ("demo", "Psi(Qi/Q) | Psi(Qw/Q)"),
+    ("demo", "Psi(Qs2/Q) & !Pi(Qi/Q)"),
+    ("B", "Psi(B/Q)"),
+])
+def test_quadratic_density_matches_recount(demo, monkeypatch, lattice, text):
+    # quadratic root counts come by residue class of p mod 4|D|, one Euler
+    # test per class in each range; ranges of 20000 split every class
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 20000)
+    e = expr(demo if lattice == "demo" else load_lattice(B_LATTICE), text)
+    rows, skipped = _recount([e], QUADRATIC_N)
+    want = _recounted_estimate(rows, skipped, QUADRATIC_N, bool)
+    assert want.skipped and want.hits
+    assert dn.estimate_density(e, QUADRATIC_N) == want
+
+
+@pytest.mark.parametrize("name, line", [
+    ("Qi", "Qi, primes <= 100000: 1+1: 4783/9591 = 0.4987; 2: 4808/9591 = 0.5013"),
+    ("Qs2", "Qs2, primes <= 100000: 1+1: 4783/9591 = 0.4987; 2: 4808/9591 = 0.5013"),
+    ("Qw", "Qw, primes <= 100000: 1+1: 4784/9591 = 0.4988; 2: 4807/9591 = 0.5012"),
+], ids=["Qi", "Qs2", "Qw"])
+def test_quadratic_frobenius_lines_keep_their_bytes(demo, name, line):
+    # the lines that Euler's criterion at every prime printed
+    assert str(dn.frobenius_histogram(demo.field(name), 10**5)) == line
+
+
 @pytest.mark.parametrize("lattice, text", [
     *(pytest.param("demo.cfg", text, id=text)
       for text in ["Pi(Q8/Qi) & !Psi(Q8/Qi) | {5}", "Psi(S3c/Qw) | Pi(S3c/Qw) & !{7}"]),

@@ -22,7 +22,7 @@ from arithplane.density import class_table
 from arithplane.finitefield import degree_pattern
 from arithplane.intpoly import RatPoly, reduce_mod_p
 from arithplane.lattice import load_lattice
-from arithplane.sieve import is_prime
+from arithplane.sieve import _jacobi, is_prime
 
 
 def _primes(start, step, count):
@@ -107,6 +107,50 @@ def test_x2_x_1_at_two():
     assert mp.lane_root_count([1, 1, 1], two).tolist() == [0]
     assert _pattern(mp.lane_factor_degrees([1, 1, 1], two)[:, 0]) == (2,)
     assert xpow([1, 1, 1], two)[:, 0].tolist() == [1, 1]  # x^2 = x + 1
+
+
+SMALL = [p for p in range(2, 2**16) if is_prime(p) and p not in INT64_POOL]
+NEAR_2_62 = [*_primes(2**62, -1, 2), *_primes(2**62 + 1, 1, 2)]
+QUADRATICS = [
+    [1, 2, 1], [0, 0, 1], [2**80, 2**41, 1],  # D = 0: (x + 1)^2, x^2, (x + 2^40)^2
+    [1, 1, 1], [-1, 1, 1], [-3, 3, 1],  # D = -3, 5, 21
+    [1, 0, 1], [-2, 0, 1], [-3, 2, 1],  # D = -4, 8, 16
+    [15015, 0, 1],  # D = -4 * 3 * 5 * 7 * 11 * 13
+    [-(2**31 - 1) * 65537, 0, 1],  # 4|D| past every int64 lane, not 2^62; pool primes | D
+    [-(2**20) - 3, 1, 1],  # 4|D| between 2^16 and the largest int64 lanes
+    [-(2**62), 1, 1], [105 * 2**61, 0, 1], [0, M61, 1],  # |D| >= 2^62
+    [-(2**80) - 1, 3, 1],
+]
+
+
+def test_quadratic_root_counts_by_residue_class():
+    # every prime below 2^16, the pools and primes near 2^62 take their count
+    # from one Euler test per class of p mod 4|D|: large primes share classes
+    # with small ones, and the oracles are the scalar root count (on a
+    # sample) and 1 + (D/p) at every odd p, which is 1 where p divides D
+    discs = [f[1] ** 2 - 4 * f[0] for f in QUADRATICS]
+    assert {0, -3, 5, -4, 8} <= set(discs) and min(discs) < -(2**62) < 2**62 < max(discs)
+    int64_primes = sorted({*SMALL, *INT64_POOL})
+    object_primes = sorted({*int64_primes, *OBJECT_POOL, *NEAR_2_62})
+    divided = 0  # odd p dividing a nonzero D
+    for f, D in zip(QUADRATICS, discs):
+        sample = {*OBJECT_POOL, *NEAR_2_62, *SMALL[::16], *(p for p in SMALL[:64] if D % p == 0)}
+        scalar = {p: mp.root_count(mp.trim([c % p for c in f]), p) for p in sample}
+        for primes in (int64_primes, object_primes):
+            P = np.array(primes, dtype=np.int64)
+            assert mp.lanes(P).dtype == (np.int64 if primes is int64_primes else object)
+            with np.errstate(all="raise"):
+                roots = mp.lane_root_count(f, P)
+                degrees = mp.lane_factor_degrees(f, P)
+            for p, r in zip(primes, roots.tolist()):
+                if p % 2:
+                    assert r == 1 + _jacobi(D, p), (f, p)
+                    divided += D != 0 and D % p == 0
+                assert r == scalar.get(p, r), (f, p)
+            squarefree = roots != 1  # a quadratic: two roots, or none and one factor
+            assert (degrees[0] == roots)[squarefree].all(), f
+            assert (degrees[1] == (roots == 0))[squarefree].all(), f
+    assert divided >= 20
 
 
 DEMO = load_lattice(
