@@ -233,7 +233,7 @@ def _run(args, out) -> int:
         return 0
     if cmd == "frobenius":
         stats = dn.frobenius_histogram(
-            cfg.field(args.field), args.max, workers=args.workers
+            cfg.field(args.field), args.max, workers=args.workers, cfg=cfg
         )
         if args.csv:
             pathlib.Path(args.csv).write_text(_frobenius_csv(stats), encoding="utf-8")

@@ -24,10 +24,12 @@ restrict to it (at least one, or all [K:L]), made once per range however
 many atoms name the extension.  Over Q a point is its prime and the count
 is the prime-lane root count of ``modpoly``; for a quadratic K that is one
 Euler test per residue class of p mod 4|D| in the range, D the discriminant
-of f_K, read by every prime of the class.  Prime sets are tested by
-membership.  The expression tree combines those arrays, and
-``searchsorted`` plus ``bincount`` tally them by checkpoint.  The Frobenius
-histogram counts the lane factor-degree patterns the same way.
+of f_K, read by every prime of the class, and for a binomial x^n - a one
+power residue test per prime.  Prime sets are tested by membership.  The
+expression tree combines those arrays, and ``searchsorted`` plus
+``bincount`` tally them by checkpoint.  The Frobenius histogram tallies the
+lane factor-degree patterns, or, for a declared Galois field of degree 4 or
+more, the order of the Frobenius element of each prime.
 
 Over a larger base L the counts come from a :class:`ClassTable`, built once
 per scan when the lattice declares a Galois field M that contains L and
@@ -670,22 +672,74 @@ class FrobeniusStats:
         return f"{self.field_name}, primes <= {self.n}: " + "; ".join(parts)
 
 
-def _frobenius_kernel(fld: NumberField, lo: int, hi: int) -> Counter:
-    """Factorization patterns of f mod the unramified primes in [lo, hi],
-    from the prime-lane factor degrees."""
+def _frobenius_kernel(payload, lo: int, hi: int) -> Counter:
+    """Factorization patterns of f mod the unramified primes in [lo, hi].
+
+    ``payload`` is the field and its order groups (see
+    :func:`frobenius_histogram`), empty unless the field is Galois.  With
+    groups, a prime whose Frobenius element ``lane_frobenius_classes``
+    places in the group of order o has the pattern (o, ..., o), n/o
+    factors, tallied by ``np.bincount`` over the group index; a lane that
+    finds no single group, and every prime without groups, takes the
+    prime-lane factor degrees.  Those are tallied from one integer per lane,
+    the counts N_d of degree-d factors as digits in radix n + 1; the
+    largest is (n + 1)^(n - 1), of an irreducible f, so the integers are
+    int64 up to degree 16 and Python integers above.
+    """
+    fld, groups = payload
+    f, n = list(fld.poly.num), fld.degree
     primes = prime_range(lo, hi)
     primes = primes[~ExclusionRule((fld.disc,)).excluded(primes)]
-    degrees = lane_factor_degrees(list(fld.poly.num), primes)
-    cols, counts = np.unique(degrees, axis=1, return_counts=True)
-    return Counter({tuple(d for d, k in enumerate(col, 1) for _ in range(k)): int(c)
-                    for col, c in zip(cols.T.tolist(), counts.tolist())})
+    out = Counter()
+    if groups:
+        found = lane_frobenius_classes(f, [maps for _, maps in groups], primes)
+        tally = np.bincount(found[found >= 0], minlength=len(groups))
+        out.update({(o,) * (n // o): c for (o, _), c in zip(groups, tally.tolist()) if c})
+        primes = primes[found < 0]
+    degrees = lane_factor_degrees(f, primes)
+    radix = np.array([(n + 1) ** d for d in range(n)],
+                     dtype=np.int64 if (n + 1) ** (n - 1) < 1 << 63 else object)
+    keys, counts = np.unique(radix @ degrees.astype(radix.dtype), return_counts=True)
+    cols = keys[:, None] // radix % (n + 1)
+    out.update({tuple(d for d, k in enumerate(col, 1) for _ in range(k)): c
+                for col, c in zip(cols.tolist(), counts.tolist())})
+    return out
+
+
+def _order_groups(cfg: LatticeConfig, fld: NumberField):
+    """The declared automorphisms of fld by order, as (order, maps) pairs in
+    ascending order, each map the integer pair (``h.num``, ``h.den``)."""
+    comp = Composer(fld.poly)
+    identity = RatPoly.of(0, 1)
+    by_order: dict[int, list] = {}
+    for auto in cfg.autos(fld.name):
+        power, order = auto.h, 1
+        while power != identity:
+            power, order = comp.compose_mod(power, auto.h), order + 1
+        by_order.setdefault(order, []).append((auto.h.num, auto.h.den))
+    return tuple((o, tuple(by_order[o])) for o in sorted(by_order))
 
 
 def frobenius_histogram(
-    fld: NumberField, n: int, workers: int = 1
+    fld: NumberField, n: int, workers: int = 1, cfg: LatticeConfig | None = None
 ) -> FrobeniusStats:
-    """Distribution of factorization patterns of the field polynomial mod p."""
-    counts = scan(_frobenius_kernel, fld, n, workers)
+    """Distribution of factorization patterns of the field polynomial mod p,
+    over the primes p <= n not dividing its discriminant.
+
+    When ``cfg`` marks fld galois and its degree is 4 or more, a prime's
+    pattern is read from the order o of its Frobenius element: every factor
+    has degree o.  The automorphisms are grouped by order here, and each
+    group serves ``lane_frobenius_classes`` as one "class".  That is exact
+    at p not dividing disc f by the kernel's own argument: the Frobenius
+    elements at the factors of f mod p are conjugate, so they share one
+    order and one group, and every other h_τ - h_σ is a unit mod each
+    factor.  Every other field, and every lane where not exactly one group
+    is found, takes the prime-lane factor degrees.
+    """
+    groups = ()
+    if cfg is not None and cfg.is_galois(fld.name) and fld.degree >= 4:
+        groups = _order_groups(cfg, fld)
+    counts = scan(_frobenius_kernel, (fld, groups), n, workers)
     total = sum(counts.values())
     return FrobeniusStats(fld.name, n, total, tuple(sorted(counts.items())))
 

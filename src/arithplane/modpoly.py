@@ -25,17 +25,23 @@ deg gcd(x^q - x, f) (``_LaneRing.fixed_count``): the root count
 and, for a Galois f, the Frobenius class of p, the one whose product of
 den*x^p - num over its maps num/den vanishes mod f
 (:func:`lane_frobenius_classes`).  The Q-base density and Frobenius scans
-run the first two, and the relative-base scans the third; the scalar
-:func:`xpow_mod` and :func:`root_count`, and ``finitefield.degree_pattern``,
-are their oracles.  The ring kernels run ``LANE_BLOCK`` primes at a time,
-which bounds only the ring's temporaries.  A quadratic needs no ring: its
-root count at p is fixed by p mod 4|D|, D its discriminant, so
-:func:`lane_root_count` and :func:`lane_factor_degrees` take Euler's
-criterion at one prime of each residue class present and broadcast it over
-the whole array at once.  A lane product adds its row products unreduced and
-reduces each row once, so ``_LaneRing`` keeps int64 lanes while
-(2n - 1)(p - 1)^2 < 2^63 for its degree n and every p, and runs the same
-code on Python integers (dtype=object) beyond.
+run the first two, and the relative-base scans and the Frobenius scan of a
+Galois field the third; the scalar :func:`xpow_mod` and :func:`root_count`,
+and ``finitefield.degree_pattern``, are their oracles.  The ring kernels run
+``LANE_BLOCK`` primes at a time, which bounds only the ring's temporaries.
+A quadratic needs no ring: its root count at p is fixed by p mod 4|D|, D
+its discriminant, so :func:`lane_root_count` and
+:func:`lane_factor_degrees` take Euler's criterion at one prime of each
+residue class present and broadcast it over the whole array at once.  A
+binomial x^n - a needs no ring either: by the n-th power residue criterion
+its root count at p not dividing a is d = gcd(n, p - 1) or 0, as
+a^((p - 1)/d) is 1 mod p or not, one power per prime with d > 1.  A
+cubic's factor degrees follow from its root count, so
+:func:`lane_factor_degrees` of a binomial cubic builds no ring either.  A
+lane product adds its row products unreduced and reduces each row once, so
+``_LaneRing`` keeps int64 lanes while (2n - 1)(p - 1)^2 < 2^63 for its
+degree n and every p, and runs the same code on Python integers
+(dtype=object) beyond.
 """
 
 from __future__ import annotations
@@ -387,8 +393,8 @@ own, lower bound."""
 LANE_BLOCK = 1024
 """Lanes per ring kernel call: a ``_LaneRing`` temporary of 2n - 1 rows stays
 near 100 KB up to degree 8, so a scan's memory does not grow with the primes
-in its range.  The quadratic path of :func:`lane_root_count` is not cut into
-blocks; its arrays hold one value per prime."""
+in its range.  The quadratic and binomial paths of :func:`lane_root_count`
+are not cut into blocks; their arrays hold one value per prime."""
 
 
 def lanes(primes: np.ndarray) -> np.ndarray:
@@ -545,20 +551,30 @@ def lane_root_count(f: list[int], primes: np.ndarray) -> np.ndarray:
     """Distinct roots of monic f in F_p for every prime p of the array.
 
     Degree 3 and up take deg gcd(x^p - x, f), ``LANE_BLOCK`` primes at a
-    time.  A quadratic x^2 + c1*x + c0, with D = c1^2 - 4*c0, takes one pass
-    over the whole array by residue class of p mod 4|D|: Euler's criterion
-    on D (p = 2 by evaluating f at 0 and 1) runs only at the first prime of
-    each class present, and every prime of the class takes its count.  That
-    is exact at every prime.  At odd p not dividing D the count is
-    1 + (D/p), and odd p, q not dividing D with p = q mod 4|D| have the same
-    Jacobi symbol (D/.) by quadratic reciprocity (Ireland-Rosen, ch. 5);
-    the prime 2 and every prime dividing D are alone in their classes.
-    When 4|D| exceeds every prime, the class of p is p itself, so no int64
-    lane is reduced by a modulus past the largest prime.  When D = 0, f is
-    the square (x + c1/2)^2, with one root at every p: all primes form one
-    class.
+    time, except a binomial x^n - a, which takes one pass over the whole
+    array by the n-th power residue criterion (Ireland-Rosen, ch. 4 §2).
+    Its count is 1 where p divides a (the root 0).  Elsewhere x -> x^n maps
+    the cyclic group F_p^* onto the subgroup of index d = gcd(n, p - 1),
+    each fibre of size d, so the count is d where a^((p - 1)/d) = 1 mod p
+    and 0 where not.  That is exact at every prime, p = 2 and p dividing n
+    included, and a lane with d = 1 needs no power.
+
+    A quadratic x^2 + c1*x + c0, with D = c1^2 - 4*c0, takes one pass over
+    the whole array by residue class of p mod 4|D|: Euler's criterion on D
+    (p = 2 by evaluating f at 0 and 1) runs only at one prime of each class
+    present, and every prime of the class takes its count.  That is exact
+    at every prime.  At odd p not dividing D the count is 1 + (D/p), and
+    odd p, q not dividing D with p = q mod 4|D| have the same Jacobi symbol
+    (D/.) by quadratic reciprocity (Ireland-Rosen, ch. 5); the prime 2 and
+    every prime dividing D are alone in their classes.  When 4|D| exceeds
+    every prime, the class of p is p itself, so no int64 lane is reduced by
+    a modulus past the largest prime.  When D = 0, f is the square
+    (x + c1/2)^2, with one root at every p: all primes form one class.
     """
-    if len(f) != 3:
+    n = len(f) - 1
+    if n >= 3 and f[-1] == 1 and not any(f[1:-1]):
+        return _binomial_root_count(n, -f[0], lanes(primes))
+    if n != 2:
         return _by_block(_root_count, f, primes)
     P = lanes(primes)
     m = 4 * abs(f[1] * f[1] - 4 * f[0])
@@ -566,8 +582,25 @@ def lane_root_count(f: list[int], primes: np.ndarray) -> np.ndarray:
         key = np.zeros_like(P)
     else:
         key = P % m if m <= int(P.max(initial=0)) else P
-    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    # any prime of a class serves, so scatter the lane indices through the
+    # inverse rather than ask np.unique for a stable sort's first indices
+    keys, cls = np.unique(key, return_inverse=True)
+    first = np.empty(len(keys), dtype=np.intp)
+    first[cls] = np.arange(len(key))
     return _root_count(f, P[first])[cls]
+
+
+def _binomial_root_count(n: int, a: int, P: np.ndarray) -> np.ndarray:
+    """Distinct roots of x^n - a in F_p per lane of P, by the power residue
+    criterion of :func:`lane_root_count`."""
+    am = lane_mod(a, P)
+    d = np.gcd(P - 1, n)
+    out = np.where(am == 0, 1, d).astype(np.int64)
+    test = np.flatnonzero((d > 1) & (am != 0))
+    Pt = P[test]
+    residue = _lane_powmod(am[test], (Pt - 1) // d[test], Pt) == 1
+    out[test] = np.where(residue, out[test], 0)
+    return out
 
 
 def _root_count(f: list[int], P: np.ndarray) -> np.ndarray:
@@ -593,12 +626,13 @@ def lane_factor_degrees(f: list[int], primes: np.ndarray) -> np.ndarray:
     c_d = deg gcd(x^(p^d) - x, f) is the sum of e * N_e over e | d, where
     N_e counts the degree-e factors, so N_d follows for d <= n/2 by Möbius
     inversion, solved one d at a time; what is left is one factor of degree
-    above n/2.  Up to degree 2, c_1 is :func:`lane_root_count`, one pass
-    over the whole array; above, the Frobenius powers come by composition,
+    above n/2.  Up to degree 3, c_1 alone fixes the pattern, and it is
+    :func:`lane_root_count`: one pass over the whole array for a quadratic
+    or a binomial.  Above, the Frobenius powers come by composition,
     x^(p^d) = x^(p^(d-1)) o x^p, ``LANE_BLOCK`` primes at a time.
     """
     n = len(f) - 1
-    counts = lane_root_count(f, primes)[None] if n <= 2 else _by_block(_fixed_counts, f, primes)
+    counts = lane_root_count(f, primes)[None] if n <= 3 else _by_block(_fixed_counts, f, primes)
     out = np.zeros((n, counts.shape[1]), dtype=np.int64)
     for d, c in enumerate(counts, 1):  # c_d = sum of e * N_e over e | d
         out[d - 1] = (c - sum(e * out[e - 1] for e in range(1, d) if d % e == 0)) // d

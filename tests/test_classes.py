@@ -24,6 +24,7 @@ from arithplane import modpoly as mp
 from arithplane import sieve
 from arithplane import spectrum as sp
 from arithplane.cli import main
+from arithplane.finitefield import degree_pattern
 from arithplane.intpoly import reduce_mod_p
 from arithplane.lattice import load_lattice
 from arithplane.sieve import is_prime, stream_primes
@@ -360,3 +361,85 @@ def test_lane_classes_hold_the_frobenius_element(demo, name):
                 frob = [i for i, a in enumerate(autos)
                         if mp.rem_p(reduce_mod_p(a.h, p), g, p) == xp]
                 assert len(frob) == 1 and frob[0] in table.classes[c], (name, p, q)
+
+
+# ------------------------------------- Frobenius patterns from the order
+
+
+ORDER_GROUPS = {"Qi": [1, 1], "Qs2": [1, 1], "Qw": [1, 1], "Q8": [1, 3],
+                "S3c": [1, 3, 2], "D4c": [1, 5, 2]}  # sizes, by ascending order
+
+
+@pytest.mark.parametrize("lattice", ["demo", "dihedral"])
+def test_order_of_frobenius_matches_factor_degrees(demo, monkeypatch, lattice):
+    # every galois field, quadratics included, tallied from the order of its
+    # Frobenius element and from the lane factor degrees: equal at 10^5, for
+    # one worker and three, and no lane of the first falls back
+    cfg = demo if lattice == "demo" else load_lattice(DIHEDRAL)
+    fallback = []
+    real = dn.lane_factor_degrees
+    monkeypatch.setattr(dn, "lane_factor_degrees",
+                        lambda f, primes: fallback.append(len(primes)) or real(f, primes))
+    for name in sorted(cfg.galois_marks):
+        fld = cfg.field(name)
+        groups = dn._order_groups(cfg, fld)
+        assert [len(maps) for _, maps in groups] == ORDER_GROUPS[name]
+        want = dn.scan(dn._frobenius_kernel, (fld, ()), 10**5, 1)
+        fallback.clear()
+        assert dn.scan(dn._frobenius_kernel, (fld, groups), 10**5, 1) == want, name
+        assert fallback and not any(fallback), name
+        assert dn.scan(dn._frobenius_kernel, (fld, groups), 10**5, 3) == want, name
+        hist = dn.frobenius_histogram(fld, 10**5, cfg=cfg)
+        assert hist == dn.frobenius_histogram(fld, 10**5, workers=3, cfg=cfg), name
+        assert hist == dn.frobenius_histogram(fld, 10**5), name
+
+
+@pytest.mark.parametrize("name", ["S3c", "D4c"])
+def test_order_groups_match_degree_pattern_at_ring_edges(demo, name):
+    # the group found on lanes gives every factor the degree of its order, on
+    # int64 and object rings: primes either side of the degree-6 and degree-8
+    # ring bounds, and small ones beside each
+    cfg = load_lattice(DIHEDRAL) if name == "D4c" else demo
+    fld = cfg.field(name)
+    f, n = list(fld.poly.num), fld.degree
+    groups = dn._order_groups(cfg, fld)
+    dtypes = set()
+    for edge in (*_ring_edge(6), *_ring_edge(8)):
+        primes = np.array([p for p in (*stream_primes(300), edge) if fld.disc % p],
+                          dtype=np.int64)
+        dtypes.add(mp._LaneRing(f, mp.lanes(primes)).P.dtype)
+        found = mp.lane_frobenius_classes(f, [maps for _, maps in groups], primes)
+        assert (found >= 0).all()
+        for q, g in zip(primes.tolist(), found.tolist()):
+            order = groups[g][0]
+            assert (order,) * (n // order) == degree_pattern(reduce_mod_p(fld.poly, q), q)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+@pytest.mark.parametrize("name", ["Q8", "S3c", "D4c"])
+def test_unfound_orders_take_the_factor_degrees(demo, monkeypatch, name):
+    # lanes that find no group, or more than one, read their pattern from the
+    # factor degrees instead, and only they do
+    cfg = load_lattice(DIHEDRAL) if name == "D4c" else demo
+    fld = cfg.field(name)
+    want = dn.frobenius_histogram(fld, 10**4)
+    fallback = []
+    real = dn.lane_factor_degrees
+    monkeypatch.setattr(dn, "lane_factor_degrees",
+                        lambda f, primes: fallback.extend(primes.tolist()) or real(f, primes))
+    monkeypatch.setattr(dn, "lane_frobenius_classes", _spoiled(dn.lane_frobenius_classes))
+    assert dn.frobenius_histogram(fld, 10**4, cfg=cfg) == want
+    assert {p % 5 for p in fallback} == {1, 2} and len(fallback) > 500
+    monkeypatch.setattr(sieve, "RANGE_WIDTH", 2000)
+    assert dn.frobenius_histogram(fld, 10**4, workers=2, cfg=cfg) == want
+
+
+def test_fields_not_marked_galois_take_the_factor_degrees(monkeypatch):
+    # Q(2^(1/4)) with its automorphisms x -> x and x -> -x declared, but not
+    # Galois: no order is read, as the Frobenius element is not defined
+    cfg = load_lattice(DIHEDRAL + "auto Qq2\n  map 0 1\nauto Qq2\n  map 0 -1\n")
+    assert len(cfg.autos("Qq2")) == 2 and not cfg.is_galois("Qq2")
+    fld = cfg.field("Qq2")
+    want = dn.frobenius_histogram(fld, 10**4)
+    monkeypatch.setattr(dn, "lane_frobenius_classes", lambda *args: pytest.fail("read an order"))
+    assert dn.frobenius_histogram(fld, 10**4, cfg=cfg) == want

@@ -776,3 +776,17 @@ def test_frobenius_matches_recount(demo, narrow_ranges, name):
                    for p in stream_primes(RECOUNT_N) if fld.disc % p)
     got = dn.frobenius_histogram(fld, RECOUNT_N)
     assert dict(got.counts) == want and got.total == sum(want.values())
+
+
+@pytest.mark.parametrize("poly", ["-3" + " 0" * 16 + " 1", "5 -3" + " 0" * 15 + " 1"],
+                         ids=["x17-3", "x17-3x+5"])
+def test_frobenius_tally_past_int64_keys(poly):
+    # at degree 17 a lane's pattern, its N_d as digits in radix 18, passes
+    # 2^63 where f is irreducible, so the keys are Python integers; at
+    # degree 16 the largest, 17^15, still fits
+    assert 17**15 < 2**63 < 18**16
+    fld = load_lattice(f"field K\n  poly {poly}\ntrusted K\n").field("K")
+    want = Counter(degree_pattern(reduce_mod_p(fld.poly, p), p)
+                   for p in stream_primes(3000) if fld.disc % p)
+    got = dn.frobenius_histogram(fld, 3000)
+    assert dict(got.counts) == want and len(want) > 5

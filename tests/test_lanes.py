@@ -7,7 +7,9 @@ Every lane of ``_LaneRing.xpow`` (on the ``lanes`` of a prime array),
 den*x^p - num vanishes mod (p, f) on the scalar kernels, on int64 lanes and
 on the dtype=object lanes that take over above ``LANE_INT64_MAX``, or above
 a ring's own bound (2n - 1)(p - 1)^2 < 2^63 at degree n.  The prime arrays
-mix bit lengths, so lanes with leading zero bits run beside full ones.
+mix bit lengths, so lanes with leading zero bits run beside full ones.  The
+root counts that need no ring, of quadratics and binomials x^n - a, are
+checked against their oracles at every prime below 2^16 as well.
 """
 
 import functools
@@ -151,6 +153,36 @@ def test_quadratic_root_counts_by_residue_class():
             assert (degrees[0] == roots)[squarefree].all(), f
             assert (degrees[1] == (roots == 0))[squarefree].all(), f
     assert divided >= 20
+
+
+BINOMIAL_A = [-12, -2, -1, 0, 1, 2, 3, 16, 81, 2**70 + 5, -(2**63) - 7]  # the last two by limbs
+
+
+def test_binomial_root_counts_by_power_residue():
+    # x^n - a for n = 3..8 on every prime below 2^16 and both pools: the
+    # power residue rule against the ring path it replaces, deg gcd(x^p - x, f)
+    # per LANE_BLOCK block, at every lane, and against the scalar root count
+    # (and, for the cubics, the scalar factor degrees) on a sample
+    below_2_16 = sorted({*SMALL, *(p for p in INT64_POOL if p < 2**16)})
+    assert len(below_2_16) == 6542
+    sample = {*INT64_POOL, *OBJECT_POOL, *SMALL[::64]}
+    for n in range(3, 9):
+        for a in BINOMIAL_A:
+            f = [-a, *[0] * (n - 1), 1]
+            for primes in (below_2_16, INT64_POOL, OBJECT_POOL):
+                P = np.array(primes, dtype=np.int64)
+                with np.errstate(all="raise"):
+                    roots = mp.lane_root_count(f, P)
+                    degrees = mp.lane_factor_degrees(f, P) if n == 3 else None
+                assert roots.dtype == np.int64
+                assert roots.tolist() == mp._by_block(mp._root_count, f, P).tolist(), (n, a)
+                for j, p in enumerate(primes):
+                    if p not in sample:
+                        continue
+                    fp = mp.trim([c % p for c in f])
+                    assert roots[j] == mp.root_count(fp, p), (n, a, p)
+                    if degrees is not None and (3 * a) % p:  # x^3 - a squarefree mod p
+                        assert _pattern(degrees[:, j]) == degree_pattern(fp, p), (a, p)
 
 
 DEMO = load_lattice(
